@@ -165,8 +165,6 @@ def _cmd_precompute(args, argv):
 def _cmd_train(args, argv):
     from dataclasses import asdict
 
-    import numpy as np
-
     from .harness import (
         PropagationCache,
         load_dataset,
@@ -175,7 +173,7 @@ def _cmd_train(args, argv):
         write_manifest,
         write_report,
     )
-    from .model import ModelInputs, save_checkpoint, train
+    from .model import save_checkpoint
 
     config, _ = _resolve_configs(args)
     bundle = load_dataset(args.data)
@@ -183,23 +181,9 @@ def _cmd_train(args, argv):
     out = _out_dir(args, "train")
     cache = PropagationCache(os.path.join(out, "cache"))
     report = run_experiment(bundle, config, splits, base_seed=args.seed, cache=cache)
-
-    # Re-train the best-validation split (same seed, so same parameters)
-    # to produce the checkpoint artifact.
-    best_split = int(np.argmax(report.val_accuracies))
-    stack, _ = cache.get_or_compute(bundle.graph, bundle.features, config.propagation())
-    model_cfg = config.model(bundle.features.shape[1], bundle.num_classes)
-    inputs = ModelInputs.build(bundle.graph, bundle.features, stack, model_cfg.sim_kind)
-    result = train(
-        model_cfg,
-        config.training(seed=(args.seed, best_split)),
-        inputs,
-        bundle.labels,
-        splits[best_split].train,
-        splits[best_split].val,
-    )
     checkpoint = os.path.join(out, "model.lspm")
-    save_checkpoint(checkpoint, model_cfg, result.params)
+    model_cfg = config.model(bundle.features.shape[1], bundle.num_classes)
+    save_checkpoint(checkpoint, model_cfg, report.best_params)
 
     rows = [
         [i, report.test_accuracies[i], report.val_accuracies[i]]
@@ -229,7 +213,7 @@ def _cmd_train(args, argv):
 
 
 def _cmd_eval(args, argv):
-    from dataclasses import asdict
+    from dataclasses import asdict, replace
 
     import numpy as np
 
@@ -240,15 +224,7 @@ def _cmd_eval(args, argv):
     config, _ = _resolve_configs(args)
     bundle = load_dataset(args.data)
     model_cfg, params = load_checkpoint(args.checkpoint)
-    prop_cfg = config.propagation()
-    if prop_cfg.num_layers != model_cfg.num_layers:
-        prop_cfg = type(prop_cfg)(
-            num_layers=model_cfg.num_layers,
-            gamma=prop_cfg.gamma,
-            beta=prop_cfg.beta,
-            variant=prop_cfg.variant,
-            normalize=prop_cfg.normalize,
-        )
+    prop_cfg = replace(config.propagation(), num_layers=model_cfg.num_layers)
     stack = precompute_bundle(bundle.graph, bundle.features, prop_cfg)
     inputs = ModelInputs.build(bundle.graph, bundle.features, stack, model_cfg.sim_kind)
     mask = np.ones(bundle.num_nodes, dtype=bool)

@@ -7,7 +7,7 @@ the same order on every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -16,7 +16,6 @@ import scipy.sparse as sp
 from .errors import InputError
 
 __all__ = [
-    "SparseMatrix",
     "SparseGraph",
     "FilterPair",
     "HomophilyReport",
@@ -30,42 +29,6 @@ __all__ = [
     "read_edge_list",
     "write_edge_list",
 ]
-
-
-@dataclass(eq=False)
-class SparseMatrix:
-    """Square CSR matrix with column indices sorted within each row.
-
-    Treated as immutable after construction; `_csr` is a lazily built
-    zero-copy scipy view used for matrix products.
-    """
-
-    n: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-    _csr: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.col_indices.shape[0])
-
-    def scipy_csr(self) -> sp.csr_matrix:
-        if self._csr is None:
-            self._csr = sp.csr_matrix(
-                (self.values, self.col_indices, self.row_offsets),
-                shape=(self.n, self.n),
-                copy=False,
-            )
-        return self._csr
-
-    def matmul_dense(self, x: np.ndarray) -> np.ndarray:
-        """Return self @ x for a dense (n, d) array."""
-        out = self.scipy_csr() @ x
-        return np.ascontiguousarray(out)
-
-    def to_dense(self) -> np.ndarray:
-        return self.scipy_csr().toarray()
 
 
 @dataclass(eq=False)
@@ -117,8 +80,8 @@ class FilterPair:
     """
 
     beta: float
-    low: SparseMatrix
-    high: SparseMatrix
+    low: sp.csr_array
+    high: sp.csr_array
 
 
 @dataclass(eq=False)
@@ -183,19 +146,23 @@ def build_graph(edges: Iterable[Sequence[int]] | np.ndarray, num_nodes: int) -> 
     )
 
 
-def _adjacency_values(g: SparseGraph, entry_value) -> SparseMatrix:
-    """CSR matrix on the adjacency pattern; entry_value(rows, cols) -> values."""
-    rows = g.entry_rows()
-    values = entry_value(rows, g.col_indices)
-    return SparseMatrix(
-        n=g.num_nodes,
-        row_offsets=g.row_offsets.copy(),
-        col_indices=g.col_indices.copy(),
-        values=np.asarray(values, dtype=np.float64),
-    )
+def _csr(
+    n: int, row_offsets: np.ndarray, col_indices: np.ndarray, values: np.ndarray
+) -> sp.csr_array:
+    """Square CSR array over entries already sorted by (row, col).
+
+    The arrays are used without copying and are never written afterwards.
+    """
+    return sp.csr_array((values, col_indices, row_offsets), shape=(n, n), copy=False)
 
 
-def sym_norm_adj(g: SparseGraph) -> SparseMatrix:
+def _adjacency_values(g: SparseGraph, entry_value) -> sp.csr_array:
+    """CSR array on the adjacency pattern; entry_value(rows, cols) -> values."""
+    values = entry_value(g.entry_rows(), g.col_indices)
+    return _csr(g.num_nodes, g.row_offsets, g.col_indices, np.asarray(values, dtype=np.float64))
+
+
+def sym_norm_adj(g: SparseGraph) -> sp.csr_array:
     """Symmetrically normalized adjacency D^{-1/2} A D^{-1/2}.
 
     Isolated nodes contribute empty rows, so no division guard is needed.
@@ -206,8 +173,8 @@ def sym_norm_adj(g: SparseGraph) -> SparseMatrix:
     return _adjacency_values(g, lambda r, c: inv_sqrt[r] * inv_sqrt[c])
 
 
-def _with_diagonal(g: SparseGraph, diag: np.ndarray, off: np.ndarray) -> SparseMatrix:
-    """CSR matrix on the adjacency pattern plus an always-stored diagonal.
+def _with_diagonal(g: SparseGraph, diag: np.ndarray, off: np.ndarray) -> sp.csr_array:
+    """CSR array on the adjacency pattern plus an always-stored diagonal.
 
     `off` holds one value per directed adjacency entry, `diag` one per node.
     Storing the diagonal even when a value is 0.0 keeps patterns of related
@@ -223,15 +190,10 @@ def _with_diagonal(g: SparseGraph, diag: np.ndarray, off: np.ndarray) -> SparseM
     counts = g.degrees + 1
     row_offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=row_offsets[1:])
-    return SparseMatrix(
-        n=n,
-        row_offsets=row_offsets,
-        col_indices=cols.astype(np.int64),
-        values=vals.astype(np.float64),
-    )
+    return _csr(n, row_offsets, cols.astype(np.int64), vals.astype(np.float64))
 
 
-def self_loop_adj(g: SparseGraph) -> SparseMatrix:
+def self_loop_adj(g: SparseGraph) -> sp.csr_array:
     """Adjacency with self loops added: A + I, unnormalized."""
     return _with_diagonal(
         g,
@@ -240,7 +202,7 @@ def self_loop_adj(g: SparseGraph) -> SparseMatrix:
     )
 
 
-def sgc_filter(g: SparseGraph) -> SparseMatrix:
+def sgc_filter(g: SparseGraph) -> sp.csr_array:
     """Self-loop-normalized adjacency D~^{-1/2} (A + I) D~^{-1/2}."""
     inv_sqrt = 1.0 / np.sqrt(g.degrees.astype(np.float64) + 1.0)
     rows = g.entry_rows()
@@ -251,24 +213,20 @@ def sgc_filter(g: SparseGraph) -> SparseMatrix:
     )
 
 
-def complement_filter(m: SparseMatrix) -> SparseMatrix:
+def complement_filter(m: sp.csr_array) -> sp.csr_array:
     """Return I - m on the same sparsity pattern.
 
     Requires every diagonal entry to be stored in m, which holds for all
     filters built by this module's `_with_diagonal` construction.
     """
-    values = -m.values.copy()
-    rows = np.repeat(np.arange(m.n, dtype=np.int64), np.diff(m.row_offsets))
-    diag_mask = rows == m.col_indices
-    if int(diag_mask.sum()) != m.n:
+    n = m.shape[0]
+    values = -m.data
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(m.indptr))
+    diag_mask = rows == m.indices
+    if int(diag_mask.sum()) != n:
         raise InputError("complement_filter requires an explicitly stored diagonal")
     values[diag_mask] += 1.0
-    return SparseMatrix(
-        n=m.n,
-        row_offsets=m.row_offsets.copy(),
-        col_indices=m.col_indices.copy(),
-        values=values,
-    )
+    return _csr(n, m.indptr, m.indices, values)
 
 
 def enhanced_filters(g: SparseGraph, beta: float) -> FilterPair:
@@ -283,7 +241,7 @@ def enhanced_filters(g: SparseGraph, beta: float) -> FilterPair:
     low = _with_diagonal(
         g,
         diag=np.full(g.num_nodes, beta, dtype=np.float64),
-        off=norm.values,
+        off=norm.data,
     )
     high = complement_filter(low)
     return FilterPair(beta=float(beta), low=low, high=high)

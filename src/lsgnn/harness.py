@@ -430,6 +430,7 @@ class MetricsReport:
     std: float
     seconds: float
     config: dict
+    best_params: dict[str, np.ndarray]
     cache_hit: bool = False
 
     @property
@@ -447,7 +448,8 @@ def run_experiment(
     """Propagate once, then train and evaluate the model on each split.
 
     The training seed for split i is (base_seed, i); identical inputs give
-    identical reports.
+    identical reports.  `best_params` holds the trained parameters of the
+    first split with the highest best-validation accuracy.
     """
     if not splits:
         raise InputError("at least one split is required")
@@ -466,6 +468,8 @@ def run_experiment(
         tcfg = config.training(seed=tuple(base + [i]))
         result = train(model_cfg, tcfg, inputs, bundle.labels, split.train, split.val)
         test_accs.append(evaluate(result.params, model_cfg, inputs, bundle.labels, split.test))
+        if not val_accs or result.best_val_acc > max(val_accs):
+            best_params = result.params
         val_accs.append(result.best_val_acc)
     return MetricsReport(
         test_accuracies=test_accs,
@@ -474,6 +478,7 @@ def run_experiment(
         std=float(np.std(test_accs)),
         seconds=time.perf_counter() - started,
         config=asdict(config),
+        best_params=best_params,
         cache_hit=hit,
     )
 

@@ -7,6 +7,13 @@ similarity into per-node, per-depth mixing weights, the weighted channels
 are concatenated with the identity channel, and a linear layer produces
 class logits.
 
+Parameters are one ordered `dict[str, np.ndarray]`: `w_in`, `w_low_1..K`,
+`w_high_1..K`, then `ls_w1, ls_b1, ls_w2, ls_b2` (refined local
+similarity), `al_w1, al_b1, al_w2, al_b2` (node-level weights) or
+`graph_alpha` (graph-level weights), then `w_out`.  That order is fixed;
+the initializer's draws, the optimizer, the checkpoint format and the
+finite-difference tests all rely on it.
+
 Gradients are derived by hand and verified against central finite
 differences in the test suite; there is no autograd dependency.
 """
@@ -15,7 +22,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -28,7 +35,6 @@ __all__ = [
     "LOCALSIM_MODES",
     "WEIGHT_MODES",
     "ModelConfig",
-    "ModelParameters",
     "ModelInputs",
     "TrainConfig",
     "TrainResult",
@@ -41,7 +47,6 @@ __all__ = [
     "train",
     "save_checkpoint",
     "load_checkpoint",
-    "LinearModel",
     "train_linear",
     "linear_predict",
     "linear_accuracy",
@@ -97,76 +102,14 @@ class ModelConfig:
         return self.weight_mode == "node_level"
 
 
-@dataclass(eq=False)
-class ModelParameters:
-    """All trainable arrays for one ModelConfig.
-
-    Optional fields are None when the config does not use them.  Iteration
-    order from `named_arrays` is fixed; the optimizer, the initializer, the
-    checkpoint format, and the finite-difference tests all rely on it.
-    """
-
-    w_in: np.ndarray
-    w_low: list[np.ndarray]
-    w_high: list[np.ndarray]
-    w_out: np.ndarray
-    ls_w1: np.ndarray | None = None
-    ls_b1: np.ndarray | None = None
-    ls_w2: np.ndarray | None = None
-    ls_b2: np.ndarray | None = None
-    al_w1: np.ndarray | None = None
-    al_b1: np.ndarray | None = None
-    al_w2: np.ndarray | None = None
-    al_b2: np.ndarray | None = None
-    graph_alpha: np.ndarray | None = None
-
-    def named_arrays(self) -> Iterator[tuple[str, np.ndarray]]:
-        yield "w_in", self.w_in
-        for k, w in enumerate(self.w_low, start=1):
-            yield f"w_low_{k}", w
-        for k, w in enumerate(self.w_high, start=1):
-            yield f"w_high_{k}", w
-        for name in ("ls_w1", "ls_b1", "ls_w2", "ls_b2", "al_w1", "al_b1", "al_w2", "al_b2", "graph_alpha"):
-            arr = getattr(self, name)
-            if arr is not None:
-                yield name, arr
-        yield "w_out", self.w_out
-
-    def copy(self) -> "ModelParameters":
-        def c(a):
-            return None if a is None else a.copy()
-
-        return ModelParameters(
-            w_in=self.w_in.copy(),
-            w_low=[w.copy() for w in self.w_low],
-            w_high=[w.copy() for w in self.w_high],
-            w_out=self.w_out.copy(),
-            ls_w1=c(self.ls_w1),
-            ls_b1=c(self.ls_b1),
-            ls_w2=c(self.ls_w2),
-            ls_b2=c(self.ls_b2),
-            al_w1=c(self.al_w1),
-            al_b1=c(self.al_b1),
-            al_w2=c(self.al_w2),
-            al_b2=c(self.al_b2),
-            graph_alpha=c(self.graph_alpha),
-        )
-
-    def zeros_like(self) -> "ModelParameters":
-        out = self.copy()
-        for _, arr in out.named_arrays():
-            arr[...] = 0.0
-        return out
-
-    def squared_norm(self) -> float:
-        return float(sum((a * a).sum() for _, a in self.named_arrays()))
+Params = dict[str, np.ndarray]
 
 
-def init_parameters(config: ModelConfig, rng: np.random.Generator) -> ModelParameters:
-    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) per array, in named order.
+def init_parameters(config: ModelConfig, rng: np.random.Generator) -> Params:
+    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) per array.
 
-    The draw order matches `named_arrays`, so two runs with equal seeds get
-    bitwise-identical starting points.
+    Arrays are drawn in the fixed key order given in the module docstring,
+    so two runs with equal seeds get bitwise-identical starting points.
     """
 
     def u(shape, fan_in):
@@ -175,39 +118,42 @@ def init_parameters(config: ModelConfig, rng: np.random.Generator) -> ModelParam
 
     k = config.num_layers
     d, z, c = config.in_dim, config.hidden_dim, config.num_classes
-    w_in = u((d, z), d)
-    w_low = [u((d, z), d) for _ in range(k)]
-    w_high = [u((d, z), d) for _ in range(k)]
-    kwargs = {}
+    params = {"w_in": u((d, z), d)}
+    for branch in ("low", "high"):
+        for kk in range(1, k + 1):
+            params[f"w_{branch}_{kk}"] = u((d, z), d)
     if config.uses_localsim_mlp:
         h = config.ls_hidden
-        kwargs.update(
+        params.update(
             ls_w1=u((2, h), 2), ls_b1=u((h,), 2), ls_w2=u((h, 1), h), ls_b2=u((1,), h)
         )
     if config.uses_alpha_mlp:
         h = config.alpha_hidden
-        kwargs.update(
+        params.update(
             al_w1=u((2, h), 2),
             al_b1=u((h,), 2),
             al_w2=u((h, 3 * k), h),
             al_b2=u((3 * k,), h),
         )
     else:
-        kwargs.update(graph_alpha=u((3 * k,), 1))
-    w_out = u(((k + 1) * z, c), (k + 1) * z)
-    return ModelParameters(w_in=w_in, w_low=w_low, w_high=w_high, w_out=w_out, **kwargs)
+        params["graph_alpha"] = u((3 * k,), 1)
+    params["w_out"] = u(((k + 1) * z, c), (k + 1) * z)
+    return params
+
+
+def _squared_norm(params: Params) -> float:
+    return float(sum((a * a).sum() for a in params.values()))
 
 
 @dataclass(eq=False)
 class ModelInputs:
     """Everything the forward pass reads: raw features, propagated layers,
-    and per-edge similarity values cached once up front."""
+    and per-edge similarity features cached once up front."""
 
     graph: SparseGraph
     x: np.ndarray
     stack: PropagationStack
     sim_kind: str
-    edge_sims: np.ndarray
     edge_feats: np.ndarray
     phi_naive: np.ndarray
     entry_rows: np.ndarray
@@ -240,7 +186,6 @@ class ModelInputs:
             x=x,
             stack=stack,
             sim_kind=sim_kind,
-            edge_sims=sims,
             edge_feats=np.column_stack([sims, sims * sims]),
             phi_naive=neighborhood_mean(graph, sims),
             entry_rows=graph.entry_rows(),
@@ -263,7 +208,7 @@ def _dropout(h: np.ndarray, p: float, rng: np.random.Generator | None):
 
 
 def _forward(
-    params: ModelParameters,
+    params: Params,
     config: ModelConfig,
     inputs: ModelInputs,
     dropout_rng: np.random.Generator | None,
@@ -281,20 +226,20 @@ def _forward(
     n = inputs.graph.num_nodes
     cache: dict = {}
 
-    pre_i = inputs.x @ params.w_in
+    pre_i = inputs.x @ params["w_in"]
     h_i, m_i = _dropout(_relu(pre_i), config.dropout, dropout_rng)
     cache["pre_i"], cache["h_i"], cache["m_i"] = pre_i, h_i, m_i
 
     pre_l, h_l, m_l = [], [], []
     for kk in range(k):
-        p = inputs.stack.low[kk] @ params.w_low[kk]
+        p = inputs.stack.low[kk] @ params[f"w_low_{kk + 1}"]
         h, m = _dropout(_relu(p), config.dropout, dropout_rng)
         pre_l.append(p)
         h_l.append(h)
         m_l.append(m)
     pre_h, h_h, m_h = [], [], []
     for kk in range(k):
-        p = inputs.stack.high[kk] @ params.w_high[kk]
+        p = inputs.stack.high[kk] @ params[f"w_high_{kk + 1}"]
         h, m = _dropout(_relu(p), config.dropout, dropout_rng)
         pre_h.append(p)
         h_h.append(h)
@@ -302,21 +247,21 @@ def _forward(
     cache.update(pre_l=pre_l, h_l=h_l, m_l=m_l, pre_h=pre_h, h_h=h_h, m_h=m_h)
 
     if config.weight_mode == "graph_level":
-        alpha = np.broadcast_to(params.graph_alpha, (n, 3 * k))
+        alpha = np.broadcast_to(params["graph_alpha"], (n, 3 * k))
     else:
         if config.localsim_mode == "naive":
             phi = inputs.phi_naive
         else:
-            a1 = inputs.edge_feats @ params.ls_w1 + params.ls_b1
+            a1 = inputs.edge_feats @ params["ls_w1"] + params["ls_b1"]
             r1 = _relu(a1)
-            s = r1 @ params.ls_w2[:, 0] + params.ls_b2[0]
+            s = r1 @ params["ls_w2"][:, 0] + params["ls_b2"][0]
             sums = np.bincount(inputs.entry_rows, weights=s, minlength=n)
             phi = sums * inputs.inv_degrees
             cache.update(ls_a1=a1, ls_r1=r1)
         psi = np.column_stack([phi, phi * phi])
-        b1 = psi @ params.al_w1 + params.al_b1
+        b1 = psi @ params["al_w1"] + params["al_b1"]
         q1 = _relu(b1)
-        alpha = q1 @ params.al_w2 + params.al_b2
+        alpha = q1 @ params["al_w2"] + params["al_b2"]
         cache.update(phi=phi, psi=psi, al_b1=b1, al_q1=q1)
     cache["alpha"] = alpha
 
@@ -327,7 +272,7 @@ def _forward(
         a_l = alpha[:, k + kk : k + kk + 1]
         a_h = alpha[:, 2 * k + kk : 2 * k + kk + 1]
         feats[:, (kk + 1) * z : (kk + 2) * z] = a_i * h_i + a_l * h_l[kk] + a_h * h_h[kk]
-    logits = feats @ params.w_out
+    logits = feats @ params["w_out"]
     shift = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shift)
     log_probs = shift - np.log(exp.sum(axis=1, keepdims=True))
@@ -336,18 +281,18 @@ def _forward(
 
 
 def predict_proba(
-    params: ModelParameters, config: ModelConfig, inputs: ModelInputs
+    params: Params, config: ModelConfig, inputs: ModelInputs
 ) -> np.ndarray:
     """Class probabilities with dropout off; rows sum to 1."""
     return _forward(params, config, inputs, dropout_rng=None)["probs"]
 
 
-def predict(params: ModelParameters, config: ModelConfig, inputs: ModelInputs) -> np.ndarray:
+def predict(params: Params, config: ModelConfig, inputs: ModelInputs) -> np.ndarray:
     return predict_proba(params, config, inputs).argmax(axis=1)
 
 
 def evaluate(
-    params: ModelParameters,
+    params: Params,
     config: ModelConfig,
     inputs: ModelInputs,
     labels: np.ndarray,
@@ -361,14 +306,14 @@ def evaluate(
 
 
 def loss_and_gradients(
-    params: ModelParameters,
+    params: Params,
     config: ModelConfig,
     inputs: ModelInputs,
     labels: np.ndarray,
     mask: np.ndarray,
     weight_decay: float = 0.0,
     dropout_rng: np.random.Generator | None = None,
-) -> tuple[float, ModelParameters]:
+) -> tuple[float, Params]:
     """Mean cross-entropy over masked nodes plus L2 penalty, with exact
     gradients for every trainable array.
 
@@ -382,9 +327,10 @@ def loss_and_gradients(
     m_count = int(np.count_nonzero(mask))
     log_probs = cache["log_probs"]
     ce = 0.0 if m_count == 0 else -float(log_probs[mask, labels[mask]].mean())
-    loss = ce + 0.5 * weight_decay * params.squared_norm()
+    loss = ce + 0.5 * weight_decay * _squared_norm(params)
 
-    grads = params.zeros_like()
+    # Keys in parameter order; each is assigned below.
+    grads = dict.fromkeys(params)
 
     dlogits = np.zeros_like(cache["probs"])
     if m_count:
@@ -393,8 +339,8 @@ def loss_and_gradients(
         dlogits /= m_count
 
     feats = cache["feats"]
-    grads.w_out[...] = feats.T @ dlogits
-    dfeats = dlogits @ params.w_out.T
+    grads["w_out"] = feats.T @ dlogits
+    dfeats = dlogits @ params["w_out"].T
 
     alpha = cache["alpha"]
     h_i, h_l, h_h = cache["h_i"], cache["h_l"], cache["h_h"]
@@ -412,47 +358,47 @@ def loss_and_gradients(
         dh_h.append(alpha[:, 2 * k + kk : 2 * k + kk + 1] * dz)
 
     if config.weight_mode == "graph_level":
-        grads.graph_alpha[...] = dalpha.sum(axis=0)
+        grads["graph_alpha"] = dalpha.sum(axis=0)
     else:
         q1 = cache["al_q1"]
-        grads.al_w2[...] = q1.T @ dalpha
-        grads.al_b2[...] = dalpha.sum(axis=0)
-        dq1 = dalpha @ params.al_w2.T
+        grads["al_w2"] = q1.T @ dalpha
+        grads["al_b2"] = dalpha.sum(axis=0)
+        dq1 = dalpha @ params["al_w2"].T
         db1 = dq1 * (cache["al_b1"] > 0.0)
-        grads.al_w1[...] = cache["psi"].T @ db1
-        grads.al_b1[...] = db1.sum(axis=0)
-        dpsi = db1 @ params.al_w1.T
+        grads["al_w1"] = cache["psi"].T @ db1
+        grads["al_b1"] = db1.sum(axis=0)
+        dpsi = db1 @ params["al_w1"].T
         dphi = dpsi[:, 0] + 2.0 * cache["phi"] * dpsi[:, 1]
         if config.localsim_mode == "refined":
             # Each entry's score feeds its row's mean, so the incoming
             # gradient splits by 1/degree.
             ds = dphi[inputs.entry_rows] * inputs.inv_degrees[inputs.entry_rows]
             r1 = cache["ls_r1"]
-            grads.ls_w2[...] = (r1.T @ ds)[:, None]
-            grads.ls_b2[...] = ds.sum()
-            dr1 = ds[:, None] * params.ls_w2[:, 0][None, :]
+            grads["ls_w2"] = (r1.T @ ds)[:, None]
+            grads["ls_b2"] = ds.sum(keepdims=True)
+            dr1 = ds[:, None] * params["ls_w2"][:, 0][None, :]
             da1 = dr1 * (cache["ls_a1"] > 0.0)
-            grads.ls_w1[...] = inputs.edge_feats.T @ da1
-            grads.ls_b1[...] = da1.sum(axis=0)
+            grads["ls_w1"] = inputs.edge_feats.T @ da1
+            grads["ls_b1"] = da1.sum(axis=0)
 
-    def channel_back(dh, mult, pre, basis, out):
+    def channel_back(dh, mult, pre, basis):
         if mult is not None:
             dh = dh * mult
         dpre = dh * (pre > 0.0)
-        out[...] = basis.T @ dpre
+        return basis.T @ dpre
 
-    channel_back(dh_i, cache["m_i"], cache["pre_i"], inputs.x, grads.w_in)
+    grads["w_in"] = channel_back(dh_i, cache["m_i"], cache["pre_i"], inputs.x)
     for kk in range(k):
-        channel_back(
-            dh_l[kk], cache["m_l"][kk], cache["pre_l"][kk], inputs.stack.low[kk], grads.w_low[kk]
+        grads[f"w_low_{kk + 1}"] = channel_back(
+            dh_l[kk], cache["m_l"][kk], cache["pre_l"][kk], inputs.stack.low[kk]
         )
-        channel_back(
-            dh_h[kk], cache["m_h"][kk], cache["pre_h"][kk], inputs.stack.high[kk], grads.w_high[kk]
+        grads[f"w_high_{kk + 1}"] = channel_back(
+            dh_h[kk], cache["m_h"][kk], cache["pre_h"][kk], inputs.stack.high[kk]
         )
 
     if weight_decay != 0.0:
-        for (_, g), (_, p) in zip(grads.named_arrays(), params.named_arrays()):
-            g += weight_decay * p
+        for name, g in grads.items():
+            g += weight_decay * params[name]
     return loss, grads
 
 
@@ -468,13 +414,14 @@ class Adam:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
-    def step(self, params, grads) -> None:
-        """Update any object exposing named_arrays() in place."""
+    def step(self, params: Params, grads: Params) -> None:
+        """Update every array of `params` in place from `grads[name]`."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         correct1 = 1.0 - b1**self.t
         correct2 = 1.0 - b2**self.t
-        for (name, p), (_, g) in zip(params.named_arrays(), grads.named_arrays()):
+        for name, p in params.items():
+            g = grads[name]
             if name not in self._m:
                 self._m[name] = np.zeros_like(p)
                 self._v[name] = np.zeros_like(p)
@@ -498,10 +445,44 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class TrainResult:
-    params: ModelParameters
+    params: Params
     history: list[tuple[int, float, float]]
     best_epoch: int
     best_val_acc: float
+
+
+def _fit(
+    params: Params,
+    train_config: TrainConfig,
+    loss_and_grads: Callable[[Params], tuple[float, Params]],
+    val_accuracy: Callable[[Params], float],
+) -> TrainResult:
+    """The Adam and early-stopping loop of `train` and `train_linear`.
+
+    Updates `params` in place and returns copies of the best validation
+    epoch's arrays.
+    """
+    opt = Adam(train_config.lr)
+    # Copy every array: Adam updates them in place, so a shallow dict copy
+    # would follow the last epoch.
+    best = {name: a.copy() for name, a in params.items()}
+    best_val = -np.inf
+    best_epoch = -1
+    history: list[tuple[int, float, float]] = []
+    for epoch in range(train_config.epochs):
+        loss, grads = loss_and_grads(params)
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(epoch, train_config.lr)
+        opt.step(params, grads)
+        val_acc = val_accuracy(params)
+        history.append((epoch, loss, val_acc))
+        if val_acc > best_val:
+            best_val = val_acc
+            best_epoch = epoch
+            best = {name: a.copy() for name, a in params.items()}
+        elif epoch - best_epoch >= train_config.patience:
+            break
+    return TrainResult(params=best, history=history, best_epoch=best_epoch, best_val_acc=best_val)
 
 
 def train(
@@ -516,38 +497,26 @@ def train(
 
     Returns the parameters from the best validation epoch, not the last
     one.  Training halts once `patience` epochs pass without a new best.
-    A non-finite loss raises TrainingDivergedError immediately.
+    A non-finite loss raises TrainingDivergedError immediately.  Dropout
+    masks come from the seeded generator, after the initial draws.
     """
     rng = np.random.default_rng(train_config.seed)
     params = init_parameters(config, rng)
-    opt = Adam(train_config.lr)
-    best = params.copy()
-    best_val = -np.inf
-    best_epoch = -1
-    history: list[tuple[int, float, float]] = []
     dropout_rng = rng if config.dropout > 0.0 else None
-    for epoch in range(train_config.epochs):
-        loss, grads = loss_and_gradients(
-            params,
+    return _fit(
+        params,
+        train_config,
+        lambda p: loss_and_gradients(
+            p,
             config,
             inputs,
             labels,
             train_mask,
             weight_decay=train_config.weight_decay,
             dropout_rng=dropout_rng,
-        )
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(epoch, train_config.lr)
-        opt.step(params, grads)
-        val_acc = evaluate(params, config, inputs, labels, val_mask)
-        history.append((epoch, loss, val_acc))
-        if val_acc > best_val:
-            best_val = val_acc
-            best_epoch = epoch
-            best = params.copy()
-        elif epoch - best_epoch >= train_config.patience:
-            break
-    return TrainResult(params=best, history=history, best_epoch=best_epoch, best_val_acc=best_val)
+        ),
+        lambda p: evaluate(p, config, inputs, labels, val_mask),
+    )
 
 
 # --- checkpoint serialization ---------------------------------------------
@@ -585,9 +554,8 @@ def _read_array(fh: BinaryIO) -> tuple[str, np.ndarray]:
 _CONFIG_PACK = "<IIIIIIIBBBd"
 
 
-def save_checkpoint(path, config: ModelConfig, params: ModelParameters) -> None:
+def save_checkpoint(path, config: ModelConfig, params: Params) -> None:
     """Write config plus every named array to the LSPM binary format."""
-    named = list(params.named_arrays())
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(
@@ -606,12 +574,12 @@ def save_checkpoint(path, config: ModelConfig, params: ModelParameters) -> None:
                 config.dropout,
             )
         )
-        fh.write(struct.pack("<I", len(named)))
-        for name, arr in named:
+        fh.write(struct.pack("<I", len(params)))
+        for name, arr in params.items():
             _write_array(fh, name, arr)
 
 
-def load_checkpoint(path) -> tuple[ModelConfig, ModelParameters]:
+def load_checkpoint(path) -> tuple[ModelConfig, Params]:
     """Read an LSPM file; array names and shapes must match the config."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
@@ -653,7 +621,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParameters]:
         if fh.read(1):
             raise FormatError("trailing bytes after final array")
 
-    template = dict(init_parameters(config, np.random.default_rng(0)).named_arrays())
+    template = init_parameters(config, np.random.default_rng(0))
     if sorted(arrays) != sorted(template):
         raise FormatError(
             f"checkpoint arrays {sorted(arrays)} do not match config "
@@ -664,62 +632,28 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParameters]:
             raise FormatError(
                 f"array {name} has shape {arrays[name].shape}, expected {ref.shape}"
             )
-    k = config.num_layers
-    params = ModelParameters(
-        w_in=arrays["w_in"],
-        w_low=[arrays[f"w_low_{i}"] for i in range(1, k + 1)],
-        w_high=[arrays[f"w_high_{i}"] for i in range(1, k + 1)],
-        w_out=arrays["w_out"],
-        ls_w1=arrays.get("ls_w1"),
-        ls_b1=arrays.get("ls_b1"),
-        ls_w2=arrays.get("ls_w2"),
-        ls_b2=arrays.get("ls_b2"),
-        al_w1=arrays.get("al_w1"),
-        al_b1=arrays.get("al_b1"),
-        al_w2=arrays.get("al_w2"),
-        al_b2=arrays.get("al_b2"),
-        graph_alpha=arrays.get("graph_alpha"),
-    )
-    return config, params
+    return config, {name: arrays[name] for name in template}
 
 
 # --- plain linear softmax head --------------------------------------------
 
 
-@dataclass(eq=False)
-class LinearModel:
-    """Softmax regression head used by the raw-feature and deep-filter
-    baselines; shares the optimizer and early-stopping protocol with the
-    main model."""
-
-    w: np.ndarray
-    b: np.ndarray | None
-
-    def named_arrays(self):
-        yield "w", self.w
-        if self.b is not None:
-            yield "b", self.b
-
-    def copy(self) -> "LinearModel":
-        return LinearModel(w=self.w.copy(), b=None if self.b is None else self.b.copy())
-
-
-def _linear_log_probs(model: LinearModel, features: np.ndarray) -> np.ndarray:
-    logits = features @ model.w
-    if model.b is not None:
-        logits = logits + model.b
+def _linear_log_probs(params: Params, features: np.ndarray) -> np.ndarray:
+    logits = features @ params["w"]
+    if "b" in params:
+        logits = logits + params["b"]
     shift = logits - logits.max(axis=1, keepdims=True)
     return shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
 
 
-def linear_predict(model: LinearModel, features: np.ndarray) -> np.ndarray:
-    return _linear_log_probs(model, features).argmax(axis=1)
+def linear_predict(params: Params, features: np.ndarray) -> np.ndarray:
+    return _linear_log_probs(params, features).argmax(axis=1)
 
 
 def linear_accuracy(
-    model: LinearModel, features: np.ndarray, labels: np.ndarray, mask: np.ndarray
+    params: Params, features: np.ndarray, labels: np.ndarray, mask: np.ndarray
 ) -> float:
-    pred = linear_predict(model, features)
+    pred = linear_predict(params, features)
     return float((pred[mask] == labels[mask]).mean())
 
 
@@ -731,49 +665,39 @@ def train_linear(
     train_mask: np.ndarray,
     val_mask: np.ndarray,
     bias: bool = True,
-) -> LinearModel:
-    """Fit the linear softmax head with the same Adam + early-stopping
-    protocol as the full model; returns best-validation parameters."""
+) -> Params:
+    """Fit the softmax regression head `{"w", "b"}` (no "b" without bias)
+    used by the raw-feature and deep-filter baselines, with the same Adam +
+    early-stopping loop as the full model; returns best-validation
+    parameters."""
     features = np.ascontiguousarray(features, dtype=np.float64)
     n, d = features.shape
     rng = np.random.default_rng(train_config.seed)
     bound = 1.0 / np.sqrt(d)
-    model = LinearModel(
-        w=rng.uniform(-bound, bound, size=(d, num_classes)),
-        b=rng.uniform(-bound, bound, size=(num_classes,)) if bias else None,
-    )
-    opt = Adam(train_config.lr)
+    params = {"w": rng.uniform(-bound, bound, size=(d, num_classes))}
+    if bias:
+        params["b"] = rng.uniform(-bound, bound, size=(num_classes,))
     m_count = int(np.count_nonzero(train_mask))
     if m_count == 0:
         raise InputError("train mask selects no nodes")
-    best = model.copy()
-    best_val = -np.inf
-    best_epoch = -1
-    for epoch in range(train_config.epochs):
-        log_probs = _linear_log_probs(model, features)
+    wd = train_config.weight_decay
+
+    def loss_and_grads(p: Params) -> tuple[float, Params]:
+        log_probs = _linear_log_probs(p, features)
         loss = -float(log_probs[train_mask, labels[train_mask]].mean())
-        loss += 0.5 * train_config.weight_decay * sum(
-            float((a * a).sum()) for _, a in model.named_arrays()
-        )
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(epoch, train_config.lr)
+        loss += 0.5 * wd * _squared_norm(p)
         dlogits = np.zeros_like(log_probs)
         dlogits[train_mask] = np.exp(log_probs[train_mask])
         dlogits[train_mask, labels[train_mask]] -= 1.0
         dlogits /= m_count
-        grad_w = features.T @ dlogits + train_config.weight_decay * model.w
-        grads = LinearModel(
-            w=grad_w,
-            b=None
-            if model.b is None
-            else dlogits.sum(axis=0) + train_config.weight_decay * model.b,
-        )
-        opt.step(model, grads)
-        val_acc = linear_accuracy(model, features, labels, val_mask)
-        if val_acc > best_val:
-            best_val = val_acc
-            best_epoch = epoch
-            best = model.copy()
-        elif epoch - best_epoch >= train_config.patience:
-            break
-    return best
+        grads = {"w": features.T @ dlogits + wd * p["w"]}
+        if "b" in p:
+            grads["b"] = dlogits.sum(axis=0) + wd * p["b"]
+        return loss, grads
+
+    return _fit(
+        params,
+        train_config,
+        loss_and_grads,
+        lambda p: linear_accuracy(p, features, labels, val_mask),
+    ).params

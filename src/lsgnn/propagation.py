@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 from typing import BinaryIO
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DigestMismatchError, FormatError, InputError
-from .graph import FilterPair, SparseGraph, SparseMatrix, enhanced_filters
+from .graph import FilterPair, SparseGraph, enhanced_filters
 
 __all__ = [
     "VARIANTS",
@@ -89,14 +90,14 @@ class PropagationStack:
         return self.low[0].shape[1]
 
 
-def _check_feature_rows(s: SparseMatrix, x: np.ndarray) -> None:
-    if x.ndim != 2 or x.shape[0] != s.n:
+def _check_feature_rows(s: sp.csr_array, x: np.ndarray) -> None:
+    if x.ndim != 2 or x.shape[0] != s.shape[0]:
         raise InputError(
-            f"features must be 2-d with {s.n} rows, got shape {x.shape}"
+            f"features must be 2-d with {s.shape[0]} rows, got shape {x.shape}"
         )
 
 
-def irdc(s: SparseMatrix, x: np.ndarray, num_layers: int, gamma: float) -> list[np.ndarray]:
+def irdc(s: sp.csr_array, x: np.ndarray, num_layers: int, gamma: float) -> list[np.ndarray]:
     """Incremental propagation: each hop filters what earlier hops missed.
 
     Layer 1 is s @ x; layer k filters (1 - gamma) * x minus gamma times the
@@ -105,19 +106,19 @@ def irdc(s: SparseMatrix, x: np.ndarray, num_layers: int, gamma: float) -> list[
     """
     _check_feature_rows(s, x)
     layers = []
-    h = s.matmul_dense(x)
+    h = s @ x
     layers.append(h)
     if num_layers == 1:
         return layers
     running = h.copy()
     for _ in range(1, num_layers):
-        h = s.matmul_dense((1.0 - gamma) * x - gamma * running)
+        h = s @ ((1.0 - gamma) * x - gamma * running)
         layers.append(h)
         running += h
     return layers
 
 
-def residual_propagate(variant: str, s: SparseMatrix, x: np.ndarray, num_layers: int) -> list[np.ndarray]:
+def residual_propagate(variant: str, s: sp.csr_array, x: np.ndarray, num_layers: int) -> list[np.ndarray]:
     """Ablation recurrences that re-smooth instead of propagating increments.
 
     sgc: layer k = s applied k times to x.
@@ -129,19 +130,19 @@ def residual_propagate(variant: str, s: SparseMatrix, x: np.ndarray, num_layers:
     if variant == "sgc":
         z = x
         for _ in range(num_layers):
-            z = s.matmul_dense(z)
+            z = s @ z
             layers.append(z)
     elif variant == "initial_residual":
         z = x
         for _ in range(num_layers):
-            z = x + s.matmul_dense(z)
+            z = x + s @ z
             layers.append(z)
     elif variant == "difference_residual":
         prev2 = x
-        prev1 = s.matmul_dense(x)
+        prev1 = s @ x
         layers.append(prev1)
         for _ in range(1, num_layers):
-            nxt = s.matmul_dense(prev2 - prev1)
+            nxt = s @ (prev2 - prev1)
             layers.append(nxt)
             prev2, prev1 = prev1, nxt
     else:
@@ -150,7 +151,7 @@ def residual_propagate(variant: str, s: SparseMatrix, x: np.ndarray, num_layers:
 
 
 def propagate_layers(
-    variant: str, s: SparseMatrix, x: np.ndarray, num_layers: int, gamma: float
+    variant: str, s: sp.csr_array, x: np.ndarray, num_layers: int, gamma: float
 ) -> list[np.ndarray]:
     if variant == "irdc":
         return irdc(s, x, num_layers, gamma)
@@ -181,9 +182,9 @@ def build_stack(
 ) -> PropagationStack:
     """Run the configured recurrence over both filters of a pair."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != pair.low.n:
+    if x.ndim != 2 or x.shape[0] != pair.low.shape[0]:
         raise InputError(
-            f"features must be ({pair.low.n}, d), got shape {x.shape}"
+            f"features must be ({pair.low.shape[0]}, d), got shape {x.shape}"
         )
     low = propagate_layers(config.variant, pair.low, x, config.num_layers, config.gamma)
     high = propagate_layers(config.variant, pair.high, x, config.num_layers, config.gamma)

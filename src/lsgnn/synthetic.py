@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import GenerationError, InputError
 from .graph import FilterPair, SparseGraph, build_graph, complement_filter, self_loop_adj
-from .harness import RATIOS, make_splits
+from .harness import RATIOS, _seed_list, make_splits
 from .localsim import naive_localsim
 from .model import (
     ModelConfig,
@@ -373,12 +373,6 @@ class L1GapReport:
     @property
     def passed(self) -> bool:
         return self.empirical >= self.bound - 3.0 * self.stderr
-
-
-def _seed_list(seed) -> list[int]:
-    if isinstance(seed, (int, np.integer)):
-        return [int(seed)]
-    return [int(s) for s in seed]
 
 
 def _phi_by_subgraph(ds: SyntheticDataset, t: int) -> np.ndarray:

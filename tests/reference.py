@@ -164,7 +164,7 @@ def central_fd(loss_fn, params, h):
     {name: gradient array}.
     """
     grads = {}
-    for name, arr in params.named_arrays():
+    for name, arr in params.items():
         g = np.zeros_like(arr)
         flat = arr.ravel()
         gflat = g.ravel()

@@ -225,7 +225,7 @@ def test_criterion_4_gradients_match_finite_differences():
 
         # per-coordinate best of h in {1e-5, 1e-6}: a probe straddling a
         # relu kink is invalid at the larger step, a wrong gradient at both
-        worst = max(worst, fd_rel_error(loss_fn, params, dict(grads.named_arrays())))
+        worst = max(worst, fd_rel_error(loss_fn, params, grads))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-4 and elapsed < 60.0
     announce(
@@ -245,15 +245,15 @@ def test_criterion_5_filter_and_propagation_identities(tmp_path):
     filter_dev = 0.0
     for beta in (0.0, 0.5, 1.0):
         pair = enhanced_filters(g, beta)
-        total = pair.low.to_dense() + pair.high.to_dense()
+        total = pair.low.toarray() + pair.high.toarray()
         filter_dev = max(filter_dev, float(np.max(np.abs(total - np.eye(60)))))
 
     s = sym_norm_adj(g)
     x = np.random.default_rng(6).normal(size=(60, 5))
-    sx = s.matmul_dense(x)
+    sx = s @ x
     repeated = all(np.array_equal(h, sx) for h in irdc(s, x, 4, 0.0))
     two = irdc(s, x, 2, 1.0)
-    flipped = np.array_equal(two[1], -s.matmul_dense(sx))
+    flipped = np.array_equal(two[1], -(s @ sx))
 
     y = np.random.default_rng(7).normal(size=(60, 5))
     mixed = irdc(s, 0.7 * x - 1.3 * y, 3, 0.5)
@@ -384,7 +384,7 @@ def test_criterion_7b_repeated_smoothing_baseline_degrades(depth_data, depth_row
     # S^K x follows the class eigenvector until the stationary one, growing
     # faster by lambda1/lambda2 per layer, overtakes it; row normalization
     # then leaves every d=1 layer with one sign on all nodes
-    eigvals, eigvecs = np.linalg.eigh(pair.low.to_dense())
+    eigvals, eigvecs = np.linalg.eigh(pair.low.toarray())
     top, second = np.argsort(-eigvals)[:2]
     coef = eigvecs.T @ bundle.features[:, 0]
     lam1, lam2 = eigvals[top], eigvals[second]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from lsgnn.errors import InputError
 from lsgnn.graph import (
@@ -61,7 +62,7 @@ def test_edge_array_round_trip():
 
 def test_sym_norm_path_entries(path4):
     # interior path edges connect degree-1 and degree-2 nodes
-    s = sym_norm_adj(path4).to_dense()
+    s = sym_norm_adj(path4).toarray()
     ref = dense_sym_norm(dense_adjacency(4, [[0, 1], [1, 2], [2, 3]]))
     assert np.allclose(s, ref, atol=1e-15)
     assert s[0, 1] == pytest.approx(1.0 / np.sqrt(2.0))
@@ -71,12 +72,12 @@ def test_sym_norm_path_entries(path4):
 def test_sym_norm_matches_dense_reference(random_graph):
     g, edges = random_graph(n=15, p=0.25, seed=3)
     ref = dense_sym_norm(dense_adjacency(15, edges))
-    assert np.allclose(sym_norm_adj(g).to_dense(), ref, atol=1e-14)
+    assert np.allclose(sym_norm_adj(g).toarray(), ref, atol=1e-14)
 
 
 def test_sym_norm_isolated_node_rows_zero():
     g = build_graph(np.array([[0, 1]]), 3)
-    s = sym_norm_adj(g).to_dense()
+    s = sym_norm_adj(g).toarray()
     assert np.all(s[2] == 0.0)
     assert np.all(s[:, 2] == 0.0)
 
@@ -84,31 +85,31 @@ def test_sym_norm_isolated_node_rows_zero():
 def test_self_loop_adj(random_graph):
     g, edges = random_graph(n=10, p=0.3, seed=1)
     ref = dense_self_loop(dense_adjacency(10, edges))
-    assert np.array_equal(self_loop_adj(g).to_dense(), ref)
+    assert np.array_equal(self_loop_adj(g).toarray(), ref)
 
 
 def test_sgc_filter_matches_dense_reference(random_graph):
     g, edges = random_graph(n=13, p=0.3, seed=5)
     ref = dense_sgc_filter(dense_adjacency(13, edges))
-    assert np.allclose(sgc_filter(g).to_dense(), ref, atol=1e-14)
+    assert np.allclose(sgc_filter(g).toarray(), ref, atol=1e-14)
 
 
 def test_enhanced_filters_single_edge():
     g = build_graph(np.array([[0, 1]]), 2)
     pair = enhanced_filters(g, 0.5)
-    assert np.allclose(pair.low.to_dense(), [[0.5, 1.0], [1.0, 0.5]])
-    assert np.allclose(pair.high.to_dense(), [[0.5, -1.0], [-1.0, 0.5]])
+    assert np.allclose(pair.low.toarray(), [[0.5, 1.0], [1.0, 0.5]])
+    assert np.allclose(pair.high.toarray(), [[0.5, -1.0], [-1.0, 0.5]])
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
 def test_enhanced_filters_sum_to_identity_exactly(random_graph, beta):
     g, edges = random_graph(n=20, p=0.2, seed=7)
     pair = enhanced_filters(g, beta)
-    total = pair.low.to_dense() + pair.high.to_dense()
+    total = pair.low.toarray() + pair.high.toarray()
     assert np.max(np.abs(total - np.eye(20))) == 0.0
     ref_low, ref_high = dense_enhanced(dense_adjacency(20, edges), beta)
-    assert np.allclose(pair.low.to_dense(), ref_low, atol=1e-14)
-    assert np.allclose(pair.high.to_dense(), ref_high, atol=1e-14)
+    assert np.allclose(pair.low.toarray(), ref_low, atol=1e-14)
+    assert np.allclose(pair.high.toarray(), ref_high, atol=1e-14)
 
 
 def test_enhanced_filters_beta_validation(path4):
@@ -124,11 +125,23 @@ def test_complement_requires_stored_diagonal(path4):
         complement_filter(sym_norm_adj(path4))
 
 
-def test_matmul_dense_matches_numpy(random_graph):
+def test_filter_products_match_numpy(random_graph):
     g, edges = random_graph(n=14, p=0.3, seed=9)
-    s = sym_norm_adj(g)
+    pair = enhanced_filters(g, 0.5)
+    filters = {
+        "sym_norm_adj": sym_norm_adj(g),
+        "self_loop_adj": self_loop_adj(g),
+        "sgc_filter": sgc_filter(g),
+        "enhanced low": pair.low,
+        "enhanced high": pair.high,
+        "complement_filter": complement_filter(sgc_filter(g)),
+    }
     x = np.random.default_rng(0).normal(size=(14, 5))
-    assert np.allclose(s.matmul_dense(x), s.to_dense() @ x, atol=1e-13)
+    for name, s in filters.items():
+        # sorted, duplicate-free indices make every product deterministic
+        assert isinstance(s, sp.csr_array), name
+        assert s.has_canonical_format, name
+        assert np.allclose(s @ x, s.toarray() @ x, atol=1e-13), name
 
 
 def test_node_homophily_star(star5):

@@ -23,7 +23,8 @@ from lsgnn.harness import (
     write_manifest,
     write_report,
 )
-from lsgnn.propagation import PropagationConfig
+from lsgnn.model import ModelInputs, train
+from lsgnn.propagation import PropagationConfig, precompute_bundle
 from lsgnn.synthetic import generate_fsbm, two_subgraph_config
 
 
@@ -220,6 +221,23 @@ def test_run_experiment_is_deterministic_and_uses_cache(tmp_path):
     assert not no_cache.cache_hit
     with pytest.raises(InputError):
         run_experiment(bundle, config, [], base_seed=3)
+
+
+def test_run_experiment_keeps_best_validation_split_parameters():
+    bundle = small_bundle(lambdas=(0.5, 0.5))
+    splits = make_splits(bundle.num_nodes, count=3)
+    config = quick_config(dropout=0.5)
+    report = run_experiment(bundle, config, splits, base_seed=3)
+    best = int(np.argmax(report.val_accuracies))
+    assert 0 < best < len(splits) - 1  # neither the first nor the last split
+    stack = precompute_bundle(bundle.graph, bundle.features, config.propagation())
+    model_cfg = config.model(bundle.features.shape[1], bundle.num_classes)
+    inputs = ModelInputs.build(bundle.graph, bundle.features, stack, model_cfg.sim_kind)
+    fresh = train(model_cfg, config.training(seed=(3, best)), inputs, bundle.labels,
+                  splits[best].train, splits[best].val)
+    assert list(report.best_params) == list(fresh.params)
+    for name, a in fresh.params.items():
+        assert np.array_equal(report.best_params[name], a), name
 
 
 def test_sample_config_domains_and_prefix_stability():

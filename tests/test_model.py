@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from lsgnn.errors import (
 from lsgnn.graph import build_graph, enhanced_filters
 from lsgnn.model import (
     Adam,
-    LinearModel,
     ModelConfig,
     ModelInputs,
     TrainConfig,
@@ -92,19 +93,20 @@ def test_init_deterministic_and_bounded():
     p1 = init_parameters(config, np.random.default_rng(7))
     p2 = init_parameters(config, np.random.default_rng(7))
     names = []
-    for (n1, a1), (n2, a2) in zip(p1.named_arrays(), p2.named_arrays()):
+    for (n1, a1), (n2, a2) in zip(p1.items(), p2.items()):
         assert n1 == n2
         assert np.array_equal(a1, a2)
         names.append(n1)
     assert names[0] == "w_in"
     assert names[-1] == "w_out"
     bound = 1.0 / np.sqrt(config.in_dim)
-    assert np.all(np.abs(p1.w_in) <= bound)
+    assert np.all(np.abs(p1["w_in"]) <= bound)
 
 
 def test_zero_parameters_give_uniform_probs_and_log_c_loss():
     _, _, config, inputs, labels = make_instance(num_classes=3)
-    params = init_parameters(config, np.random.default_rng(0)).zeros_like()
+    params = {name: np.zeros_like(a)
+              for name, a in init_parameters(config, np.random.default_rng(0)).items()}
     probs = predict_proba(params, config, inputs)
     assert np.allclose(probs, 1.0 / 3.0, atol=1e-15)
     tr, _, _ = masks(16)
@@ -125,7 +127,8 @@ def test_probability_rows_sum_to_one():
 
 def test_predict_tie_breaks_to_lowest_class():
     _, _, config, inputs, _ = make_instance()
-    params = init_parameters(config, np.random.default_rng(0)).zeros_like()
+    params = {name: np.zeros_like(a)
+              for name, a in init_parameters(config, np.random.default_rng(0)).items()}
     assert np.all(predict(params, config, inputs) == 0)
 
 
@@ -133,9 +136,9 @@ def test_probs_invariant_under_shared_output_column_shift():
     _, _, config, inputs, _ = make_instance(seed=5)
     params = init_parameters(config, np.random.default_rng(5))
     base = predict_proba(params, config, inputs)
-    shifted = params.copy()
-    u = np.random.default_rng(6).normal(size=(shifted.w_out.shape[0], 1))
-    shifted.w_out = shifted.w_out + u  # same shift in every class column
+    shifted = {name: a.copy() for name, a in params.items()}
+    u = np.random.default_rng(6).normal(size=(shifted["w_out"].shape[0], 1))
+    shifted["w_out"] = shifted["w_out"] + u  # same shift in every class column
     assert np.allclose(predict_proba(shifted, config, inputs), base, atol=1e-12)
 
 
@@ -166,8 +169,7 @@ def test_gradients_match_finite_differences(sim_kind, localsim_mode, weight_mode
         return value
 
     numeric = central_fd(loss_fn, params, h)
-    analytic = dict(grads.named_arrays())
-    assert max_rel_error(analytic, numeric) <= tol
+    assert max_rel_error(grads, numeric) <= tol
 
 
 def test_empty_mask_decay_only_loss_and_zero_data_gradient():
@@ -176,9 +178,9 @@ def test_empty_mask_decay_only_loss_and_zero_data_gradient():
     empty = np.zeros(16, dtype=bool)
     wd = 0.01
     loss, grads = loss_and_gradients(params, config, inputs, labels, empty, weight_decay=wd)
-    assert loss == pytest.approx(0.5 * wd * params.squared_norm())
-    for name, g in grads.named_arrays():
-        want = wd * dict(params.named_arrays())[name]
+    assert loss == pytest.approx(0.5 * wd * sum((a * a).sum() for a in params.values()))
+    for name, g in grads.items():
+        want = wd * params[name]
         assert np.allclose(g, want, atol=1e-15)
 
 
@@ -206,19 +208,19 @@ def test_graph_and_node_modes_agree_on_constant_localsim():
     node_params = init_parameters(node_cfg, np.random.default_rng(31))
 
     psi = np.array([1.0, 1.0])
-    hidden = np.maximum(psi @ node_params.al_w1 + node_params.al_b1, 0.0)
-    alpha = hidden @ node_params.al_w2 + node_params.al_b2
+    hidden = np.maximum(psi @ node_params["al_w1"] + node_params["al_b1"], 0.0)
+    alpha = hidden @ node_params["al_w2"] + node_params["al_b2"]
 
     graph_cfg = ModelConfig(num_layers=k, in_dim=3, hidden_dim=4, num_classes=2,
                             sim_kind="cosine", localsim_mode="naive",
                             weight_mode="graph_level")
     graph_params = init_parameters(graph_cfg, np.random.default_rng(31))
-    graph_params.w_in = node_params.w_in.copy()
-    graph_params.w_out = node_params.w_out.copy()
-    for i in range(k):
-        graph_params.w_low[i] = node_params.w_low[i].copy()
-        graph_params.w_high[i] = node_params.w_high[i].copy()
-    graph_params.graph_alpha = alpha.copy()
+    graph_params["w_in"] = node_params["w_in"].copy()
+    graph_params["w_out"] = node_params["w_out"].copy()
+    for i in range(1, k + 1):
+        graph_params[f"w_low_{i}"] = node_params[f"w_low_{i}"].copy()
+        graph_params[f"w_high_{i}"] = node_params[f"w_high_{i}"].copy()
+    graph_params["graph_alpha"] = alpha.copy()
 
     p_node = predict_proba(node_params, node_cfg, inputs)
     p_graph = predict_proba(graph_params, graph_cfg, inputs)
@@ -241,7 +243,7 @@ def test_dropout_zero_matches_disabled_and_eval_is_deterministic():
     l2, g2 = loss_and_gradients(dparams, dcfg, dinputs, dlabels, tr,
                                 dropout_rng=np.random.default_rng(42))
     assert l1 == l2  # same stream, same masks
-    for (_, a), (_, b) in zip(g1.named_arrays(), g2.named_arrays()):
+    for (_, a), (_, b) in zip(g1.items(), g2.items()):
         assert np.array_equal(a, b)
     l3, _ = loss_and_gradients(dparams, dcfg, dinputs, dlabels, tr,
                                dropout_rng=np.random.default_rng(43))
@@ -279,7 +281,7 @@ def test_train_improves_and_is_deterministic():
     assert evaluate(res.params, config, inputs, labels, te) >= 0.8
     assert res.best_val_acc >= 0.8
     res2 = train(config, tcfg, inputs, labels, tr, va)
-    for (_, a), (_, b) in zip(res.params.named_arrays(), res2.params.named_arrays()):
+    for (_, a), (_, b) in zip(res.params.items(), res2.params.items()):
         assert np.array_equal(a, b)
 
 
@@ -291,6 +293,22 @@ def test_train_patience_bounds_epochs():
     # val accuracy freezes immediately at this lr, so patience cuts the run
     assert len(res.history) <= 12
     assert res.best_epoch == 0
+
+
+def test_train_returns_best_epoch_parameters_under_dropout():
+    _, _, config, inputs, labels = make_instance(n=30, seed=21, dropout=0.5)
+    tr, va, _ = masks(30, rng_seed=21)
+    tcfg = TrainConfig(lr=0.05, weight_decay=5e-4, epochs=80, patience=20, seed=3)
+    res = train(config, tcfg, inputs, labels, tr, va)
+    assert len(res.history) > res.best_epoch + 1  # Adam kept moving after the best
+    assert evaluate(res.params, config, inputs, labels, va) == res.best_val_acc
+    # the dropout stream is consumed identically up to the best epoch, so a
+    # run that stops there must end on the same arrays
+    short = train(config, replace(tcfg, epochs=res.best_epoch + 1), inputs, labels, tr, va)
+    assert short.best_epoch == res.best_epoch
+    assert list(short.params) == list(res.params)
+    for name, a in res.params.items():
+        assert np.array_equal(a, short.params[name]), name
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -311,7 +329,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     save_checkpoint(path, config, params)
     config2, params2 = load_checkpoint(path)
     assert config2 == config
-    for (n1, a1), (n2, a2) in zip(params.named_arrays(), params2.named_arrays()):
+    for (n1, a1), (n2, a2) in zip(params.items(), params2.items()):
         assert n1 == n2
         assert np.array_equal(a1, a2)
     probs1 = predict_proba(params, config, inputs)
@@ -335,15 +353,15 @@ def test_checkpoint_rejects_corruption(tmp_path):
 
 
 def test_adam_first_step_is_signed_learning_rate():
-    model = LinearModel(w=np.array([[2.0, -3.0]]), b=np.array([0.5, 0.0]))
-    grads = LinearModel(w=np.array([[0.3, -40.0]]), b=np.array([-2.0, 0.0]))
+    model = {"w": np.array([[2.0, -3.0]]), "b": np.array([0.5, 0.0])}
+    grads = {"w": np.array([[0.3, -40.0]]), "b": np.array([-2.0, 0.0])}
     opt = Adam(0.1)
     opt.step(model, grads)
     # bias-corrected first step is lr * g / (|g| + eps), i.e. +-lr per coordinate
-    assert model.w[0, 0] == pytest.approx(2.0 - 0.1, abs=1e-6)
-    assert model.w[0, 1] == pytest.approx(-3.0 + 0.1, abs=1e-6)
-    assert model.b[0] == pytest.approx(0.5 + 0.1, abs=1e-6)
-    assert model.b[1] == pytest.approx(0.0)
+    assert model["w"][0, 0] == pytest.approx(2.0 - 0.1, abs=1e-6)
+    assert model["w"][0, 1] == pytest.approx(-3.0 + 0.1, abs=1e-6)
+    assert model["b"][0] == pytest.approx(0.5 + 0.1, abs=1e-6)
+    assert model["b"][1] == pytest.approx(0.0)
 
 
 def test_linear_model_learns_separable_blobs():
@@ -357,5 +375,5 @@ def test_linear_model_learns_separable_blobs():
     m = train_linear(x, y, 2, tcfg, tr, va)
     assert linear_accuracy(m, x, y, va) >= 0.95
     m_nobias = train_linear(x, y, 2, tcfg, tr, va, bias=False)
-    assert m_nobias.b is None
+    assert "b" not in m_nobias
     assert linear_predict(m_nobias, x).shape == (120,)

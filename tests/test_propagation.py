@@ -44,7 +44,7 @@ def test_irdc_matches_dense_recurrence(random_graph, gamma):
     s = sym_norm_adj(g)
     x = make_features(12)
     layers = irdc(s, x, 4, gamma)
-    ref = dense_irdc(s.to_dense(), x, 4, gamma)
+    ref = dense_irdc(s.toarray(), x, 4, gamma)
     assert len(layers) == 4
     for got, want in zip(layers, ref):
         assert np.allclose(got, want, atol=1e-12)
@@ -55,7 +55,7 @@ def test_irdc_gamma_zero_repeats_first_layer(random_graph):
     s = sym_norm_adj(g)
     x = make_features(10)
     layers = irdc(s, x, 3, 0.0)
-    first = s.matmul_dense(x)
+    first = s @ x
     for layer in layers:
         assert np.array_equal(layer, first)
 
@@ -65,7 +65,7 @@ def test_irdc_gamma_one_two_layers_negated_square(random_graph):
     s = sym_norm_adj(g)
     x = make_features(10)
     layers = irdc(s, x, 2, 1.0)
-    assert np.array_equal(layers[1], -s.matmul_dense(s.matmul_dense(x)))
+    assert np.array_equal(layers[1], -(s @ (s @ x)))
 
 
 def test_irdc_dimension_mismatch(random_graph):
@@ -80,14 +80,14 @@ def test_residual_variants_match_dense_recurrences(random_graph, variant):
     s = sym_norm_adj(g)
     x = make_features(11)
     layers = residual_propagate(variant, s, x, 3)
-    ref = dense_variant(variant, s.to_dense(), x, 3)
+    ref = dense_variant(variant, s.toarray(), x, 3)
     for got, want in zip(layers, ref):
         assert np.allclose(got, want, atol=1e-12)
 
 
 def test_initial_residual_symbolic_expansion(random_graph):
     g, _ = random_graph(n=9, p=0.35, seed=26)
-    sd = sym_norm_adj(g).to_dense()
+    sd = sym_norm_adj(g).toarray()
     x = make_features(9)
     layers = residual_propagate("initial_residual", sym_norm_adj(g), x, 2)
     assert np.allclose(layers[1], x + sd @ x + sd @ (sd @ x), atol=1e-12)
@@ -95,7 +95,7 @@ def test_initial_residual_symbolic_expansion(random_graph):
 
 def test_difference_residual_symbolic_expansion(random_graph):
     g, _ = random_graph(n=9, p=0.35, seed=27)
-    sd = sym_norm_adj(g).to_dense()
+    sd = sym_norm_adj(g).toarray()
     x = make_features(9)
     layers = residual_propagate("difference_residual", sym_norm_adj(g), x, 2)
     assert np.allclose(layers[1], sd @ (x - sd @ x), atol=1e-12)
