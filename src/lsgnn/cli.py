@@ -14,10 +14,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict, astuple, fields, replace
 
 import yaml
 
-from .errors import LsgnnError
+from .errors import InputError, LsgnnError
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -52,34 +53,44 @@ def _load_overrides(path):
     return data
 
 
+def _fits(value, default) -> bool:
+    """Whether a config value has its default's type: an int passes for a
+    float, a bool never passes for a number."""
+    if isinstance(value, bool) != isinstance(default, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def _resolve_configs(args):
     """Split config-file overrides between the experiment config and the
-    search space; unknown keys are errors."""
-    import dataclasses
-
-    from .errors import InputError
+    search space; unknown keys and values of the wrong type are errors."""
     from .harness import ExperimentConfig, SearchSpace
 
     overrides = _load_overrides(args.config) if args.config else {}
-    exp_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    space_fields = {f.name for f in dataclasses.fields(SearchSpace)}
-    exp_kwargs = {}
-    space_kwargs = {}
-    unknown = []
-    for key, value in overrides.items():
-        if key in exp_fields:
-            exp_kwargs[key] = value
-        elif key in space_fields:
-            space_kwargs[key] = tuple(value) if isinstance(value, list) else value
-        else:
-            unknown.append(key)
+    exp_defaults = asdict(ExperimentConfig())
+    space_defaults = asdict(SearchSpace())
+    defaults = exp_defaults | space_defaults
+    unknown = [key for key in overrides if key not in defaults]
     if unknown:
         raise InputError(
-            f"unknown config keys {sorted(unknown)}; allowed keys are "
-            f"{sorted(exp_fields | space_fields)}"
+            f"unknown config keys {sorted(unknown)}; allowed keys are {sorted(defaults)}"
         )
-    config = dataclasses.replace(ExperimentConfig(), **exp_kwargs).validate()
-    space = SearchSpace(**space_kwargs)
+    for key, value in overrides.items():
+        default = defaults[key]
+        if isinstance(default, tuple):
+            ok = isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+            expected = f"a list of {type(default[0]).__name__}"
+        else:
+            ok = _fits(value, default)
+            expected = type(default).__name__
+        if not ok:
+            raise InputError(f"config key {key!r} expects {expected}, got {value!r}")
+    config = replace(
+        ExperimentConfig(), **{k: v for k, v in overrides.items() if k in exp_defaults}
+    ).validate()
+    space = SearchSpace(**{k: tuple(v) for k, v in overrides.items() if k in space_defaults})
     return config, space
 
 
@@ -89,14 +100,21 @@ def _out_dir(args, default_name: str) -> str:
     return out
 
 
-def _argv_for_manifest(argv) -> list[str]:
-    return ["lsgnn"] + list(argv)
+def _write_outputs(out, argv, args, header, rows, config: dict, notes: dict | None) -> None:
+    """Write a command's `report.csv` and `manifest.txt` into `out`."""
+    from .harness import write_manifest, write_report
+
+    write_report(os.path.join(out, "report.csv"), header, rows)
+    write_manifest(os.path.join(out, "manifest.txt"), ["lsgnn", *argv], config, args.seed, notes)
+
+
+def _stats_table(stats) -> tuple[list[str], list[list]]:
+    """The report header and single row of a `DatasetStats`."""
+    return [f.name for f in fields(stats)], [list(astuple(stats))]
 
 
 def _cmd_gen_fsbm(args, argv):
-    from dataclasses import asdict
-
-    from .harness import dataset_stats, load_dataset, save_dataset, write_manifest, write_report
+    from .harness import dataset_stats, load_dataset, save_dataset
     from .synthetic import generate_fsbm, multi_subgraph_config
 
     config = multi_subgraph_config(
@@ -111,25 +129,13 @@ def _cmd_gen_fsbm(args, argv):
     out = _out_dir(args, "gen-fsbm")
     save_dataset(out, ds.graph, ds.x, ds.community, subgraph_id=ds.subgraph_id)
     stats = dataset_stats(load_dataset(out))
-    write_report(
-        os.path.join(out, "report.csv"),
-        ["num_nodes", "num_edges", "num_classes", "feature_dim", "homophily"],
-        [[stats.num_nodes, stats.num_edges, stats.num_classes, stats.feature_dim, stats.homophily]],
-    )
-    write_manifest(
-        os.path.join(out, "manifest.txt"),
-        _argv_for_manifest(argv),
-        asdict(config),
-        args.seed,
-    )
+    _write_outputs(out, argv, args, *_stats_table(stats), asdict(config), None)
     print(f"wrote dataset to {out} ({stats.num_nodes} nodes, {stats.num_edges} edges)")
     return 0
 
 
 def _cmd_precompute(args, argv):
-    from dataclasses import asdict
-
-    from .harness import load_dataset, write_manifest, write_report
+    from .harness import load_dataset
     from .propagation import precompute_bundle, save_bundle
 
     config, _ = _resolve_configs(args)
@@ -138,8 +144,10 @@ def _cmd_precompute(args, argv):
     out = _out_dir(args, "precompute")
     path = os.path.join(out, "bundle.lspb")
     save_bundle(stack, path)
-    write_report(
-        os.path.join(out, "report.csv"),
+    _write_outputs(
+        out,
+        argv,
+        args,
         ["num_nodes", "feature_dim", "num_layers", "variant", "gamma", "beta", "normalize"],
         [[
             stack.num_nodes,
@@ -150,37 +158,22 @@ def _cmd_precompute(args, argv):
             stack.config.beta,
             int(stack.config.normalize),
         ]],
-    )
-    write_manifest(
-        os.path.join(out, "manifest.txt"),
-        _argv_for_manifest(argv),
         asdict(config),
-        args.seed,
-        notes={"feature_digest": stack.feature_digest.hex(), "bundle": path},
+        {"feature_digest": stack.feature_digest.hex(), "bundle": path},
     )
     print(f"wrote propagation bundle to {path}")
     return 0
 
 
 def _cmd_train(args, argv):
-    from dataclasses import asdict
-
-    from .harness import (
-        PropagationCache,
-        load_dataset,
-        make_splits,
-        run_experiment,
-        write_manifest,
-        write_report,
-    )
+    from .harness import load_dataset, make_splits, run_experiment
     from .model import save_checkpoint
 
     config, _ = _resolve_configs(args)
     bundle = load_dataset(args.data)
     splits = make_splits(bundle.num_nodes, base_seed=args.seed, count=args.splits)
     out = _out_dir(args, "train")
-    cache = PropagationCache(os.path.join(out, "cache"))
-    report = run_experiment(bundle, config, splits, base_seed=args.seed, cache=cache)
+    report = run_experiment(bundle, config, splits, base_seed=args.seed)
     checkpoint = os.path.join(out, "model.lspm")
     model_cfg = config.model(bundle.features.shape[1], bundle.num_classes)
     save_checkpoint(checkpoint, model_cfg, report.best_params)
@@ -190,17 +183,14 @@ def _cmd_train(args, argv):
         for i in range(len(splits))
     ]
     rows.append(["mean", report.mean, report.val_mean])
-    write_report(
-        os.path.join(out, "report.csv"),
+    _write_outputs(
+        out,
+        argv,
+        args,
         ["split", "test_accuracy", "val_accuracy"],
         rows,
-    )
-    write_manifest(
-        os.path.join(out, "manifest.txt"),
-        _argv_for_manifest(argv),
         asdict(config),
-        args.seed,
-        notes={
+        {
             "data": args.data,
             "splits": args.splits,
             "checkpoint": checkpoint,
@@ -213,43 +203,41 @@ def _cmd_train(args, argv):
 
 
 def _cmd_eval(args, argv):
-    from dataclasses import asdict, replace
-
     import numpy as np
 
-    from .harness import load_dataset, write_manifest, write_report
+    from .harness import load_dataset
     from .model import ModelInputs, evaluate, load_checkpoint
     from .propagation import precompute_bundle
 
     config, _ = _resolve_configs(args)
     bundle = load_dataset(args.data)
     model_cfg, params = load_checkpoint(args.checkpoint)
+    width = bundle.features.shape[1]
+    if width != model_cfg.in_dim:
+        raise InputError(
+            f"checkpoint {args.checkpoint} expects {model_cfg.in_dim} features per node, "
+            f"but dataset {args.data} has {width}"
+        )
     prop_cfg = replace(config.propagation(), num_layers=model_cfg.num_layers)
     stack = precompute_bundle(bundle.graph, bundle.features, prop_cfg)
     inputs = ModelInputs.build(bundle.graph, bundle.features, stack, model_cfg.sim_kind)
     mask = np.ones(bundle.num_nodes, dtype=bool)
     accuracy = evaluate(params, model_cfg, inputs, bundle.labels, mask)
     out = _out_dir(args, "eval")
-    write_report(
-        os.path.join(out, "report.csv"),
+    _write_outputs(
+        out,
+        argv,
+        args,
         ["num_nodes", "accuracy"],
         [[bundle.num_nodes, accuracy]],
-    )
-    write_manifest(
-        os.path.join(out, "manifest.txt"),
-        _argv_for_manifest(argv),
         asdict(config),
-        args.seed,
-        notes={"data": args.data, "checkpoint": args.checkpoint},
+        {"data": args.data, "checkpoint": args.checkpoint},
     )
     print(f"accuracy over all nodes: {accuracy:.4f}")
     return 0
 
 
 def _cmd_toy(args, argv):
-    from dataclasses import asdict
-
-    from .harness import write_manifest, write_report
     from .synthetic import toy_study
 
     config, _ = _resolve_configs(args)
@@ -282,17 +270,14 @@ def _cmd_toy(args, argv):
                 ]
             )
     out = _out_dir(args, "toy")
-    write_report(
-        os.path.join(out, "report.csv"),
+    _write_outputs(
+        out,
+        argv,
+        args,
         ["lambda1", "lambda2", "seed", "raw", "graph_level", "node_level"],
         rows,
-    )
-    write_manifest(
-        os.path.join(out, "manifest.txt"),
-        _argv_for_manifest(argv),
         asdict(config),
-        args.seed,
-        notes={"lambdas": ";".join(args.lambdas), "seeds": args.seeds, "mode": args.mode},
+        {"lambdas": ";".join(args.lambdas), "seeds": args.seeds, "mode": args.mode},
     )
     for cell in cells:
         means = cell.means()
@@ -304,9 +289,6 @@ def _cmd_toy(args, argv):
 
 
 def _cmd_theory(args, argv):
-    from dataclasses import asdict
-
-    from .harness import write_manifest, write_report
     from .synthetic import l1_gap_check, theory_check, two_subgraph_config
 
     lambdas = _parse_floats(args.lambdas)
@@ -331,17 +313,14 @@ def _cmd_theory(args, argv):
         )
     rows.append(["l1_gap", "-", "-", gap.bound, gap.empirical, gap.stderr])
     out = _out_dir(args, "theory")
-    write_report(
-        os.path.join(out, "report.csv"),
+    _write_outputs(
+        out,
+        argv,
+        args,
         ["kind", "subgraph", "lambda", "reference", "empirical", "stderr"],
         rows,
-    )
-    write_manifest(
-        os.path.join(out, "manifest.txt"),
-        _argv_for_manifest(argv),
         asdict(config),
-        args.seed,
-        notes={"trials": args.trials},
+        {"trials": args.trials},
     )
     for tau in range(config.num_subgraphs):
         print(
@@ -357,23 +336,11 @@ def _cmd_theory(args, argv):
 
 
 def _cmd_stats(args, argv):
-    from .harness import dataset_stats, load_dataset, write_manifest, write_report
+    from .harness import dataset_stats, load_dataset
 
-    bundle = load_dataset(args.data)
-    stats = dataset_stats(bundle)
+    stats = dataset_stats(load_dataset(args.data))
     out = _out_dir(args, "stats")
-    write_report(
-        os.path.join(out, "report.csv"),
-        ["num_nodes", "num_edges", "num_classes", "feature_dim", "homophily"],
-        [[stats.num_nodes, stats.num_edges, stats.num_classes, stats.feature_dim, stats.homophily]],
-    )
-    write_manifest(
-        os.path.join(out, "manifest.txt"),
-        _argv_for_manifest(argv),
-        {},
-        args.seed,
-        notes={"data": args.data},
-    )
+    _write_outputs(out, argv, args, *_stats_table(stats), {}, {"data": args.data})
     print(
         f"nodes={stats.num_nodes} edges={stats.num_edges} classes={stats.num_classes} "
         f"features={stats.feature_dim} homophily={stats.homophily:.4f}"
@@ -382,45 +349,26 @@ def _cmd_stats(args, argv):
 
 
 def _cmd_sweep_depth(args, argv):
-    from dataclasses import asdict
-
-    from .harness import (
-        PropagationCache,
-        depth_sweep,
-        load_dataset,
-        make_splits,
-        write_manifest,
-        write_report,
-    )
+    from .harness import depth_sweep, load_dataset, make_splits
 
     config, _ = _resolve_configs(args)
     bundle = load_dataset(args.data)
     splits = make_splits(bundle.num_nodes, base_seed=args.seed, count=args.splits)
     out = _out_dir(args, "sweep-depth")
-    rows_out = []
-    sweep = depth_sweep(
-        bundle,
-        config,
-        _parse_ints(args.k_list),
-        splits,
-        base_seed=args.seed,
-        cache=PropagationCache(os.path.join(out, "cache")),
-    )
+    sweep = depth_sweep(bundle, config, _parse_ints(args.k_list), splits, base_seed=args.seed)
+    rows = []
     for row in sweep:
         for arm, report in (("main", row.main), ("sgc_variant", row.sgc_variant)):
             for i, acc in enumerate(report.test_accuracies):
-                rows_out.append([row.num_layers, arm, i, acc])
-    write_report(
-        os.path.join(out, "report.csv"),
+                rows.append([row.num_layers, arm, i, acc])
+    _write_outputs(
+        out,
+        argv,
+        args,
         ["num_layers", "arm", "split", "test_accuracy"],
-        rows_out,
-    )
-    write_manifest(
-        os.path.join(out, "manifest.txt"),
-        _argv_for_manifest(argv),
+        rows,
         asdict(config),
-        args.seed,
-        notes={"data": args.data, "k_list": args.k_list, "splits": args.splits},
+        {"data": args.data, "k_list": args.k_list, "splits": args.splits},
     )
     for row in sweep:
         print(
@@ -431,29 +379,14 @@ def _cmd_sweep_depth(args, argv):
 
 
 def _cmd_search(args, argv):
-    from dataclasses import asdict
-
-    from .harness import (
-        PropagationCache,
-        load_dataset,
-        make_splits,
-        random_search,
-        write_manifest,
-        write_report,
-    )
+    from .harness import load_dataset, make_splits, random_search
 
     config, space = _resolve_configs(args)
     bundle = load_dataset(args.data)
     splits = make_splits(bundle.num_nodes, base_seed=args.seed, count=args.splits)
     out = _out_dir(args, "search")
     result = random_search(
-        bundle,
-        space,
-        budget=args.budget,
-        splits=splits,
-        seed=args.seed,
-        base=config,
-        cache=PropagationCache(os.path.join(out, "cache")),
+        bundle, space, budget=args.budget, splits=splits, seed=args.seed, base=config
     )
     rows = []
     for trial in result.trials:
@@ -472,20 +405,17 @@ def _cmd_search(args, argv):
                 cfg["sim_kind"],
             ]
         )
-    write_report(
-        os.path.join(out, "report.csv"),
+    _write_outputs(
+        out,
+        argv,
+        args,
         ["trial", "failed", "val_mean", "test_mean", "lr", "weight_decay", "dropout", "beta", "gamma", "sim_kind"],
         rows,
+        asdict(config),
+        {"data": args.data, "budget": args.budget, "splits": args.splits},
     )
     with open(os.path.join(out, "best_config.yaml"), "w", encoding="utf-8") as fh:
         yaml.safe_dump(asdict(result.best_config), fh, sort_keys=True)
-    write_manifest(
-        os.path.join(out, "manifest.txt"),
-        _argv_for_manifest(argv),
-        asdict(config),
-        args.seed,
-        notes={"data": args.data, "budget": args.budget, "splits": args.splits},
-    )
     print(
         f"best trial: val={result.best_report.val_mean:.4f} "
         f"test={result.best_report.mean:.4f} config={asdict(result.best_config)}"

@@ -29,9 +29,7 @@ from .propagation import (
     PropagationConfig,
     PropagationStack,
     feature_digest,
-    load_bundle,
     precompute_bundle,
-    save_bundle,
 )
 
 __all__ = [
@@ -138,6 +136,7 @@ def load_dataset(directory) -> DatasetBundle:
             raise InputError(f"dataset directory {directory} is missing {name}")
 
     rows: list[np.ndarray] = []
+    linenos: list[int] = []
     width = None
     with open(paths["features.csv"], "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -155,9 +154,13 @@ def load_dataset(directory) -> DatasetBundle:
                     f"features.csv:{lineno}: expected {width} values, got {values.shape[0]}"
                 )
             rows.append(values)
+            linenos.append(lineno)
     if not rows:
         raise FormatError("features.csv contains no rows")
     features = np.vstack(rows)
+    if not np.isfinite(features).all():
+        bad_row = np.flatnonzero(~np.isfinite(features).all(axis=1))[0]
+        raise FormatError(f"features.csv:{linenos[bad_row]}: non-finite value")
 
     labels_list = []
     with open(paths["labels.txt"], "r", encoding="utf-8") as fh:
@@ -273,17 +276,10 @@ def graph_digest(g: SparseGraph) -> bytes:
 
 
 class PropagationCache:
-    """Caches propagation stacks keyed by (graph, features, config).
+    """In-process memo of propagation stacks keyed by (graph, features,
+    config), so runs that share a propagation compute it once."""
 
-    Entries live in memory and, when a directory is given, on disk as
-    bundle files.  A disk hit is validated against the feature digest at
-    load time, so stale pairings fail loudly instead of silently.
-    """
-
-    def __init__(self, cache_dir=None):
-        self.cache_dir = cache_dir
-        if cache_dir is not None:
-            os.makedirs(cache_dir, exist_ok=True)
+    def __init__(self):
         self._memory: dict[str, PropagationStack] = {}
 
     def _key(self, g: SparseGraph, x: np.ndarray, config: PropagationConfig) -> str:
@@ -300,16 +296,8 @@ class PropagationCache:
         key = self._key(g, x, config)
         if key in self._memory:
             return self._memory[key], True
-        if self.cache_dir is not None:
-            path = os.path.join(self.cache_dir, key + ".lspb")
-            if os.path.isfile(path):
-                stack = load_bundle(path, features=x)
-                self._memory[key] = stack
-                return stack, True
         stack = precompute_bundle(g, x, config)
         self._memory[key] = stack
-        if self.cache_dir is not None:
-            save_bundle(stack, os.path.join(self.cache_dir, key + ".lspb"))
         return stack, False
 
 
@@ -496,14 +484,12 @@ def depth_sweep(
     k_list: Sequence[int],
     splits: Sequence[SplitSpec],
     base_seed=0,
-    cache: PropagationCache | None = None,
 ) -> list[DepthSweepRow]:
     """Accuracy versus depth for the main model and, for contrast, the same
     head fed by plain repeated-smoothing propagation (variant "sgc")."""
     if not k_list:
         raise InputError("k_list must be nonempty")
-    if cache is None:
-        cache = PropagationCache()
+    cache = PropagationCache()
     rows = []
     for k in k_list:
         main_cfg = replace(config, num_layers=int(k))
@@ -541,7 +527,6 @@ def random_search(
     splits: Sequence[SplitSpec],
     seed=0,
     base: ExperimentConfig | None = None,
-    cache: PropagationCache | None = None,
 ) -> SearchResult:
     """Sample `budget` configs, pick the best mean validation accuracy, and
     report that config's test metrics.  Trials whose training diverges are
@@ -550,8 +535,7 @@ def random_search(
         raise InputError(f"budget must be >= 1, got {budget}")
     if base is None:
         base = ExperimentConfig()
-    if cache is None:
-        cache = PropagationCache()
+    cache = PropagationCache()
     rng = np.random.default_rng(_seed_list(seed))
     trials = []
     best: tuple[float, int] | None = None

@@ -299,9 +299,12 @@ def evaluate(
     mask: np.ndarray,
 ) -> float:
     """Accuracy over the masked nodes."""
+    return _masked_accuracy(predict(params, config, inputs), labels, mask)
+
+
+def _masked_accuracy(pred: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
     if not np.count_nonzero(mask):
         raise InputError("mask selects no nodes")
-    pred = predict(params, config, inputs)
     return float((pred[mask] == labels[mask]).mean())
 
 
@@ -653,8 +656,7 @@ def linear_predict(params: Params, features: np.ndarray) -> np.ndarray:
 def linear_accuracy(
     params: Params, features: np.ndarray, labels: np.ndarray, mask: np.ndarray
 ) -> float:
-    pred = linear_predict(params, features)
-    return float((pred[mask] == labels[mask]).mean())
+    return _masked_accuracy(linear_predict(params, features), labels, mask)
 
 
 def train_linear(

@@ -256,7 +256,7 @@ def load_bundle(path, features: np.ndarray | None = None) -> PropagationStack:
     """Read an LSPB file back into a PropagationStack.
 
     If `features` is given, its digest must match the one stored at save
-    time; a mismatch raises DigestMismatchError so stale caches cannot be
+    time; a mismatch raises DigestMismatchError so stale bundles cannot be
     silently paired with edited inputs.
     """
     with open(path, "rb") as fh:

@@ -39,7 +39,6 @@ __all__ = [
     "TheoryReport",
     "L1GapReport",
     "ToyCell",
-    "solve_edge_probs",
     "two_subgraph_config",
     "multi_subgraph_config",
     "generate_fsbm",
@@ -108,25 +107,6 @@ class SyntheticDataset:
     x: np.ndarray
     community: np.ndarray
     subgraph_id: np.ndarray
-
-
-def solve_edge_probs(lam: float, num_nodes: int, expected_degree: float) -> tuple[float, float]:
-    """Edge rates hitting a target expected degree at homophily level lam,
-    for the standard 2-community / 2-subgraph layout.
-
-    Solves p + q = 4 * expected_degree / n with p = lam * (p + q).
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise InputError(f"lam must lie in [0, 1], got {lam}")
-    total = 4.0 * expected_degree / num_nodes
-    p = lam * total
-    q = total - p
-    if p > 1.0 or q > 1.0:
-        raise InputError(
-            f"expected degree {expected_degree} infeasible at n={num_nodes}: "
-            f"p={p:g}, q={q:g} exceed 1"
-        )
-    return p, q
 
 
 def multi_subgraph_config(

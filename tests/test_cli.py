@@ -3,7 +3,7 @@ import pytest
 import yaml
 
 from lsgnn.cli import main
-from lsgnn.harness import ExperimentConfig, dataset_stats, load_dataset
+from lsgnn.harness import ExperimentConfig, dataset_stats, load_dataset, save_dataset
 from lsgnn.propagation import load_bundle
 
 
@@ -65,6 +65,7 @@ def test_train_writes_artifacts_and_reruns_identically(dataset_dir, config_file,
         assert (first / name).exists()
     assert (first / "report.csv").read_bytes() == (second / "report.csv").read_bytes()
     assert (first / "model.lspm").read_bytes() == (second / "model.lspm").read_bytes()
+    assert sorted(p.name for p in first.iterdir()) == ["manifest.txt", "model.lspm", "report.csv"]
     lines = (first / "report.csv").read_text().splitlines()
     assert lines[0] == "split,test_accuracy,val_accuracy"
     assert len(lines) == 1 + 2 + 1  # header, one row per split, mean row
@@ -83,6 +84,22 @@ def test_eval_reports_full_graph_accuracy(dataset_dir, config_file, tmp_path, ca
     assert "accuracy over all nodes" in printed
     value = float((out / "report.csv").read_text().splitlines()[1].split(",")[1])
     assert 0.0 <= value <= 1.0
+
+
+def test_eval_rejects_feature_width_mismatch(dataset_dir, config_file, tmp_path, capsys):
+    train_out = tmp_path / "train"
+    assert main(["train", "--data", str(dataset_dir), "--splits", "1",
+                 "--config", str(config_file), "--out", str(train_out)]) == 0
+    bundle = load_dataset(dataset_dir)
+    wide = tmp_path / "wide"
+    save_dataset(wide, bundle.graph, np.hstack([bundle.features] * 3), bundle.labels)
+    capsys.readouterr()
+    checkpoint = str(train_out / "model.lspm")
+    assert main(["eval", "--data", str(wide), "--checkpoint", checkpoint,
+                 "--config", str(config_file), "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert checkpoint in err and str(wide) in err
+    assert "expects 1 features" in err and "has 3" in err
 
 
 def test_toy_smoke(config_file, tmp_path, capsys):
@@ -129,6 +146,7 @@ def test_sweep_depth_smoke(dataset_dir, config_file, tmp_path, capsys):
     lines = (out / "report.csv").read_text().splitlines()
     assert lines[0] == "num_layers,arm,split,test_accuracy"
     assert len(lines) == 1 + 2 * 2  # two depths, two arms, one split
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.txt", "report.csv"]
 
 
 def test_search_smoke(dataset_dir, config_file, tmp_path, capsys):
@@ -143,6 +161,8 @@ def test_search_smoke(dataset_dir, config_file, tmp_path, capsys):
     config = ExperimentConfig(**best)
     assert config.validate() is config
     assert config.epochs == 20  # base overrides survive into the best config
+    assert sorted(p.name for p in out.iterdir()) == [
+        "best_config.yaml", "manifest.txt", "report.csv"]
 
 
 def test_unknown_config_key_exits_2(dataset_dir, tmp_path, capsys):
@@ -159,6 +179,33 @@ def test_unknown_config_key_exits_2(dataset_dir, tmp_path, capsys):
     assert "learning_rate" in err
     assert "allowed keys" in err
     assert "lr" in err
+
+
+def test_config_values_must_match_field_types(dataset_dir, tmp_path, capsys):
+    good = tmp_path / "good.yaml"
+    good.write_text("num_layers: 2\nlr: 1\nnormalize: false\n"
+                    "beta_choices: [0.5, 1]\nsim_choices: [cosine]\n")
+    assert main(["precompute", "--data", str(dataset_dir), "--config", str(good),
+                 "--out", str(tmp_path / "good")]) == 0
+    capsys.readouterr()
+    bad_values = {
+        "num_layers": "'5'",
+        "epochs": "20.0",
+        "hidden_dim": "true",
+        "lr": "true",
+        "normalize": "1",
+        "variant": "3",
+        "beta_choices": "0.5",
+        "sim_choices": "[cosine, 1]",
+        "dropout_choices": "[0.5, false]",
+    }
+    for i, (key, value) in enumerate(bad_values.items()):
+        bad = tmp_path / f"bad{i}.yaml"
+        bad.write_text(f"{key}: {value}\n")
+        assert main(["precompute", "--data", str(dataset_dir), "--config", str(bad),
+                     "--out", str(tmp_path / f"bad{i}")]) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key!r} expects" in err
 
 
 def test_missing_dataset_exits_2(tmp_path, capsys):

@@ -377,3 +377,18 @@ def test_linear_model_learns_separable_blobs():
     m_nobias = train_linear(x, y, 2, tcfg, tr, va, bias=False)
     assert "b" not in m_nobias
     assert linear_predict(m_nobias, x).shape == (120,)
+
+
+def test_linear_head_rejects_empty_validation_mask():
+    # An empty mask has no accuracy; training on it must not quietly return
+    # the untrained initial parameters.
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(20, 2))
+    y = np.repeat([0, 1], 10)
+    tr = np.ones(20, dtype=bool)
+    none = np.zeros(20, dtype=bool)
+    tcfg = TrainConfig(lr=0.05, epochs=5, patience=2, seed=1)
+    with pytest.raises(InputError, match="mask selects no nodes"):
+        train_linear(x, y, 2, tcfg, tr, none)
+    with pytest.raises(InputError, match="mask selects no nodes"):
+        linear_accuracy({"w": np.zeros((2, 2))}, x, y, none)

@@ -7,7 +7,6 @@ from lsgnn.synthetic import (
     generate_fsbm,
     l1_gap_check,
     multi_subgraph_config,
-    solve_edge_probs,
     theory_check,
     toy_study,
     two_subgraph_config,
@@ -47,16 +46,17 @@ def test_lambdas_property():
         empty.lambdas()  # second subgraph has p = q = 0
 
 
-def test_solve_edge_probs_values_and_errors():
-    p, q = solve_edge_probs(0.9, 1000, 10.0)
+def test_two_subgraph_config_edge_rates_and_errors():
+    config = two_subgraph_config((0.9, 0.1), num_nodes=1000, expected_degree=10.0)
+    p, q = config.p[0], config.q[0]
     assert p == pytest.approx(0.036)
     assert q == pytest.approx(0.004)
     assert p + q == pytest.approx(4.0 * 10.0 / 1000)
     assert p / (p + q) == pytest.approx(0.9)
     with pytest.raises(InputError):
-        solve_edge_probs(1.2, 1000, 10.0)
+        two_subgraph_config((1.2, 0.5), num_nodes=1000, expected_degree=10.0)
     with pytest.raises(InputError):
-        solve_edge_probs(1.0, 20, 10.0)  # p would be 2
+        two_subgraph_config((1.0, 0.5), num_nodes=20, expected_degree=10.0)  # p would be 2
 
 
 def test_multi_subgraph_config_keeps_expected_degree():
