@@ -486,21 +486,22 @@ def depth_sweep(
     base_seed=0,
 ) -> list[DepthSweepRow]:
     """Accuracy versus depth for the main model and, for contrast, the same
-    head fed by plain repeated-smoothing propagation (variant "sgc")."""
+    head fed by plain repeated-smoothing propagation (variant "sgc").
+
+    When `config.variant` is already "sgc" the two arms are one run, and
+    both fields of a row hold the same report.
+    """
     if not k_list:
         raise InputError("k_list must be nonempty")
-    cache = PropagationCache()
     rows = []
     for k in k_list:
         main_cfg = replace(config, num_layers=int(k))
-        sgc_cfg = replace(main_cfg, variant="sgc")
-        rows.append(
-            DepthSweepRow(
-                num_layers=int(k),
-                main=run_experiment(bundle, main_cfg, splits, base_seed, cache),
-                sgc_variant=run_experiment(bundle, sgc_cfg, splits, base_seed, cache),
-            )
-        )
+        main = run_experiment(bundle, main_cfg, splits, base_seed)
+        if main_cfg.variant == "sgc":
+            sgc = main
+        else:
+            sgc = run_experiment(bundle, replace(main_cfg, variant="sgc"), splits, base_seed)
+        rows.append(DepthSweepRow(num_layers=int(k), main=main, sgc_variant=sgc))
     return rows
 
 

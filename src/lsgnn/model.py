@@ -20,6 +20,8 @@ differences in the test suite; there is no autograd dependency.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Callable
@@ -197,50 +199,115 @@ def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def _dropout(h: np.ndarray, p: float, rng: np.random.Generator | None):
+@dataclass(eq=False)
+class _Rows:
+    """The part of `ModelInputs` that a pass over selected nodes reads.
+
+    A node's output depends only on its own features, its own propagated
+    rows and its own CSR entries (the precompute-then-MLP regime of SGC and
+    SIGN), so a pass over these gathered rows gives the selected rows of a
+    full pass.  `index` is None when every node is selected; the arrays are
+    then the inputs' own, not copies.
+    """
+
+    index: np.ndarray | None
+    num_nodes: int
+    x: np.ndarray
+    low: list[np.ndarray]
+    high: list[np.ndarray]
+    phi_naive: np.ndarray
+    edge_feats: np.ndarray
+    entry_slots: np.ndarray
+    inv_degrees: np.ndarray
+
+
+def _select_rows(
+    config: ModelConfig, inputs: ModelInputs, mask: np.ndarray | None = None
+) -> _Rows:
+    """Gather the rows `mask` selects; None or an all-true mask copies nothing."""
+    if inputs.sim_kind != config.sim_kind:
+        raise InputError(
+            f"inputs carry sim_kind={inputs.sim_kind!r} but config wants {config.sim_kind!r}"
+        )
+    n = inputs.graph.num_nodes
+    stack = inputs.stack
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (n,):
+            raise InputError(f"mask has shape {mask.shape}, expected ({n},)")
+    if mask is None or mask.all():
+        return _Rows(
+            index=None,
+            num_nodes=n,
+            x=inputs.x,
+            low=stack.low,
+            high=stack.high,
+            phi_naive=inputs.phi_naive,
+            edge_feats=inputs.edge_feats,
+            entry_slots=inputs.entry_rows,
+            inv_degrees=inputs.inv_degrees,
+        )
+    rows = np.flatnonzero(mask)
+    # CSR entries are grouped by row in ascending order, like `rows`.
+    entries = np.flatnonzero(mask[inputs.entry_rows])
+    return _Rows(
+        index=rows,
+        num_nodes=n,
+        x=inputs.x[rows],
+        low=[a[rows] for a in stack.low],
+        high=[a[rows] for a in stack.high],
+        phi_naive=inputs.phi_naive[rows],
+        edge_feats=inputs.edge_feats[entries],
+        entry_slots=np.repeat(np.arange(rows.size), inputs.graph.degrees[rows]),
+        inv_degrees=inputs.inv_degrees[rows],
+    )
+
+
+def _dropout(h: np.ndarray, p: float, rng: np.random.Generator | None, rows: _Rows):
     """Inverted dropout; returns (output, multiplier) with multiplier None
-    when dropout is inactive."""
+    when dropout is inactive.  The mask is drawn for all n nodes and then
+    sliced to the selected rows, so the generator's stream does not depend
+    on which rows a pass computes."""
     if rng is None or p == 0.0:
         return h, None
-    keep = 1.0 - p
-    mult = (rng.random(h.shape) >= p).astype(np.float64) / keep
+    draw = rng.random((rows.num_nodes, h.shape[1]))
+    if rows.index is not None:
+        draw = draw[rows.index]
+    mult = (draw >= p).astype(np.float64) / (1.0 - p)
     return h * mult, mult
 
 
 def _forward(
     params: Params,
     config: ModelConfig,
-    inputs: ModelInputs,
+    rows: _Rows,
     dropout_rng: np.random.Generator | None,
 ) -> dict:
-    """Full forward pass; returns a cache with every array backward needs.
+    """Forward pass over the selected rows; returns a cache with every
+    array backward needs.
 
     Dropout draws happen in a fixed order (identity, low 1..K, high 1..K)
     so a seeded generator reproduces runs exactly.
     """
-    if inputs.sim_kind != config.sim_kind:
-        raise InputError(
-            f"inputs carry sim_kind={inputs.sim_kind!r} but config wants {config.sim_kind!r}"
-        )
     k, z = config.num_layers, config.hidden_dim
-    n = inputs.graph.num_nodes
+    n = rows.x.shape[0]
     cache: dict = {}
 
-    pre_i = inputs.x @ params["w_in"]
-    h_i, m_i = _dropout(_relu(pre_i), config.dropout, dropout_rng)
+    pre_i = rows.x @ params["w_in"]
+    h_i, m_i = _dropout(_relu(pre_i), config.dropout, dropout_rng, rows)
     cache["pre_i"], cache["h_i"], cache["m_i"] = pre_i, h_i, m_i
 
     pre_l, h_l, m_l = [], [], []
     for kk in range(k):
-        p = inputs.stack.low[kk] @ params[f"w_low_{kk + 1}"]
-        h, m = _dropout(_relu(p), config.dropout, dropout_rng)
+        p = rows.low[kk] @ params[f"w_low_{kk + 1}"]
+        h, m = _dropout(_relu(p), config.dropout, dropout_rng, rows)
         pre_l.append(p)
         h_l.append(h)
         m_l.append(m)
     pre_h, h_h, m_h = [], [], []
     for kk in range(k):
-        p = inputs.stack.high[kk] @ params[f"w_high_{kk + 1}"]
-        h, m = _dropout(_relu(p), config.dropout, dropout_rng)
+        p = rows.high[kk] @ params[f"w_high_{kk + 1}"]
+        h, m = _dropout(_relu(p), config.dropout, dropout_rng, rows)
         pre_h.append(p)
         h_h.append(h)
         m_h.append(m)
@@ -250,13 +317,13 @@ def _forward(
         alpha = np.broadcast_to(params["graph_alpha"], (n, 3 * k))
     else:
         if config.localsim_mode == "naive":
-            phi = inputs.phi_naive
+            phi = rows.phi_naive
         else:
-            a1 = inputs.edge_feats @ params["ls_w1"] + params["ls_b1"]
+            a1 = rows.edge_feats @ params["ls_w1"] + params["ls_b1"]
             r1 = _relu(a1)
             s = r1 @ params["ls_w2"][:, 0] + params["ls_b2"][0]
-            sums = np.bincount(inputs.entry_rows, weights=s, minlength=n)
-            phi = sums * inputs.inv_degrees
+            sums = np.bincount(rows.entry_slots, weights=s, minlength=n)
+            phi = sums * rows.inv_degrees
             cache.update(ls_a1=a1, ls_r1=r1)
         psi = np.column_stack([phi, phi * phi])
         b1 = psi @ params["al_w1"] + params["al_b1"]
@@ -284,7 +351,7 @@ def predict_proba(
     params: Params, config: ModelConfig, inputs: ModelInputs
 ) -> np.ndarray:
     """Class probabilities with dropout off; rows sum to 1."""
-    return _forward(params, config, inputs, dropout_rng=None)["probs"]
+    return _forward(params, config, _select_rows(config, inputs), dropout_rng=None)["probs"]
 
 
 def predict(params: Params, config: ModelConfig, inputs: ModelInputs) -> np.ndarray:
@@ -298,14 +365,18 @@ def evaluate(
     labels: np.ndarray,
     mask: np.ndarray,
 ) -> float:
-    """Accuracy over the masked nodes."""
-    return _masked_accuracy(predict(params, config, inputs), labels, mask)
+    """Accuracy over the masked nodes, computed from those rows alone."""
+    rows = _select_rows(config, inputs, mask)
+    if rows.index is None:
+        return _accuracy(predict(params, config, inputs), labels)
+    probs = _forward(params, config, rows, dropout_rng=None)["probs"]
+    return _accuracy(probs.argmax(axis=1), labels[rows.index])
 
 
-def _masked_accuracy(pred: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
-    if not np.count_nonzero(mask):
+def _accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
+    if not pred.size:
         raise InputError("mask selects no nodes")
-    return float((pred[mask] == labels[mask]).mean())
+    return float((pred == labels).mean())
 
 
 def loss_and_gradients(
@@ -322,23 +393,26 @@ def loss_and_gradients(
 
     The L2 term is weight_decay / 2 times the squared norm of all
     parameters, biases and mixing weights included.  An empty mask leaves
-    only the decay term, with zero data gradient.
+    only the decay term, with zero data gradient.  Only the masked rows are
+    computed; dropout still draws a mask for every node.
     """
     k, z = config.num_layers, config.hidden_dim
-    n = inputs.graph.num_nodes
-    cache = _forward(params, config, inputs, dropout_rng)
-    m_count = int(np.count_nonzero(mask))
+    rows = _select_rows(config, inputs, mask)
+    if rows.index is not None:
+        labels = labels[rows.index]
+    cache = _forward(params, config, rows, dropout_rng)
+    m_count = rows.x.shape[0]
+    picked = np.arange(m_count)
     log_probs = cache["log_probs"]
-    ce = 0.0 if m_count == 0 else -float(log_probs[mask, labels[mask]].mean())
+    ce = 0.0 if m_count == 0 else -float(log_probs[picked, labels].mean())
     loss = ce + 0.5 * weight_decay * _squared_norm(params)
 
     # Keys in parameter order; each is assigned below.
     grads = dict.fromkeys(params)
 
-    dlogits = np.zeros_like(cache["probs"])
+    dlogits = cache["probs"].copy()
+    dlogits[picked, labels] -= 1.0
     if m_count:
-        dlogits[mask] = cache["probs"][mask]
-        dlogits[mask, labels[mask]] -= 1.0
         dlogits /= m_count
 
     feats = cache["feats"]
@@ -350,7 +424,7 @@ def loss_and_gradients(
     dh_i = dfeats[:, :z].copy()
     dh_l = []
     dh_h = []
-    dalpha = np.zeros((n, 3 * k), dtype=np.float64)
+    dalpha = np.zeros((m_count, 3 * k), dtype=np.float64)
     for kk in range(k):
         dz = dfeats[:, (kk + 1) * z : (kk + 2) * z]
         dalpha[:, kk] = (dz * h_i).sum(axis=1)
@@ -375,13 +449,13 @@ def loss_and_gradients(
         if config.localsim_mode == "refined":
             # Each entry's score feeds its row's mean, so the incoming
             # gradient splits by 1/degree.
-            ds = dphi[inputs.entry_rows] * inputs.inv_degrees[inputs.entry_rows]
+            ds = dphi[rows.entry_slots] * rows.inv_degrees[rows.entry_slots]
             r1 = cache["ls_r1"]
             grads["ls_w2"] = (r1.T @ ds)[:, None]
             grads["ls_b2"] = ds.sum(keepdims=True)
             dr1 = ds[:, None] * params["ls_w2"][:, 0][None, :]
             da1 = dr1 * (cache["ls_a1"] > 0.0)
-            grads["ls_w1"] = inputs.edge_feats.T @ da1
+            grads["ls_w1"] = rows.edge_feats.T @ da1
             grads["ls_b1"] = da1.sum(axis=0)
 
     def channel_back(dh, mult, pre, basis):
@@ -390,13 +464,13 @@ def loss_and_gradients(
         dpre = dh * (pre > 0.0)
         return basis.T @ dpre
 
-    grads["w_in"] = channel_back(dh_i, cache["m_i"], cache["pre_i"], inputs.x)
+    grads["w_in"] = channel_back(dh_i, cache["m_i"], cache["pre_i"], rows.x)
     for kk in range(k):
         grads[f"w_low_{kk + 1}"] = channel_back(
-            dh_l[kk], cache["m_l"][kk], cache["pre_l"][kk], inputs.stack.low[kk]
+            dh_l[kk], cache["m_l"][kk], cache["pre_l"][kk], rows.low[kk]
         )
         grads[f"w_high_{kk + 1}"] = channel_back(
-            dh_h[kk], cache["m_h"][kk], cache["pre_h"][kk], inputs.stack.high[kk]
+            dh_h[kk], cache["m_h"][kk], cache["pre_h"][kk], rows.high[kk]
         )
 
     if weight_decay != 0.0:
@@ -549,8 +623,15 @@ def _read_array(fh: BinaryIO) -> tuple[str, np.ndarray]:
     shape = tuple(
         struct.unpack("<Q", _read_exact(fh, 8, "array dim"))[0] for _ in range(ndim)
     )
-    count = int(np.prod(shape)) if shape else 1
-    raw = _read_exact(fh, count * 8, f"array {name}")
+    size = math.prod(shape) * 8
+    # Check the size the dims imply before allocating anything, so a
+    # corrupt header cannot ask for more memory than the file holds.
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise FormatError(
+            f"{fh.name}: array {name} dims {shape} imply {size} bytes, but {left} remain"
+        )
+    raw = _read_exact(fh, size, f"array {name}")
     return name, np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
 
@@ -656,7 +737,7 @@ def linear_predict(params: Params, features: np.ndarray) -> np.ndarray:
 def linear_accuracy(
     params: Params, features: np.ndarray, labels: np.ndarray, mask: np.ndarray
 ) -> float:
-    return _masked_accuracy(linear_predict(params, features), labels, mask)
+    return _accuracy(linear_predict(params, features[mask]), labels[mask])
 
 
 def train_linear(
@@ -673,26 +754,28 @@ def train_linear(
     early-stopping loop as the full model; returns best-validation
     parameters."""
     features = np.ascontiguousarray(features, dtype=np.float64)
-    n, d = features.shape
+    d = features.shape[1]
     rng = np.random.default_rng(train_config.seed)
     bound = 1.0 / np.sqrt(d)
     params = {"w": rng.uniform(-bound, bound, size=(d, num_classes))}
     if bias:
         params["b"] = rng.uniform(-bound, bound, size=(num_classes,))
-    m_count = int(np.count_nonzero(train_mask))
-    if m_count == 0:
+    rows = np.flatnonzero(train_mask)
+    if rows.size == 0:
         raise InputError("train mask selects no nodes")
+    x_train, y_train = features[rows], labels[rows]
+    picked = np.arange(rows.size)
+    x_val, y_val = features[val_mask], labels[val_mask]
     wd = train_config.weight_decay
 
     def loss_and_grads(p: Params) -> tuple[float, Params]:
-        log_probs = _linear_log_probs(p, features)
-        loss = -float(log_probs[train_mask, labels[train_mask]].mean())
+        log_probs = _linear_log_probs(p, x_train)
+        loss = -float(log_probs[picked, y_train].mean())
         loss += 0.5 * wd * _squared_norm(p)
-        dlogits = np.zeros_like(log_probs)
-        dlogits[train_mask] = np.exp(log_probs[train_mask])
-        dlogits[train_mask, labels[train_mask]] -= 1.0
-        dlogits /= m_count
-        grads = {"w": features.T @ dlogits + wd * p["w"]}
+        dlogits = np.exp(log_probs)
+        dlogits[picked, y_train] -= 1.0
+        dlogits /= rows.size
+        grads = {"w": x_train.T @ dlogits + wd * p["w"]}
         if "b" in p:
             grads["b"] = dlogits.sum(axis=0) + wd * p["b"]
         return loss, grads
@@ -701,5 +784,5 @@ def train_linear(
         params,
         train_config,
         loss_and_grads,
-        lambda p: linear_accuracy(p, features, labels, val_mask),
+        lambda p: _accuracy(linear_predict(p, x_val), y_val),
     ).params

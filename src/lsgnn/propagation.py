@@ -14,6 +14,7 @@ already captured.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO
@@ -280,6 +281,18 @@ def load_bundle(path, features: np.ndarray | None = None) -> PropagationStack:
             normalize=bool(normalize),
         )
         count = n * d * 8
+        # An empty layer costs no bytes, so a huge num_layers would pass
+        # the size check below and loop over billions of empty reads.
+        if count == 0:
+            raise FormatError(f"{path}: header n={n}, d={d} describes empty layers")
+        # Check the size the header implies before allocating anything, so
+        # a corrupt header cannot ask for more memory than the file holds.
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if 2 * num_layers * count > left:
+            raise FormatError(
+                f"{path}: header n={n}, d={d}, num_layers={num_layers} implies "
+                f"{2 * num_layers * count} bytes of layers, but {left} remain"
+            )
         low = []
         high = []
         for dest, name in ((low, "low"), (high, "high")):

@@ -310,6 +310,24 @@ def test_depth_sweep_rows_and_depth_one_equivalence():
         depth_sweep(bundle, quick_config(), [], splits)
 
 
+def test_depth_sweep_trains_an_sgc_config_once_per_depth(monkeypatch):
+    bundle = small_bundle(n=120)
+    splits = make_splits(bundle.num_nodes, count=1)
+    calls = []
+
+    def counting_train(*args, **kwargs):
+        calls.append(1)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train", counting_train)
+    depth_sweep(bundle, quick_config(epochs=5), [1, 2], splits)
+    assert len(calls) == 4  # main and sgc arm at each depth
+    calls.clear()
+    rows = depth_sweep(bundle, quick_config(epochs=5, variant="sgc"), [1, 2], splits)
+    assert len(calls) == 2  # the sgc arm is the main run
+    assert all(r.sgc_variant is r.main for r in rows)
+
+
 def test_write_report_and_manifest_are_reproducible(tmp_path):
     header = ["name", "mean", "std"]
     rows = [["a", 0.123456789123, 1e-9], ["b", float(np.float64(2) / 3), 0]]

@@ -1,3 +1,4 @@
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -191,6 +192,16 @@ def test_evaluate_rejects_empty_mask():
         evaluate(params, config, inputs, labels, np.zeros(16, dtype=bool))
 
 
+def test_masks_must_have_one_entry_per_node():
+    _, _, config, inputs, labels = make_instance(seed=12)
+    params = init_parameters(config, np.random.default_rng(12))
+    short = np.ones(15, dtype=bool)
+    with pytest.raises(InputError, match=r"mask has shape \(15,\), expected \(16,\)"):
+        evaluate(params, config, inputs, labels, short)
+    with pytest.raises(InputError, match=r"mask has shape \(15,\), expected \(16,\)"):
+        loss_and_gradients(params, config, inputs, labels, short)
+
+
 def test_graph_and_node_modes_agree_on_constant_localsim():
     # identical feature rows make every cosine similarity 1, so the per-node
     # weights collapse to one shared vector that graph mode can replicate
@@ -350,6 +361,74 @@ def test_checkpoint_rejects_corruption(tmp_path):
     bad.write_bytes(b"????" + raw[4:])
     with pytest.raises(FormatError):
         load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_oversized_array_dims(tmp_path):
+    # Dims of (2^31, 2^20) must fail on the file's size, not by trying to
+    # allocate the 2^54 bytes they imply.
+    _, _, config, _, _ = make_instance(seed=19)
+    params = init_parameters(config, np.random.default_rng(19))
+    path = tmp_path / "model.lspm"
+    save_checkpoint(path, config, params)
+    raw = bytearray(path.read_bytes())
+    # magic, config header and array count, then w_in's name length, name
+    # and rank come before its dims
+    offset = 4 + struct.calcsize("<IIIIIIIBBBd") + 4 + 2 + len("w_in") + 1
+    assert raw[offset - 5 : offset - 1] == b"w_in"
+    struct.pack_into("<QQ", raw, offset, 2**31, 2**20)
+    big = tmp_path / "big.lspm"
+    big.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=r"big\.lspm: array w_in dims \(2147483648, 1048576\)"):
+        load_checkpoint(big)
+
+
+ROW_MODES = [
+    ("refined", "node_level"),
+    ("naive", "node_level"),
+    ("naive", "graph_level"),
+]
+
+
+def sparse_mask(g, n):
+    """Every third node: selected nodes keep unselected neighbors."""
+    mask = np.zeros(n, dtype=bool)
+    mask[::3] = True
+    rows = g.entry_rows()
+    assert np.any(mask[rows] & ~mask[g.col_indices])
+    return mask
+
+
+@pytest.mark.parametrize("localsim_mode,weight_mode", ROW_MODES)
+def test_masked_loss_matches_full_graph_probabilities(localsim_mode, weight_mode):
+    g, _, config, inputs, labels = make_instance(
+        n=40, d=3, k=2, z=5, seed=23, localsim_mode=localsim_mode, weight_mode=weight_mode)
+    params = init_parameters(config, np.random.default_rng(23))
+    mask = sparse_mask(g, 40)
+    loss, _ = loss_and_gradients(params, config, inputs, labels, mask)
+    full = np.log(predict_proba(params, config, inputs))
+    assert abs(loss - -full[mask, labels[mask]].mean()) <= 1e-12
+
+
+@pytest.mark.parametrize("localsim_mode,weight_mode", ROW_MODES)
+def test_masked_evaluate_matches_full_graph_predict(localsim_mode, weight_mode):
+    g, _, config, inputs, labels = make_instance(
+        n=40, d=3, k=2, z=5, seed=24, localsim_mode=localsim_mode, weight_mode=weight_mode)
+    params = init_parameters(config, np.random.default_rng(24))
+    pred = predict(params, config, inputs)
+    for mask in (sparse_mask(g, 40), ~sparse_mask(g, 40), np.ones(40, dtype=bool)):
+        want = float((pred[mask] == labels[mask]).mean())
+        assert evaluate(params, config, inputs, labels, mask) == want
+
+
+def test_masked_dropout_consumes_a_full_mask_per_channel():
+    g, _, config, inputs, labels = make_instance(n=30, k=3, z=4, seed=25, dropout=0.5)
+    params = init_parameters(config, np.random.default_rng(25))
+    rng = np.random.default_rng(7)
+    loss_and_gradients(params, config, inputs, labels, sparse_mask(g, 30), dropout_rng=rng)
+    twin = np.random.default_rng(7)
+    for _ in range(2 * config.num_layers + 1):
+        twin.random((30, config.hidden_dim))
+    assert rng.random() == twin.random()
 
 
 def test_adam_first_step_is_signed_learning_rate():

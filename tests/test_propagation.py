@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -222,3 +224,25 @@ def test_build_stack_shape_validation(random_graph):
     pair = enhanced_filters(g, 0.5)
     with pytest.raises(InputError):
         build_stack(pair, make_features(9), PropagationConfig(num_layers=2))
+
+
+def test_bundle_rejects_oversized_header(tmp_path, random_graph):
+    # A header claiming n = 2^31 must fail on the file's size, not by
+    # trying to allocate the layers it implies.
+    g, _ = random_graph(n=8, p=0.4, seed=34)
+    stack = precompute_bundle(g, make_features(8), PropagationConfig(num_layers=2))
+    path = tmp_path / "stack.lspb"
+    save_bundle(stack, path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, 8, 2**31)  # n, after magic and version
+    big = tmp_path / "big.lspb"
+    big.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=r"big\.lspb: header n=2147483648, d=4"):
+        load_bundle(big)
+    # n = 0 makes every layer empty; with num_layers = 2^32 - 1 the reader
+    # would otherwise loop over billions of zero-byte layers
+    struct.pack_into("<II", raw, 8, 0, 4)
+    struct.pack_into("<I", raw, 16, 2**32 - 1)
+    big.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=r"big\.lspb: header n=0, d=4 describes empty layers"):
+        load_bundle(big)
