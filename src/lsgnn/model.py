@@ -1,18 +1,25 @@
 """Node classifier over precomputed propagation stacks.
 
-Three channel families feed the classifier: the raw features through a
-linear+ReLU map, and the low/high-pass propagated layers each through
-their own linear+ReLU maps.  A small MLP turns each node's local
-similarity into per-node, per-depth mixing weights, the weighted channels
-are concatenated with the identity channel, and a linear layer produces
-class logits.
+The classifier reads 2K+1 channels per node, kept as one list in draw
+order: the raw features (`w_in`), the K low-pass propagated layers
+(`w_low_1..K`) and the K high-pass layers (`w_high_1..K`), each through
+its own linear+ReLU map.  A small MLP turns each node's local similarity
+into per-node mixing weights α with 3K columns; column j·K + kk weights
+term j (identity, low kk+1, high kk+1) of fused block kk.  So the identity
+channel is block 0 and, weighted by column kk, the first term of fused
+block kk, and channel c >= 1 is weighted by column K + c - 1 in fused block
+(c - 1) mod K.  A linear layer over the K+1 blocks produces class logits.
 
-Parameters are one ordered `dict[str, np.ndarray]`: `w_in`, `w_low_1..K`,
-`w_high_1..K`, then `ls_w1, ls_b1, ls_w2, ls_b2` (refined local
+Parameters are one ordered `dict[str, np.ndarray]`: the channel maps in
+channel order, then `ls_w1, ls_b1, ls_w2, ls_b2` (refined local
 similarity), `al_w1, al_b1, al_w2, al_b2` (node-level weights) or
 `graph_alpha` (graph-level weights), then `w_out`.  That order is fixed;
 the initializer's draws, the optimizer, the checkpoint format and the
 finite-difference tests all rely on it.
+
+Every pass reads the rows a `_Rows` selects: `_Rows.index` indexes the
+node axis, and is `slice(None)` when every node is selected, so those
+arrays are views of the inputs rather than copies.
 
 Gradients are derived by hand and verified against central finite
 differences in the test suite; there is no autograd dependency.
@@ -20,8 +27,8 @@ differences in the test suite; there is no autograd dependency.
 
 from __future__ import annotations
 
+import functools
 import math
-import os
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Callable
@@ -31,7 +38,7 @@ import numpy as np
 from .errors import DigestMismatchError, FormatError, InputError, TrainingDivergedError
 from .graph import SparseGraph
 from .localsim import SIM_KINDS, edge_sim_values, neighborhood_mean
-from .propagation import PropagationStack, feature_digest
+from .propagation import PropagationStack, _ArtifactReader, _atomic_write, feature_digest
 
 __all__ = [
     "LOCALSIM_MODES",
@@ -107,6 +114,12 @@ class ModelConfig:
 Params = dict[str, np.ndarray]
 
 
+@functools.cache
+def _channel_names(k: int) -> tuple[str, ...]:
+    """The 2K+1 channel maps' parameter names, in channel order."""
+    return ("w_in", *(f"w_{band}_{kk}" for band in ("low", "high") for kk in range(1, k + 1)))
+
+
 def init_parameters(config: ModelConfig, rng: np.random.Generator) -> Params:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) per array.
 
@@ -120,10 +133,7 @@ def init_parameters(config: ModelConfig, rng: np.random.Generator) -> Params:
 
     k = config.num_layers
     d, z, c = config.in_dim, config.hidden_dim, config.num_classes
-    params = {"w_in": u((d, z), d)}
-    for branch in ("low", "high"):
-        for kk in range(1, k + 1):
-            params[f"w_{branch}_{kk}"] = u((d, z), d)
+    params = {name: u((d, z), d) for name in _channel_names(k)}
     if config.uses_localsim_mlp:
         h = config.ls_hidden
         params.update(
@@ -205,16 +215,14 @@ class _Rows:
 
     A node's output depends only on its own features, its own propagated
     rows and its own CSR entries (the precompute-then-MLP regime of SGC and
-    SIGN), so a pass over these gathered rows gives the selected rows of a
-    full pass.  `index` is None when every node is selected; the arrays are
-    then the inputs' own, not copies.
+    SIGN), so a pass over these rows gives the selected rows of a full
+    pass.  `index` selects the rows on the node axis; it is `slice(None)`
+    when every node is selected, and the arrays are then views.
     """
 
-    index: np.ndarray | None
+    index: slice | np.ndarray
     num_nodes: int
-    x: np.ndarray
-    low: list[np.ndarray]
-    high: list[np.ndarray]
+    bases: list[np.ndarray]  # each channel's input rows, in channel order
     phi_naive: np.ndarray
     edge_feats: np.ndarray
     entry_slots: np.ndarray
@@ -230,51 +238,57 @@ def _select_rows(
             f"inputs carry sim_kind={inputs.sim_kind!r} but config wants {config.sim_kind!r}"
         )
     n = inputs.graph.num_nodes
-    stack = inputs.stack
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (n,):
             raise InputError(f"mask has shape {mask.shape}, expected ({n},)")
     if mask is None or mask.all():
-        return _Rows(
-            index=None,
-            num_nodes=n,
-            x=inputs.x,
-            low=stack.low,
-            high=stack.high,
-            phi_naive=inputs.phi_naive,
-            edge_feats=inputs.edge_feats,
-            entry_slots=inputs.entry_rows,
-            inv_degrees=inputs.inv_degrees,
-        )
-    rows = np.flatnonzero(mask)
-    # CSR entries are grouped by row in ascending order, like `rows`.
-    entries = np.flatnonzero(mask[inputs.entry_rows])
+        index, entries, entry_slots = slice(None), slice(None), inputs.entry_rows
+    else:
+        index = np.flatnonzero(mask)
+        # CSR entries are grouped by row in ascending order, like `index`.
+        entries = np.flatnonzero(mask[inputs.entry_rows])
+        entry_slots = np.repeat(np.arange(index.size), inputs.graph.degrees[index])
+    stack = inputs.stack
     return _Rows(
-        index=rows,
+        index=index,
         num_nodes=n,
-        x=inputs.x[rows],
-        low=[a[rows] for a in stack.low],
-        high=[a[rows] for a in stack.high],
-        phi_naive=inputs.phi_naive[rows],
+        bases=[a[index] for a in (inputs.x, *stack.low, *stack.high)],
+        phi_naive=inputs.phi_naive[index],
         edge_feats=inputs.edge_feats[entries],
-        entry_slots=np.repeat(np.arange(rows.size), inputs.graph.degrees[rows]),
-        inv_degrees=inputs.inv_degrees[rows],
+        entry_slots=entry_slots,
+        inv_degrees=inputs.inv_degrees[index],
     )
 
 
 def _dropout(h: np.ndarray, p: float, rng: np.random.Generator | None, rows: _Rows):
     """Inverted dropout; returns (output, multiplier) with multiplier None
     when dropout is inactive.  The mask is drawn for all n nodes and then
-    sliced to the selected rows, so the generator's stream does not depend
+    indexed to the selected rows, so the generator's stream does not depend
     on which rows a pass computes."""
     if rng is None or p == 0.0:
         return h, None
-    draw = rng.random((rows.num_nodes, h.shape[1]))
-    if rows.index is not None:
-        draw = draw[rows.index]
+    draw = rng.random((rows.num_nodes, h.shape[1]))[rows.index]
     mult = (draw >= p).astype(np.float64) / (1.0 - p)
     return h * mult, mult
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    shift = logits - logits.max(axis=1, keepdims=True)
+    return shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
+
+
+def _cross_entropy(log_probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of `labels` and its gradient with respect to the
+    logits; no rows give 0 and an empty gradient."""
+    m = labels.size
+    picked = np.arange(m)
+    loss = 0.0 if m == 0 else -float(log_probs[picked, labels].mean())
+    dlogits = np.exp(log_probs)
+    dlogits[picked, labels] -= 1.0
+    if m:
+        dlogits /= m
+    return loss, dlogits
 
 
 def _forward(
@@ -286,32 +300,18 @@ def _forward(
     """Forward pass over the selected rows; returns a cache with every
     array backward needs.
 
-    Dropout draws happen in a fixed order (identity, low 1..K, high 1..K)
-    so a seeded generator reproduces runs exactly.
+    Dropout draws happen in channel order, so a seeded generator
+    reproduces runs exactly.
     """
     k, z = config.num_layers, config.hidden_dim
-    n = rows.x.shape[0]
+    n = rows.bases[0].shape[0]
     cache: dict = {}
 
-    pre_i = rows.x @ params["w_in"]
-    h_i, m_i = _dropout(_relu(pre_i), config.dropout, dropout_rng, rows)
-    cache["pre_i"], cache["h_i"], cache["m_i"] = pre_i, h_i, m_i
-
-    pre_l, h_l, m_l = [], [], []
-    for kk in range(k):
-        p = rows.low[kk] @ params[f"w_low_{kk + 1}"]
-        h, m = _dropout(_relu(p), config.dropout, dropout_rng, rows)
-        pre_l.append(p)
-        h_l.append(h)
-        m_l.append(m)
-    pre_h, h_h, m_h = [], [], []
-    for kk in range(k):
-        p = rows.high[kk] @ params[f"w_high_{kk + 1}"]
-        h, m = _dropout(_relu(p), config.dropout, dropout_rng, rows)
-        pre_h.append(p)
-        h_h.append(h)
-        m_h.append(m)
-    cache.update(pre_l=pre_l, h_l=h_l, m_l=m_l, pre_h=pre_h, h_h=h_h, m_h=m_h)
+    channels = []
+    for name, basis in zip(_channel_names(k), rows.bases):
+        pre = basis @ params[name]
+        h, mult = _dropout(_relu(pre), config.dropout, dropout_rng, rows)
+        channels.append((pre, h, mult))
 
     if config.weight_mode == "graph_level":
         alpha = np.broadcast_to(params["graph_alpha"], (n, 3 * k))
@@ -332,18 +332,19 @@ def _forward(
         cache.update(phi=phi, psi=psi, al_b1=b1, al_q1=q1)
     cache["alpha"] = alpha
 
+    # Each fused block is summed in contiguous temporaries and written
+    # once; accumulating into the strided block in place is slower.
+    hidden = [h for _, h, _ in channels]
     feats = np.empty((n, (k + 1) * z), dtype=np.float64)
-    feats[:, :z] = h_i
+    feats[:, :z] = hidden[0]
     for kk in range(k):
-        a_i = alpha[:, kk : kk + 1]
-        a_l = alpha[:, k + kk : k + kk + 1]
-        a_h = alpha[:, 2 * k + kk : 2 * k + kk + 1]
-        feats[:, (kk + 1) * z : (kk + 2) * z] = a_i * h_i + a_l * h_l[kk] + a_h * h_h[kk]
-    logits = feats @ params["w_out"]
-    shift = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shift)
-    log_probs = shift - np.log(exp.sum(axis=1, keepdims=True))
-    cache.update(feats=feats, log_probs=log_probs, probs=np.exp(log_probs))
+        feats[:, (kk + 1) * z : (kk + 2) * z] = (
+            alpha[:, kk, None] * hidden[0]
+            + alpha[:, k + kk, None] * hidden[1 + kk]
+            + alpha[:, 2 * k + kk, None] * hidden[1 + k + kk]
+        )
+    log_probs = _log_softmax(feats @ params["w_out"])
+    cache.update(channels=channels, feats=feats, log_probs=log_probs)
     return cache
 
 
@@ -351,7 +352,8 @@ def predict_proba(
     params: Params, config: ModelConfig, inputs: ModelInputs
 ) -> np.ndarray:
     """Class probabilities with dropout off; rows sum to 1."""
-    return _forward(params, config, _select_rows(config, inputs), dropout_rng=None)["probs"]
+    rows = _select_rows(config, inputs)
+    return np.exp(_forward(params, config, rows, dropout_rng=None)["log_probs"])
 
 
 def predict(params: Params, config: ModelConfig, inputs: ModelInputs) -> np.ndarray:
@@ -367,9 +369,7 @@ def evaluate(
 ) -> float:
     """Accuracy over the masked nodes, computed from those rows alone."""
     rows = _select_rows(config, inputs, mask)
-    if rows.index is None:
-        return _accuracy(predict(params, config, inputs), labels)
-    probs = _forward(params, config, rows, dropout_rng=None)["probs"]
+    probs = np.exp(_forward(params, config, rows, dropout_rng=None)["log_probs"])
     return _accuracy(probs.argmax(axis=1), labels[rows.index])
 
 
@@ -398,41 +398,36 @@ def loss_and_gradients(
     """
     k, z = config.num_layers, config.hidden_dim
     rows = _select_rows(config, inputs, mask)
-    if rows.index is not None:
-        labels = labels[rows.index]
+    labels = labels[rows.index]
     cache = _forward(params, config, rows, dropout_rng)
-    m_count = rows.x.shape[0]
-    picked = np.arange(m_count)
-    log_probs = cache["log_probs"]
-    ce = 0.0 if m_count == 0 else -float(log_probs[picked, labels].mean())
+    m_count = labels.size
+    ce, dlogits = _cross_entropy(cache["log_probs"], labels)
     loss = ce + 0.5 * weight_decay * _squared_norm(params)
 
     # Keys in parameter order; each is assigned below.
     grads = dict.fromkeys(params)
+    grads["w_out"] = cache["feats"].T @ dlogits
+    dblocks = (dlogits @ params["w_out"].T).reshape(m_count, k + 1, z)
 
-    dlogits = cache["probs"].copy()
-    dlogits[picked, labels] -= 1.0
-    if m_count:
-        dlogits /= m_count
-
-    feats = cache["feats"]
-    grads["w_out"] = feats.T @ dlogits
-    dfeats = dlogits @ params["w_out"].T
-
+    # Each channel's gradient, in the fusion's layout (module docstring).
     alpha = cache["alpha"]
-    h_i, h_l, h_h = cache["h_i"], cache["h_l"], cache["h_h"]
-    dh_i = dfeats[:, :z].copy()
-    dh_l = []
-    dh_h = []
-    dalpha = np.zeros((m_count, 3 * k), dtype=np.float64)
-    for kk in range(k):
-        dz = dfeats[:, (kk + 1) * z : (kk + 2) * z]
-        dalpha[:, kk] = (dz * h_i).sum(axis=1)
-        dalpha[:, k + kk] = (dz * h_l[kk]).sum(axis=1)
-        dalpha[:, 2 * k + kk] = (dz * h_h[kk]).sum(axis=1)
-        dh_i += alpha[:, kk : kk + 1] * dz
-        dh_l.append(alpha[:, k + kk : k + kk + 1] * dz)
-        dh_h.append(alpha[:, 2 * k + kk : 2 * k + kk + 1] * dz)
+    dalpha = np.empty((m_count, 3 * k), dtype=np.float64)
+    for c, (name, basis) in enumerate(zip(_channel_names(k), rows.bases)):
+        pre, h, mult = cache["channels"][c]
+        if c == 0:
+            dh = dblocks[:, 0].copy()
+            for kk in range(k):
+                dz = dblocks[:, kk + 1]
+                dalpha[:, kk] = (dz * h).sum(axis=1)
+                dh += alpha[:, kk, None] * dz
+        else:
+            col = k + c - 1
+            dz = dblocks[:, 1 + (c - 1) % k]
+            dalpha[:, col] = (dz * h).sum(axis=1)
+            dh = alpha[:, col, None] * dz
+        if mult is not None:
+            dh = dh * mult
+        grads[name] = basis.T @ (dh * (pre > 0.0))
 
     if config.weight_mode == "graph_level":
         grads["graph_alpha"] = dalpha.sum(axis=0)
@@ -458,35 +453,22 @@ def loss_and_gradients(
             grads["ls_w1"] = rows.edge_feats.T @ da1
             grads["ls_b1"] = da1.sum(axis=0)
 
-    def channel_back(dh, mult, pre, basis):
-        if mult is not None:
-            dh = dh * mult
-        dpre = dh * (pre > 0.0)
-        return basis.T @ dpre
-
-    grads["w_in"] = channel_back(dh_i, cache["m_i"], cache["pre_i"], rows.x)
-    for kk in range(k):
-        grads[f"w_low_{kk + 1}"] = channel_back(
-            dh_l[kk], cache["m_l"][kk], cache["pre_l"][kk], rows.low[kk]
-        )
-        grads[f"w_high_{kk + 1}"] = channel_back(
-            dh_h[kk], cache["m_h"][kk], cache["pre_h"][kk], rows.high[kk]
-        )
-
     if weight_decay != 0.0:
         for name, g in grads.items():
             g += weight_decay * params[name]
     return loss, grads
 
 
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
+
 class Adam:
     """Standard Adam with bias correction; state is keyed by array name."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -494,7 +476,7 @@ class Adam:
     def step(self, params: Params, grads: Params) -> None:
         """Update every array of `params` in place from `grads[name]`."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _ADAM_BETA1, _ADAM_BETA2
         correct1 = 1.0 - b1**self.t
         correct2 = 1.0 - b2**self.t
         for name, p in params.items():
@@ -508,7 +490,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -609,29 +591,14 @@ def _write_array(fh: BinaryIO, name: str, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes(order="C"))
 
 
-def _read_exact(fh: BinaryIO, size: int, what: str) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise FormatError(f"truncated checkpoint: expected {size} bytes for {what}")
-    return data
-
-
-def _read_array(fh: BinaryIO) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "array name length"))
-    name = _read_exact(fh, name_len, "array name").decode("utf-8")
-    (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "array rank"))
+def _read_array(reader: _ArtifactReader) -> tuple[str, np.ndarray]:
+    (name_len,) = struct.unpack("<H", reader.read(2, "array name length"))
+    name = reader.read(name_len, "array name").decode("utf-8")
+    (ndim,) = struct.unpack("<B", reader.read(1, "array rank"))
     shape = tuple(
-        struct.unpack("<Q", _read_exact(fh, 8, "array dim"))[0] for _ in range(ndim)
+        struct.unpack("<Q", reader.read(8, "array dim"))[0] for _ in range(ndim)
     )
-    size = math.prod(shape) * 8
-    # Check the size the dims imply before allocating anything, so a
-    # corrupt header cannot ask for more memory than the file holds.
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if size > left:
-        raise FormatError(
-            f"{fh.name}: array {name} dims {shape} imply {size} bytes, but {left} remain"
-        )
-    raw = _read_exact(fh, size, f"array {name}")
+    raw = reader.read(math.prod(shape) * 8, f"array {name} dims {shape}")
     return name, np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
 
@@ -640,7 +607,7 @@ _CONFIG_PACK = "<IIIIIIIBBBd"
 
 def save_checkpoint(path, config: ModelConfig, params: Params) -> None:
     """Write config plus every named array to the LSPM binary format."""
-    with open(path, "wb") as fh:
+    with _atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(
             struct.pack(
@@ -666,10 +633,8 @@ def save_checkpoint(path, config: ModelConfig, params: Params) -> None:
 def load_checkpoint(path) -> tuple[ModelConfig, Params]:
     """Read an LSPM file; array names and shapes must match the config."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != _MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        header = _read_exact(fh, struct.calcsize(_CONFIG_PACK), "config header")
+        reader = _ArtifactReader(fh, _MAGIC)
+        header = reader.read(struct.calcsize(_CONFIG_PACK), "config header")
         (
             version,
             num_layers,
@@ -684,7 +649,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, Params]:
             dropout,
         ) = struct.unpack(_CONFIG_PACK, header)
         if version != _VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
+            raise reader.error(f"unsupported checkpoint version {version}")
         try:
             config = ModelConfig(
                 num_layers=num_layers,
@@ -699,22 +664,21 @@ def load_checkpoint(path) -> tuple[ModelConfig, Params]:
                 dropout=dropout,
             )
         except (IndexError, InputError) as exc:
-            raise FormatError(f"invalid config in checkpoint: {exc}") from exc
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, "array count"))
-        arrays = dict(_read_array(fh) for _ in range(count))
-        if fh.read(1):
-            raise FormatError("trailing bytes after final array")
+            raise reader.error(f"invalid config in checkpoint: {exc}") from exc
+        (count,) = struct.unpack("<I", reader.read(4, "array count"))
+        arrays = dict(_read_array(reader) for _ in range(count))
+        reader.finish("final array")
 
     template = init_parameters(config, np.random.default_rng(0))
     if sorted(arrays) != sorted(template):
         raise FormatError(
-            f"checkpoint arrays {sorted(arrays)} do not match config "
+            f"{path}: checkpoint arrays {sorted(arrays)} do not match config "
             f"expectation {sorted(template)}"
         )
     for name, ref in template.items():
         if arrays[name].shape != ref.shape:
             raise FormatError(
-                f"array {name} has shape {arrays[name].shape}, expected {ref.shape}"
+                f"{path}: array {name} has shape {arrays[name].shape}, expected {ref.shape}"
             )
     return config, {name: arrays[name] for name in template}
 
@@ -723,11 +687,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, Params]:
 
 
 def _linear_log_probs(params: Params, features: np.ndarray) -> np.ndarray:
-    logits = features @ params["w"]
-    if "b" in params:
-        logits = logits + params["b"]
-    shift = logits - logits.max(axis=1, keepdims=True)
-    return shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
+    return _log_softmax(features @ params["w"] + params["b"])
 
 
 def linear_predict(params: Params, features: np.ndarray) -> np.ndarray:
@@ -747,37 +707,32 @@ def train_linear(
     train_config: TrainConfig,
     train_mask: np.ndarray,
     val_mask: np.ndarray,
-    bias: bool = True,
 ) -> Params:
-    """Fit the softmax regression head `{"w", "b"}` (no "b" without bias)
-    used by the raw-feature and deep-filter baselines, with the same Adam +
-    early-stopping loop as the full model; returns best-validation
-    parameters."""
+    """Fit the softmax regression head `{"w", "b"}` used by the raw-feature
+    and deep-filter baselines, with the same Adam + early-stopping loop as
+    the full model; returns best-validation parameters."""
     features = np.ascontiguousarray(features, dtype=np.float64)
     d = features.shape[1]
     rng = np.random.default_rng(train_config.seed)
     bound = 1.0 / np.sqrt(d)
-    params = {"w": rng.uniform(-bound, bound, size=(d, num_classes))}
-    if bias:
-        params["b"] = rng.uniform(-bound, bound, size=(num_classes,))
+    params = {
+        "w": rng.uniform(-bound, bound, size=(d, num_classes)),
+        "b": rng.uniform(-bound, bound, size=(num_classes,)),
+    }
     rows = np.flatnonzero(train_mask)
     if rows.size == 0:
         raise InputError("train mask selects no nodes")
     x_train, y_train = features[rows], labels[rows]
-    picked = np.arange(rows.size)
     x_val, y_val = features[val_mask], labels[val_mask]
     wd = train_config.weight_decay
 
     def loss_and_grads(p: Params) -> tuple[float, Params]:
-        log_probs = _linear_log_probs(p, x_train)
-        loss = -float(log_probs[picked, y_train].mean())
+        loss, dlogits = _cross_entropy(_linear_log_probs(p, x_train), y_train)
         loss += 0.5 * wd * _squared_norm(p)
-        dlogits = np.exp(log_probs)
-        dlogits[picked, y_train] -= 1.0
-        dlogits /= rows.size
-        grads = {"w": x_train.T @ dlogits + wd * p["w"]}
-        if "b" in p:
-            grads["b"] = dlogits.sum(axis=0) + wd * p["b"]
+        grads = {
+            "w": x_train.T @ dlogits + wd * p["w"],
+            "b": dlogits.sum(axis=0) + wd * p["b"],
+        }
         return loss, grads
 
     return _fit(

@@ -16,8 +16,9 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -211,6 +212,57 @@ def _write_matrix(fh: BinaryIO, m: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes(order="C"))
 
 
+@contextmanager
+def _atomic_write(path) -> Iterator[BinaryIO]:
+    """Write `path` through a temporary file in its directory.
+
+    The temporary file replaces `path` only once the body has finished, and
+    is removed if the body raises, so a failed save leaves the previous file
+    intact and no stray file behind.  Shared by the LSPB and LSPM writers.
+    """
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+class _ArtifactReader:
+    """Bounded reads from an open LSPB or LSPM file.
+
+    Every `FormatError` it raises names the file.  A read checks its size
+    against the bytes left before anything is allocated, so a corrupt
+    header cannot ask for more memory than the file holds.
+    """
+
+    def __init__(self, fh: BinaryIO, magic: bytes):
+        self._fh = fh
+        self._size = os.fstat(fh.fileno()).st_size
+        found = self.read(len(magic), "magic")
+        if found != magic:
+            raise self.error(f"bad magic {found!r}, expected {magic!r}")
+
+    def error(self, message: str) -> FormatError:
+        return FormatError(f"{self._fh.name}: {message}")
+
+    def reserve(self, size: int, what: str) -> None:
+        left = self._size - self._fh.tell()
+        if size > left:
+            raise self.error(f"{what} needs {size} bytes, but only {left} remain")
+
+    def read(self, size: int, what: str) -> bytes:
+        self.reserve(size, what)
+        return self._fh.read(size)
+
+    def finish(self, what: str) -> None:
+        if self._fh.read(1):
+            raise self.error(f"trailing bytes after {what}")
+
+
 def save_bundle(stack: PropagationStack, path) -> None:
     """Serialize a propagation stack to the LSPB binary format.
 
@@ -224,7 +276,7 @@ def save_bundle(stack: PropagationStack, path) -> None:
             f"got filter_kind={stack.filter_kind!r}"
         )
     cfg = stack.config
-    with open(path, "wb") as fh:
+    with _atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(
             struct.pack(
@@ -246,13 +298,6 @@ def save_bundle(stack: PropagationStack, path) -> None:
             _write_matrix(fh, m)
 
 
-def _read_exact(fh: BinaryIO, size: int, what: str) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise FormatError(f"truncated bundle: expected {size} bytes for {what}")
-    return data
-
-
 def load_bundle(path, features: np.ndarray | None = None) -> PropagationStack:
     """Read an LSPB file back into a PropagationStack.
 
@@ -261,18 +306,16 @@ def load_bundle(path, features: np.ndarray | None = None) -> PropagationStack:
     silently paired with edited inputs.
     """
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != _MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        header = _read_exact(fh, struct.calcsize("<IIIIddBB"), "header")
+        reader = _ArtifactReader(fh, _MAGIC)
+        header = reader.read(struct.calcsize("<IIIIddBB"), "header")
         version, n, d, num_layers, gamma, beta, variant_tag, normalize = struct.unpack(
             "<IIIIddBB", header
         )
         if version != _VERSION:
-            raise FormatError(f"unsupported bundle version {version}")
+            raise reader.error(f"unsupported bundle version {version}")
         if variant_tag >= len(VARIANTS):
-            raise FormatError(f"unknown variant tag {variant_tag}")
-        digest = _read_exact(fh, 32, "feature digest")
+            raise reader.error(f"unknown variant tag {variant_tag}")
+        digest = reader.read(32, "feature digest")
         config = PropagationConfig(
             num_layers=num_layers,
             gamma=gamma,
@@ -284,24 +327,17 @@ def load_bundle(path, features: np.ndarray | None = None) -> PropagationStack:
         # An empty layer costs no bytes, so a huge num_layers would pass
         # the size check below and loop over billions of empty reads.
         if count == 0:
-            raise FormatError(f"{path}: header n={n}, d={d} describes empty layers")
-        # Check the size the header implies before allocating anything, so
-        # a corrupt header cannot ask for more memory than the file holds.
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if 2 * num_layers * count > left:
-            raise FormatError(
-                f"{path}: header n={n}, d={d}, num_layers={num_layers} implies "
-                f"{2 * num_layers * count} bytes of layers, but {left} remain"
-            )
+            raise reader.error(f"header n={n}, d={d} describes empty layers")
+        reader.reserve(
+            2 * num_layers * count, f"header n={n}, d={d}, num_layers={num_layers}"
+        )
         low = []
         high = []
         for dest, name in ((low, "low"), (high, "high")):
             for k in range(num_layers):
-                raw = _read_exact(fh, count, f"{name} layer {k + 1}")
+                raw = reader.read(count, f"{name} layer {k + 1}")
                 dest.append(np.frombuffer(raw, dtype="<f8").reshape(n, d).copy())
-        trailing = fh.read(1)
-        if trailing:
-            raise FormatError("trailing bytes after final layer")
+        reader.finish("final layer")
     if features is not None and feature_digest(features) != digest:
         raise DigestMismatchError(
             "stored bundle was computed from a different feature matrix"

@@ -157,6 +157,50 @@ def loop_one_hop_bayes(a, x, mu, sigma, lambdas):
     return full, self_only
 
 
+def loop_forward(a, x, low, high, params, sim_kind, localsim_mode, weight_mode):
+    """Class probabilities of the fusion model, node by node.
+
+    Written from the model's definition: 2K+1 channel maps
+    relu(row @ W); local similarity phi as the neighbor mean of the raw
+    similarity (naive) or of a one-hidden-layer MLP of [s, s^2] (refined),
+    0 for an isolated node; fusion weights alpha from an MLP of
+    [phi, phi^2] (node level) or one shared vector (graph level); block 0
+    is the identity channel and block kk + 1 is
+    alpha[kk] h_in + alpha[K + kk] h_low_kk + alpha[2K + kk] h_high_kk;
+    then a softmax over the blocks' linear logits.
+    """
+    def relu(v):
+        return np.maximum(v, 0.0)
+
+    k = len(low)
+    probs = []
+    for i in range(a.shape[0]):
+        h_in = relu(x[i] @ params["w_in"])
+        h_low = [relu(low[kk][i] @ params[f"w_low_{kk + 1}"]) for kk in range(k)]
+        h_high = [relu(high[kk][i] @ params[f"w_high_{kk + 1}"]) for kk in range(k)]
+        if weight_mode == "graph_level":
+            alpha = params["graph_alpha"]
+        else:
+            scores = []
+            for j in np.flatnonzero(a[i]):
+                s = loop_sim(x[i], x[j], sim_kind)
+                if localsim_mode == "refined":
+                    hidden = relu(np.array([s, s * s]) @ params["ls_w1"] + params["ls_b1"])
+                    s = float(hidden @ params["ls_w2"][:, 0] + params["ls_b2"][0])
+                scores.append(s)
+            phi = float(np.mean(scores)) if scores else 0.0
+            hidden = relu(np.array([phi, phi * phi]) @ params["al_w1"] + params["al_b1"])
+            alpha = hidden @ params["al_w2"] + params["al_b2"]
+        blocks = [h_in]
+        for kk in range(k):
+            blocks.append(alpha[kk] * h_in + alpha[k + kk] * h_low[kk]
+                          + alpha[2 * k + kk] * h_high[kk])
+        logits = np.concatenate(blocks) @ params["w_out"]
+        e = np.exp(logits - logits.max())
+        probs.append(e / e.sum())
+    return np.array(probs)
+
+
 def central_fd(loss_fn, params, h):
     """Central finite differences of a scalar function over named arrays.
 

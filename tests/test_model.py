@@ -10,6 +10,7 @@ from lsgnn.errors import (
     InputError,
     TrainingDivergedError,
 )
+import lsgnn.model as model_module
 from lsgnn.graph import build_graph, enhanced_filters
 from lsgnn.model import (
     Adam,
@@ -31,7 +32,7 @@ from lsgnn.model import (
 from lsgnn.propagation import PropagationConfig, build_stack
 
 from conftest import random_edges
-from reference import central_fd, max_rel_error
+from reference import central_fd, dense_adjacency, loop_forward, max_rel_error
 
 
 def make_instance(n=16, d=3, k=2, z=4, seed=0, sim_kind="cosine",
@@ -356,11 +357,40 @@ def test_checkpoint_rejects_corruption(tmp_path):
     raw = path.read_bytes()
     bad = tmp_path / "bad.lspm"
     bad.write_bytes(raw[:-4])
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"bad\.lspm: "):
+        load_checkpoint(bad)
+    bad.write_bytes(raw[:10])
+    with pytest.raises(FormatError, match=r"bad\.lspm: config header needs"):
         load_checkpoint(bad)
     bad.write_bytes(b"????" + raw[4:])
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"bad\.lspm: bad magic"):
         load_checkpoint(bad)
+    bad.write_bytes(raw + b"\x00")
+    with pytest.raises(FormatError, match=r"bad\.lspm: trailing bytes"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_save_failure_keeps_previous_file(tmp_path, monkeypatch):
+    _, _, config, _, _ = make_instance(seed=19)
+    params = init_parameters(config, np.random.default_rng(19))
+    path = tmp_path / "model.lspm"
+    save_checkpoint(path, config, params)
+    before = path.read_bytes()
+    calls = []
+    real = model_module._write_array
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        real(*args)
+
+    monkeypatch.setattr(model_module, "_write_array", failing)
+    newer = {name: a + 1.0 for name, a in params.items()}
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, config, newer)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.lspm"]
 
 
 def test_checkpoint_rejects_oversized_array_dims(tmp_path):
@@ -431,6 +461,18 @@ def test_masked_dropout_consumes_a_full_mask_per_channel():
     assert rng.random() == twin.random()
 
 
+@pytest.mark.parametrize("localsim_mode,weight_mode", ROW_MODES)
+def test_predict_proba_matches_loop_forward(localsim_mode, weight_mode):
+    n, seed = 20, 26
+    _, x, config, inputs, _ = make_instance(
+        n=n, d=3, k=2, z=5, seed=seed, localsim_mode=localsim_mode, weight_mode=weight_mode)
+    params = init_parameters(config, np.random.default_rng(seed))
+    want = loop_forward(dense_adjacency(n, random_edges(n, 0.3, seed)), x,
+                        inputs.stack.low, inputs.stack.high, params,
+                        config.sim_kind, localsim_mode, weight_mode)
+    assert np.max(np.abs(predict_proba(params, config, inputs) - want)) <= 1e-12
+
+
 def test_adam_first_step_is_signed_learning_rate():
     model = {"w": np.array([[2.0, -3.0]]), "b": np.array([0.5, 0.0])}
     grads = {"w": np.array([[0.3, -40.0]]), "b": np.array([-2.0, 0.0])}
@@ -452,10 +494,9 @@ def test_linear_model_learns_separable_blobs():
     va = ~tr
     tcfg = TrainConfig(lr=0.05, weight_decay=1e-4, epochs=200, patience=50, seed=1)
     m = train_linear(x, y, 2, tcfg, tr, va)
+    assert list(m) == ["w", "b"]
     assert linear_accuracy(m, x, y, va) >= 0.95
-    m_nobias = train_linear(x, y, 2, tcfg, tr, va, bias=False)
-    assert "b" not in m_nobias
-    assert linear_predict(m_nobias, x).shape == (120,)
+    assert linear_predict(m, x).shape == (120,)
 
 
 def test_linear_head_rejects_empty_validation_mask():
@@ -470,4 +511,4 @@ def test_linear_head_rejects_empty_validation_mask():
     with pytest.raises(InputError, match="mask selects no nodes"):
         train_linear(x, y, 2, tcfg, tr, none)
     with pytest.raises(InputError, match="mask selects no nodes"):
-        linear_accuracy({"w": np.zeros((2, 2))}, x, y, none)
+        linear_accuracy({"w": np.zeros((2, 2)), "b": np.zeros(2)}, x, y, none)

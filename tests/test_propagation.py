@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+import lsgnn.propagation as propagation_module
 from lsgnn.errors import DigestMismatchError, FormatError, InputError
 from lsgnn.graph import enhanced_filters, sym_norm_adj
 from lsgnn.propagation import (
@@ -193,18 +194,44 @@ def test_bundle_rejects_corruption(tmp_path, random_graph):
 
     bad_magic = tmp_path / "magic.lspb"
     bad_magic.write_bytes(b"XXXX" + bytes(raw[4:]))
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"magic\.lspb: bad magic"):
         load_bundle(bad_magic)
 
     trailing = tmp_path / "trailing.lspb"
     trailing.write_bytes(bytes(raw) + b"\x00")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"trailing\.lspb: trailing bytes"):
         load_bundle(trailing)
 
     truncated = tmp_path / "short.lspb"
     truncated.write_bytes(bytes(raw[:-9]))
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"short\.lspb: "):
         load_bundle(truncated)
+    truncated.write_bytes(bytes(raw[:40]))
+    with pytest.raises(FormatError, match=r"short\.lspb: feature digest needs"):
+        load_bundle(truncated)
+
+
+def test_bundle_save_failure_keeps_previous_file(tmp_path, random_graph, monkeypatch):
+    g, _ = random_graph(n=8, p=0.4, seed=33)
+    stack = precompute_bundle(g, make_features(8), PropagationConfig(num_layers=2))
+    path = tmp_path / "bundle.lspb"
+    save_bundle(stack, path)
+    before = path.read_bytes()
+    calls = []
+    real = propagation_module._write_matrix
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        real(*args)
+
+    monkeypatch.setattr(propagation_module, "_write_matrix", failing)
+    other = precompute_bundle(g, make_features(8) + 1.0, PropagationConfig(num_layers=2))
+    with pytest.raises(OSError, match="disk full"):
+        save_bundle(other, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["bundle.lspb"]
 
 
 def test_save_bundle_refuses_ad_hoc_filter_stacks(tmp_path, random_graph):
