@@ -22,7 +22,6 @@ __all__ = [
     "build_graph",
     "sym_norm_adj",
     "self_loop_adj",
-    "sgc_filter",
     "enhanced_filters",
     "complement_filter",
     "node_homophily",
@@ -199,17 +198,6 @@ def self_loop_adj(g: SparseGraph) -> sp.csr_array:
         g,
         diag=np.ones(g.num_nodes, dtype=np.float64),
         off=np.ones(g.num_entries, dtype=np.float64),
-    )
-
-
-def sgc_filter(g: SparseGraph) -> sp.csr_array:
-    """Self-loop-normalized adjacency D~^{-1/2} (A + I) D~^{-1/2}."""
-    inv_sqrt = 1.0 / np.sqrt(g.degrees.astype(np.float64) + 1.0)
-    rows = g.entry_rows()
-    return _with_diagonal(
-        g,
-        diag=inv_sqrt * inv_sqrt,
-        off=inv_sqrt[rows] * inv_sqrt[g.col_indices],
     )
 
 

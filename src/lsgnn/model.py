@@ -120,36 +120,35 @@ def _channel_names(k: int) -> tuple[str, ...]:
     return ("w_in", *(f"w_{band}_{kk}" for band in ("low", "high") for kk in range(1, k + 1)))
 
 
+def _parameter_shapes(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], int]]:
+    """Every parameter's (shape, fan_in), in the module docstring's key order."""
+    k = config.num_layers
+    d, z, c = config.in_dim, config.hidden_dim, config.num_classes
+    table = {name: ((d, z), d) for name in _channel_names(k)}
+    if config.uses_localsim_mlp:
+        h = config.ls_hidden
+        table.update(ls_w1=((2, h), 2), ls_b1=((h,), 2), ls_w2=((h, 1), h), ls_b2=((1,), h))
+    if config.uses_alpha_mlp:
+        h = config.alpha_hidden
+        table.update(
+            al_w1=((2, h), 2), al_b1=((h,), 2), al_w2=((h, 3 * k), h), al_b2=((3 * k,), h)
+        )
+    else:
+        table["graph_alpha"] = ((3 * k,), 1)
+    table["w_out"] = (((k + 1) * z, c), (k + 1) * z)
+    return table
+
+
 def init_parameters(config: ModelConfig, rng: np.random.Generator) -> Params:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) per array.
 
     Arrays are drawn in the fixed key order given in the module docstring,
     so two runs with equal seeds get bitwise-identical starting points.
     """
-
-    def u(shape, fan_in):
+    params = {}
+    for name, (shape, fan_in) in _parameter_shapes(config).items():
         bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    k = config.num_layers
-    d, z, c = config.in_dim, config.hidden_dim, config.num_classes
-    params = {name: u((d, z), d) for name in _channel_names(k)}
-    if config.uses_localsim_mlp:
-        h = config.ls_hidden
-        params.update(
-            ls_w1=u((2, h), 2), ls_b1=u((h,), 2), ls_w2=u((h, 1), h), ls_b2=u((1,), h)
-        )
-    if config.uses_alpha_mlp:
-        h = config.alpha_hidden
-        params.update(
-            al_w1=u((2, h), 2),
-            al_b1=u((h,), 2),
-            al_w2=u((h, 3 * k), h),
-            al_b2=u((3 * k,), h),
-        )
-    else:
-        params["graph_alpha"] = u((3 * k,), 1)
-    params["w_out"] = u(((k + 1) * z, c), (k + 1) * z)
+        params[name] = rng.uniform(-bound, bound, size=shape)
     return params
 
 
@@ -666,21 +665,26 @@ def load_checkpoint(path) -> tuple[ModelConfig, Params]:
         except (IndexError, InputError) as exc:
             raise reader.error(f"invalid config in checkpoint: {exc}") from exc
         (count,) = struct.unpack("<I", reader.read(4, "array count"))
+        if 2 * num_layers + 1 > count:
+            raise reader.error(
+                f"config needs {2 * num_layers + 1} channel maps for num_layers="
+                f"{num_layers}, but the file holds {count} arrays"
+            )
         arrays = dict(_read_array(reader) for _ in range(count))
         reader.finish("final array")
 
-    template = init_parameters(config, np.random.default_rng(0))
-    if sorted(arrays) != sorted(template):
+    expected = _parameter_shapes(config)
+    if sorted(arrays) != sorted(expected):
         raise FormatError(
             f"{path}: checkpoint arrays {sorted(arrays)} do not match config "
-            f"expectation {sorted(template)}"
+            f"expectation {sorted(expected)}"
         )
-    for name, ref in template.items():
-        if arrays[name].shape != ref.shape:
+    for name, (shape, _) in expected.items():
+        if arrays[name].shape != shape:
             raise FormatError(
-                f"{path}: array {name} has shape {arrays[name].shape}, expected {ref.shape}"
+                f"{path}: array {name} has shape {arrays[name].shape}, expected {shape}"
             )
-    return config, {name: arrays[name] for name in template}
+    return config, {name: arrays[name] for name in expected}
 
 
 # --- plain linear softmax head --------------------------------------------

@@ -9,6 +9,10 @@ Two sampling modes ship: `bernoulli` draws each pair independently;
 `expectation_exact` gives every node exactly its expected intra- and
 inter-community edge counts, which is the regime where the closed-form
 local-similarity expectation holds exactly.
+
+`theory_check` tests the paper's two closed forms, the per-subgraph mean
+local similarity and the cross-subgraph gap bound, against one set of
+Monte-Carlo draws: each trial's graph is generated once and feeds both.
 """
 
 from __future__ import annotations
@@ -37,13 +41,10 @@ __all__ = [
     "FsbmConfig",
     "SyntheticDataset",
     "TheoryReport",
-    "L1GapReport",
     "ToyCell",
-    "two_subgraph_config",
     "multi_subgraph_config",
     "generate_fsbm",
     "theory_check",
-    "l1_gap_check",
     "toy_study",
 ]
 
@@ -123,6 +124,8 @@ def multi_subgraph_config(
     community holds n / (2t) nodes, so p + q = 2t * expected_degree / n
     keeps the expected degree at the target for any subgraph count.
     """
+    if num_nodes <= 0:
+        raise InputError(f"num_nodes must be positive, got {num_nodes}")
     t = len(lambdas)
     total = 2.0 * t * expected_degree / num_nodes
     ps, qs = [], []
@@ -144,27 +147,6 @@ def multi_subgraph_config(
         p=tuple(ps),
         q=tuple(qs),
         mu=tuple(mu),
-        sigma=sigma,
-        mode=mode,
-    )
-
-
-def two_subgraph_config(
-    lambdas: tuple[float, float],
-    num_nodes: int = 1000,
-    expected_degree: float = 10.0,
-    mu: tuple[float, float] = (1.0, -1.0),
-    sigma: float = 1.0,
-    mode: str = "bernoulli",
-) -> FsbmConfig:
-    """The standard toy layout: 2 communities, 2 subgraphs, scalar features."""
-    if len(lambdas) != 2:
-        raise InputError(f"expected two lambda values, got {len(lambdas)}")
-    return multi_subgraph_config(
-        lambdas,
-        num_nodes=num_nodes,
-        expected_degree=expected_degree,
-        mu=mu,
         sigma=sigma,
         mode=mode,
     )
@@ -330,90 +312,72 @@ def generate_fsbm(config: FsbmConfig, seed=0) -> SyntheticDataset:
 
 @dataclass(eq=False)
 class TheoryReport:
-    """Per-subgraph empirical mean local similarity against the closed form
-    -2*sigma^2 - (1 - lam) * (mu1 - mu2)^2."""
+    """Both closed forms against one set of Monte-Carlo draws.
+
+    Per subgraph: the empirical mean local similarity against
+    -2*sigma^2 - (1 - lam) * (mu1 - mu2)^2.  Across the two subgraphs: the
+    mean |phi_i - phi_j| over cross-subgraph pairs against the lower bound
+    |lam1 - lam2| * (mu1 - mu2)^2.
+    """
 
     lambdas: np.ndarray
     analytic: np.ndarray
     empirical: np.ndarray
     stderr: np.ndarray
-    trials: int
-
-
-@dataclass(eq=False)
-class L1GapReport:
-    """Mean |phi_i - phi_j| over cross-subgraph pairs against the bound
-    |lam1 - lam2| * (mu1 - mu2)^2."""
-
-    empirical: float
-    stderr: float
-    bound: float
+    gap_bound: float
+    gap_empirical: float
+    gap_stderr: float
     trials: int
 
     @property
-    def passed(self) -> bool:
-        return self.empirical >= self.bound - 3.0 * self.stderr
+    def gap_passed(self) -> bool:
+        return self.gap_empirical >= self.gap_bound - 3.0 * self.gap_stderr
 
 
-def _phi_by_subgraph(ds: SyntheticDataset, t: int) -> np.ndarray:
-    phi = naive_localsim(ds.graph, ds.x, "neg_sq_scalar")
-    return np.array([phi[ds.subgraph_id == tau].mean() for tau in range(t)])
+def _mean_and_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over trials (axis 0) and its standard error; zero for one trial."""
+    trials = values.shape[0]
+    if trials > 1:
+        return values.mean(axis=0), values.std(axis=0, ddof=1) / np.sqrt(trials)
+    return values.mean(axis=0), np.zeros_like(values[0])
 
 
 def theory_check(config: FsbmConfig, trials: int, base_seed=0) -> TheoryReport:
-    """Monte-Carlo estimate of the per-subgraph mean local similarity.
+    """Monte-Carlo estimate of both closed forms from one draw per trial.
 
-    Uses the scalar-feature similarity -(x_i - x_j)^2 and the naive
-    per-node mean, the setting in which the closed form is derived.
+    Trial i draws `generate_fsbm(config, seed=[base_seed, i])` once; its
+    local similarity phi gives both the per-subgraph means and the mean
+    cross-subgraph |phi_i - phi_j|.  Uses the scalar-feature similarity
+    -(x_i - x_j)^2 and the naive per-node mean, the setting in which both
+    closed forms are derived: 2 communities in 2 subgraphs.
     """
-    if config.num_communities != 2:
-        raise InputError("the closed form is stated for 2 communities")
+    if config.num_communities != 2 or config.num_subgraphs != 2:
+        raise InputError("the closed forms are stated for the 2-community/2-subgraph layout")
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
     lambdas = np.asarray(config.lambdas())
     gap_sq = (config.mu[0] - config.mu[1]) ** 2
     analytic = -2.0 * config.sigma**2 - (1.0 - lambdas) * gap_sq
     base = _seed_list(base_seed)
-    per_trial = np.empty((trials, config.num_subgraphs))
-    for i in range(trials):
-        ds = generate_fsbm(config, seed=base + [i])
-        per_trial[i] = _phi_by_subgraph(ds, config.num_subgraphs)
-    empirical = per_trial.mean(axis=0)
-    if trials > 1:
-        stderr = per_trial.std(axis=0, ddof=1) / np.sqrt(trials)
-    else:
-        stderr = np.zeros(config.num_subgraphs)
-    return TheoryReport(
-        lambdas=lambdas,
-        analytic=analytic,
-        empirical=empirical,
-        stderr=stderr,
-        trials=trials,
-    )
-
-
-def l1_gap_check(config: FsbmConfig, trials: int, base_seed=0) -> L1GapReport:
-    """Monte-Carlo check that cross-subgraph local-similarity contrast meets
-    its lower bound."""
-    if config.num_communities != 2 or config.num_subgraphs != 2:
-        raise InputError("the gap bound is stated for the 2-community/2-subgraph layout")
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
-    lambdas = config.lambdas()
-    bound = abs(lambdas[0] - lambdas[1]) * (config.mu[0] - config.mu[1]) ** 2
-    base = _seed_list(base_seed)
-    values = np.empty(trials)
+    means = np.empty((trials, 2))
+    gaps = np.empty(trials)
     for i in range(trials):
         ds = generate_fsbm(config, seed=base + [i])
         phi = naive_localsim(ds.graph, ds.x, "neg_sq_scalar")
         phi0 = phi[ds.subgraph_id == 0]
         phi1 = phi[ds.subgraph_id == 1]
-        values[i] = np.abs(phi0[:, None] - phi1[None, :]).mean()
-    stderr = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return L1GapReport(
-        empirical=float(values.mean()),
+        means[i] = phi0.mean(), phi1.mean()
+        gaps[i] = np.abs(phi0[:, None] - phi1[None, :]).mean()
+    empirical, stderr = _mean_and_stderr(means)
+    gap_empirical, gap_stderr = _mean_and_stderr(gaps)
+    return TheoryReport(
+        lambdas=lambdas,
+        analytic=analytic,
+        empirical=empirical,
         stderr=stderr,
-        bound=float(bound),
+        gap_bound=float(abs(lambdas[0] - lambdas[1]) * gap_sq),
+        gap_empirical=float(gap_empirical),
+        gap_stderr=float(gap_stderr),
         trials=trials,
     )
 
@@ -443,9 +407,6 @@ def toy_study(
     lambda_grid,
     seeds,
     num_nodes: int = 1000,
-    expected_degree: float = 10.0,
-    mu: tuple[float, float] = (1.0, -1.0),
-    sigma: float = 1.0,
     mode: str = "bernoulli",
     hidden_dim: int = 16,
     lr: float = 0.05,
@@ -466,14 +427,7 @@ def toy_study(
     seeds = tuple(int(s) for s in seeds)
     cells = []
     for ci, lambdas in enumerate(lambda_grid):
-        config = two_subgraph_config(
-            tuple(lambdas),
-            num_nodes=num_nodes,
-            expected_degree=expected_degree,
-            mu=mu,
-            sigma=sigma,
-            mode=mode,
-        )
+        config = multi_subgraph_config(tuple(lambdas), num_nodes=num_nodes, mode=mode)
         accs: dict[str, list[float]] = {"raw": [], "graph_level": [], "node_level": []}
         for s in seeds:
             ds = generate_fsbm(config, seed=[base_seed, ci, s, 0])

@@ -30,10 +30,6 @@ def dense_self_loop(a):
     return a + np.eye(a.shape[0])
 
 
-def dense_sgc_filter(a):
-    return dense_sym_norm(dense_self_loop(a))
-
-
 def dense_enhanced(a, beta):
     low = beta * np.eye(a.shape[0]) + dense_sym_norm(a)
     high = np.eye(a.shape[0]) - low

@@ -58,11 +58,9 @@ from lsgnn.propagation import (
 )
 from lsgnn.synthetic import (
     generate_fsbm,
-    l1_gap_check,
     multi_subgraph_config,
     theory_check,
     toy_study,
-    two_subgraph_config,
 )
 
 from conftest import random_edges
@@ -86,8 +84,8 @@ def test_criterion_1_localsim_expectation_matches_closed_form():
     worst_dev = 0.0
     worst_allow = 1.0
     for lam in (0.2, 0.5, 0.8):
-        config = two_subgraph_config((lam, lam), num_nodes=1000,
-                                     mode="expectation_exact")
+        config = multi_subgraph_config((lam, lam), num_nodes=1000,
+                                       mode="expectation_exact")
         report = theory_check(config, trials=100, base_seed=0)
         want = -2.0 - (1.0 - lam) * 4.0
         assert np.allclose(report.analytic, want)
@@ -112,17 +110,18 @@ def test_criterion_1_localsim_expectation_matches_closed_form():
 
 def test_criterion_2_cross_subgraph_gap_meets_bound():
     started = time.perf_counter()
-    config = two_subgraph_config((0.9, 0.1), num_nodes=1000)
-    report = l1_gap_check(config, trials=100, base_seed=0)
+    config = multi_subgraph_config((0.9, 0.1), num_nodes=1000)
+    report = theory_check(config, trials=100, base_seed=0)
     elapsed = time.perf_counter() - started
-    assert report.bound == pytest.approx(3.2)
-    ok = report.empirical >= report.bound - 3.0 * report.stderr and elapsed < 120.0
+    assert report.gap_bound == pytest.approx(3.2)
+    ok = report.gap_passed and elapsed < 120.0
     announce(
         f"[criterion 2] mean |phi_i - phi_j| across subgraphs at lambdas (0.9, 0.1) "
         f"must reach 3.2 - 3*stderr: {verdict(ok)} "
-        f"(empirical {report.empirical:.4f}, stderr {report.stderr:.4f}, {elapsed:.1f}s < 120s)"
+        f"(empirical {report.gap_empirical:.4f}, stderr {report.gap_stderr:.4f}, "
+        f"{elapsed:.1f}s < 120s)"
     )
-    assert report.empirical >= report.bound - 3.0 * report.stderr
+    assert report.gap_empirical >= report.gap_bound - 3.0 * report.gap_stderr
     assert elapsed < 120.0
 
 
@@ -144,7 +143,7 @@ def test_criterion_3a_node_level_margin_on_mixed_cell(toy_cells):
 
     # premise: at complementary lambdas the exact one-hop Bayes neighbor
     # term vanishes, so the one-hop ceiling is the self-only rule's
-    config = two_subgraph_config(cell.lambdas, num_nodes=1000)
+    config = multi_subgraph_config(cell.lambdas, num_nodes=1000)
     neighbor_term = 0.0
     oracle_accs = []
     for seed in range(len(cell.seeds)):
@@ -291,7 +290,7 @@ def test_criterion_5_filter_and_propagation_identities(tmp_path):
 
 
 def test_criterion_6_generator_structure():
-    config = two_subgraph_config((0.9, 0.1), num_nodes=1000)
+    config = multi_subgraph_config((0.9, 0.1), num_nodes=1000)
     cross_total = 0
     degree_lo, degree_hi = np.inf, -np.inf
     worst_homophily_err = 0.0

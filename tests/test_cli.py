@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import yaml
 
+from lsgnn import synthetic
 from lsgnn.cli import main
 from lsgnn.harness import ExperimentConfig, dataset_stats, load_dataset, save_dataset
 from lsgnn.propagation import load_bundle
@@ -125,6 +126,37 @@ def test_theory_smoke(tmp_path, capsys):
     assert lines[3].startswith("l1_gap")
 
 
+def test_theory_draws_each_trial_once_for_both_checks(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = synthetic.generate_fsbm
+
+    def counting(config, seed=0):
+        calls.append(seed)
+        return real(config, seed)
+
+    monkeypatch.setattr(synthetic, "generate_fsbm", counting)
+    out = tmp_path / "theory"
+    assert main(["theory", "--lambdas", "0.8,0.2", "--nodes", "200", "--trials", "4",
+                 "--seed", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert calls == [[7, i] for i in range(4)]
+
+    config = synthetic.multi_subgraph_config(
+        (0.8, 0.2), num_nodes=200, mode="expectation_exact"
+    )
+    report = synthetic.theory_check(config, 4, base_seed=7)
+    rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()]
+    assert rows[3][:3] == ["l1_gap", "-", "-"]
+    assert [float(v) for v in rows[3][3:]] == [
+        report.gap_bound, report.gap_empirical, report.gap_stderr
+    ]
+    for tau in range(2):
+        assert [float(v) for v in rows[1 + tau][2:]] == [
+            report.lambdas[tau], report.analytic[tau],
+            report.empirical[tau], report.stderr[tau],
+        ]
+
+
 def test_stats_matches_library_report(dataset_dir, tmp_path, capsys):
     out = tmp_path / "stats"
     assert main(["stats", "--data", str(dataset_dir), "--out", str(out)]) == 0
@@ -228,3 +260,6 @@ def test_infeasible_generator_settings_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert "infeasible" in capsys.readouterr().err
+    for command in ("gen-fsbm", "theory"):
+        assert main([command, "--nodes", "0", "--out", str(tmp_path / "o")]) == 2
+        assert "num_nodes must be positive, got 0" in capsys.readouterr().err

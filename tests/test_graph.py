@@ -10,7 +10,6 @@ from lsgnn.graph import (
     node_homophily,
     read_edge_list,
     self_loop_adj,
-    sgc_filter,
     sym_norm_adj,
     write_edge_list,
 )
@@ -20,7 +19,6 @@ from reference import (
     dense_enhanced,
     dense_node_homophily,
     dense_self_loop,
-    dense_sgc_filter,
     dense_sym_norm,
 )
 
@@ -88,12 +86,6 @@ def test_self_loop_adj(random_graph):
     assert np.array_equal(self_loop_adj(g).toarray(), ref)
 
 
-def test_sgc_filter_matches_dense_reference(random_graph):
-    g, edges = random_graph(n=13, p=0.3, seed=5)
-    ref = dense_sgc_filter(dense_adjacency(13, edges))
-    assert np.allclose(sgc_filter(g).toarray(), ref, atol=1e-14)
-
-
 def test_enhanced_filters_single_edge():
     g = build_graph(np.array([[0, 1]]), 2)
     pair = enhanced_filters(g, 0.5)
@@ -131,10 +123,9 @@ def test_filter_products_match_numpy(random_graph):
     filters = {
         "sym_norm_adj": sym_norm_adj(g),
         "self_loop_adj": self_loop_adj(g),
-        "sgc_filter": sgc_filter(g),
         "enhanced low": pair.low,
         "enhanced high": pair.high,
-        "complement_filter": complement_filter(sgc_filter(g)),
+        "complement_filter": complement_filter(self_loop_adj(g)),
     }
     x = np.random.default_rng(0).normal(size=(14, 5))
     for name, s in filters.items():

@@ -25,11 +25,11 @@ from lsgnn.harness import (
 )
 from lsgnn.model import ModelInputs, train
 from lsgnn.propagation import PropagationConfig, precompute_bundle
-from lsgnn.synthetic import generate_fsbm, two_subgraph_config
+from lsgnn.synthetic import generate_fsbm, multi_subgraph_config
 
 
 def small_bundle(n=200, lambdas=(0.9, 0.1), seed=0):
-    ds = generate_fsbm(two_subgraph_config(lambdas, num_nodes=n), seed=seed)
+    ds = generate_fsbm(multi_subgraph_config(lambdas, num_nodes=n), seed=seed)
     return DatasetBundle(graph=ds.graph, features=ds.x, labels=ds.community,
                          name="toy")
 

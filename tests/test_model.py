@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -410,6 +411,34 @@ def test_checkpoint_rejects_oversized_array_dims(tmp_path):
     big.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match=r"big\.lspm: array w_in dims \(2147483648, 1048576\)"):
         load_checkpoint(big)
+
+
+@pytest.mark.parametrize("field, bit", [("hidden_dim", 22), ("num_layers", 17)])
+def test_checkpoint_corrupt_header_fails_before_allocating(tmp_path, field, bit):
+    # One flipped header bit must fail on the file's own arrays, not by
+    # building parameters the size the corrupt config implies.
+    config = ModelConfig(num_layers=1, in_dim=2, hidden_dim=4, num_classes=2)
+    params = init_parameters(config, np.random.default_rng(0))
+    path = tmp_path / "model.lspm"
+    save_checkpoint(path, config, params)
+    raw = bytearray(path.read_bytes())
+    # magic, then version, num_layers, in_dim, hidden_dim as u32
+    offset = 4 + 4 * ("version", "num_layers", "in_dim", "hidden_dim").index(field)
+    (value,) = struct.unpack_from("<I", raw, offset)
+    struct.pack_into("<I", raw, offset, value ^ (1 << bit))
+    bad = tmp_path / "flipped.lspm"
+    bad.write_bytes(bytes(raw))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as info:
+            load_checkpoint(bad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    message = str(info.value)
+    assert message.startswith(f"{bad}: ")
+    assert len(message) < 1000
+    assert peak < 1_000_000
 
 
 ROW_MODES = [

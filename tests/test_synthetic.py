@@ -5,11 +5,9 @@ from lsgnn.errors import InputError
 from lsgnn.synthetic import (
     FsbmConfig,
     generate_fsbm,
-    l1_gap_check,
     multi_subgraph_config,
     theory_check,
     toy_study,
-    two_subgraph_config,
 )
 
 
@@ -46,17 +44,17 @@ def test_lambdas_property():
         empty.lambdas()  # second subgraph has p = q = 0
 
 
-def test_two_subgraph_config_edge_rates_and_errors():
-    config = two_subgraph_config((0.9, 0.1), num_nodes=1000, expected_degree=10.0)
+def test_multi_subgraph_config_edge_rates_and_errors():
+    config = multi_subgraph_config((0.9, 0.1), num_nodes=1000, expected_degree=10.0)
     p, q = config.p[0], config.q[0]
     assert p == pytest.approx(0.036)
     assert q == pytest.approx(0.004)
     assert p + q == pytest.approx(4.0 * 10.0 / 1000)
     assert p / (p + q) == pytest.approx(0.9)
     with pytest.raises(InputError):
-        two_subgraph_config((1.2, 0.5), num_nodes=1000, expected_degree=10.0)
+        multi_subgraph_config((1.2, 0.5), num_nodes=1000, expected_degree=10.0)
     with pytest.raises(InputError):
-        two_subgraph_config((1.0, 0.5), num_nodes=20, expected_degree=10.0)  # p would be 2
+        multi_subgraph_config((1.0, 0.5), num_nodes=20, expected_degree=10.0)  # p would be 2
 
 
 def test_multi_subgraph_config_keeps_expected_degree():
@@ -72,19 +70,14 @@ def test_multi_subgraph_config_keeps_expected_degree():
         multi_subgraph_config((0.9,), num_nodes=40, expected_degree=30.0)
 
 
-def test_two_subgraph_config_requires_two_levels():
-    with pytest.raises(InputError):
-        two_subgraph_config((0.9,))
-
-
 def test_bernoulli_layout_and_determinism():
-    config = two_subgraph_config((0.9, 0.1), num_nodes=8, expected_degree=1.0)
+    config = multi_subgraph_config((0.9, 0.1), num_nodes=8, expected_degree=1.0)
     ds = generate_fsbm(config, seed=3)
     assert np.array_equal(ds.community, [0, 0, 1, 1, 0, 0, 1, 1])
     assert np.array_equal(ds.subgraph_id, [0, 0, 0, 0, 1, 1, 1, 1])
     assert ds.x.shape == (8, 1)
 
-    config = two_subgraph_config((0.9, 0.1), num_nodes=2000)
+    config = multi_subgraph_config((0.9, 0.1), num_nodes=2000)
     a = generate_fsbm(config, seed=7)
     b = generate_fsbm(config, seed=7)
     assert np.array_equal(a.graph.edge_array(), b.graph.edge_array())
@@ -97,7 +90,7 @@ def test_bernoulli_layout_and_determinism():
 
 
 def test_bernoulli_edge_statistics():
-    config = two_subgraph_config((0.9, 0.1), num_nodes=2000)
+    config = multi_subgraph_config((0.9, 0.1), num_nodes=2000)
     ds = generate_fsbm(config, seed=0)
     edges = ds.graph.edge_array()
     # subgraphs are generated independently, never bridged
@@ -110,7 +103,7 @@ def test_bernoulli_edge_statistics():
 
 
 def test_bernoulli_pure_homophily_has_no_cross_edges():
-    config = two_subgraph_config((1.0, 1.0), num_nodes=400)
+    config = multi_subgraph_config((1.0, 1.0), num_nodes=400)
     ds = generate_fsbm(config, seed=1)
     edges = ds.graph.edge_array()
     assert edges.shape[0] > 0
@@ -118,8 +111,8 @@ def test_bernoulli_pure_homophily_has_no_cross_edges():
 
 
 def test_expectation_exact_hits_every_degree():
-    config = two_subgraph_config((0.9, 0.1), num_nodes=1000,
-                                 mode="expectation_exact")
+    config = multi_subgraph_config((0.9, 0.1), num_nodes=1000,
+                                   mode="expectation_exact")
     ds = generate_fsbm(config, seed=2)
     # d_in + d_out = round(0.036*249) + round(0.004*250) = 9 + 1 per node
     assert np.all(ds.graph.degrees == 10)
@@ -163,7 +156,7 @@ def test_expectation_exact_rejects_three_communities():
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0])
 def test_theory_check_tracks_closed_form(sigma):
-    config = two_subgraph_config((0.2, 0.8), num_nodes=1000, sigma=sigma)
+    config = multi_subgraph_config((0.2, 0.8), num_nodes=1000, sigma=sigma)
     report = theory_check(config, trials=30)
     assert report.trials == 30
     assert np.allclose(report.lambdas, [0.2, 0.8])
@@ -176,7 +169,7 @@ def test_theory_check_tracks_closed_form(sigma):
 
 
 def test_theory_check_errors():
-    config = two_subgraph_config((0.2, 0.8))
+    config = multi_subgraph_config((0.2, 0.8))
     with pytest.raises(InputError):
         theory_check(config, trials=0)
     three = FsbmConfig(num_nodes=12, num_communities=3, num_subgraphs=1,
@@ -186,24 +179,26 @@ def test_theory_check_errors():
 
 
 def test_l1_gap_meets_bound_and_trivial_case():
-    config = two_subgraph_config((0.9, 0.1), num_nodes=500)
-    report = l1_gap_check(config, trials=8)
-    assert report.bound == pytest.approx(0.8 * 4.0)
-    assert report.passed
-    assert report.empirical >= report.bound - 3.0 * report.stderr
+    config = multi_subgraph_config((0.9, 0.1), num_nodes=500)
+    report = theory_check(config, trials=8)
+    assert report.gap_bound == pytest.approx(0.8 * 4.0)
+    assert report.gap_passed
+    assert report.gap_empirical >= report.gap_bound - 3.0 * report.gap_stderr
 
-    flat = l1_gap_check(two_subgraph_config((0.5, 0.5), num_nodes=200), trials=2)
-    assert flat.bound == pytest.approx(0.0)
-    assert flat.passed
+    flat = theory_check(multi_subgraph_config((0.5, 0.5), num_nodes=200), trials=2)
+    assert flat.gap_bound == pytest.approx(0.0)
+    assert flat.gap_passed
 
 
 def test_l1_gap_errors():
     single = multi_subgraph_config((0.5,), num_nodes=200)
     with pytest.raises(InputError):
-        l1_gap_check(single, trials=2)
-    pair = two_subgraph_config((0.9, 0.1), num_nodes=200)
+        theory_check(single, trials=2)
+    pair = multi_subgraph_config((0.9, 0.1), num_nodes=200)
     with pytest.raises(InputError):
-        l1_gap_check(pair, trials=0)
+        theory_check(pair, trials=0)
+    one = theory_check(pair, trials=1)
+    assert one.gap_stderr == 0.0 and np.array_equal(one.stderr, [0.0, 0.0])
 
 
 def test_toy_study_perfect_homophily_cell():
