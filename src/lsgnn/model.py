@@ -18,8 +18,11 @@ the initializer's draws, the optimizer, the checkpoint format and the
 finite-difference tests all rely on it.
 
 Every pass reads the rows a `_Rows` selects: `_Rows.index` indexes the
-node axis, and is `slice(None)` when every node is selected, so those
-arrays are views of the inputs rather than copies.
+node axis.  It is a slice for consecutive rows (every row, or one
+inference block), so those arrays are views of the inputs rather than
+copies.  Inference (`predict_proba`, `evaluate`) runs in fixed blocks of
+`_BLOCK_ROWS` selected rows with dropout off and keeps only each block's
+probabilities, so no backward cache outlives its block.
 
 Gradients are derived by hand and verified against central finite
 differences in the test suite; there is no autograd dependency.
@@ -215,8 +218,8 @@ class _Rows:
     A node's output depends only on its own features, its own propagated
     rows and its own CSR entries (the precompute-then-MLP regime of SGC and
     SIGN), so a pass over these rows gives the selected rows of a full
-    pass.  `index` selects the rows on the node axis; it is `slice(None)`
-    when every node is selected, and the arrays are then views.
+    pass.  `index` selects the rows on the node axis, in ascending order;
+    when it is a slice the arrays are views.
     """
 
     index: slice | np.ndarray
@@ -228,26 +231,39 @@ class _Rows:
     inv_degrees: np.ndarray
 
 
-def _select_rows(
+def _row_index(
     config: ModelConfig, inputs: ModelInputs, mask: np.ndarray | None = None
-) -> _Rows:
-    """Gather the rows `mask` selects; None or an all-true mask copies nothing."""
+) -> slice | np.ndarray:
+    """The rows `mask` selects: `slice(None)` for None or an all-true mask,
+    otherwise their ascending indices."""
     if inputs.sim_kind != config.sim_kind:
         raise InputError(
             f"inputs carry sim_kind={inputs.sim_kind!r} but config wants {config.sim_kind!r}"
         )
+    if mask is None:
+        return slice(None)
     n = inputs.graph.num_nodes
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (n,):
-            raise InputError(f"mask has shape {mask.shape}, expected ({n},)")
-    if mask is None or mask.all():
-        index, entries, entry_slots = slice(None), slice(None), inputs.entry_rows
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (n,):
+        raise InputError(f"mask has shape {mask.shape}, expected ({n},)")
+    return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
+def _select_rows(inputs: ModelInputs, index: slice | np.ndarray) -> _Rows:
+    """Gather the rows `index` selects (ascending); a slice copies nothing."""
+    graph = inputs.graph
+    n = graph.num_nodes
+    if isinstance(index, slice):
+        start, stop, _ = index.indices(n)
+        entries = slice(graph.row_offsets[start], graph.row_offsets[stop])
+        entry_slots = inputs.entry_rows[entries] - start
     else:
-        index = np.flatnonzero(mask)
-        # CSR entries are grouped by row in ascending order, like `index`.
-        entries = np.flatnonzero(mask[inputs.entry_rows])
-        entry_slots = np.repeat(np.arange(index.size), inputs.graph.degrees[index])
+        # CSR entries are grouped by row in ascending order, like `index`:
+        # slot i's entries are row_offsets[index[i]] onwards.
+        degrees = graph.degrees[index]
+        entry_slots = np.repeat(np.arange(index.size), degrees)
+        firsts = graph.row_offsets[index] - (np.cumsum(degrees) - degrees)
+        entries = firsts[entry_slots] + np.arange(entry_slots.size)
     stack = inputs.stack
     return _Rows(
         index=index,
@@ -347,12 +363,33 @@ def _forward(
     return cache
 
 
+_BLOCK_ROWS = 1024
+
+
+def _proba(
+    params: Params, config: ModelConfig, inputs: ModelInputs, index: slice | np.ndarray
+) -> np.ndarray:
+    """Class probabilities of the rows `index` selects, with dropout off.
+
+    `_forward` runs over blocks of `_BLOCK_ROWS` consecutive selected rows
+    and only each block's probabilities are kept, so peak memory does not
+    grow with the number of rows.
+    """
+    n = inputs.graph.num_nodes if isinstance(index, slice) else index.size
+    probs = np.empty((n, config.num_classes), dtype=np.float64)
+    for s in range(0, n, _BLOCK_ROWS):
+        e = min(s + _BLOCK_ROWS, n)
+        block = slice(s, e) if isinstance(index, slice) else index[s:e]
+        rows = _select_rows(inputs, block)
+        np.exp(_forward(params, config, rows, dropout_rng=None)["log_probs"], out=probs[s:e])
+    return probs
+
+
 def predict_proba(
     params: Params, config: ModelConfig, inputs: ModelInputs
 ) -> np.ndarray:
     """Class probabilities with dropout off; rows sum to 1."""
-    rows = _select_rows(config, inputs)
-    return np.exp(_forward(params, config, rows, dropout_rng=None)["log_probs"])
+    return _proba(params, config, inputs, _row_index(config, inputs))
 
 
 def predict(params: Params, config: ModelConfig, inputs: ModelInputs) -> np.ndarray:
@@ -367,9 +404,9 @@ def evaluate(
     mask: np.ndarray,
 ) -> float:
     """Accuracy over the masked nodes, computed from those rows alone."""
-    rows = _select_rows(config, inputs, mask)
-    probs = np.exp(_forward(params, config, rows, dropout_rng=None)["log_probs"])
-    return _accuracy(probs.argmax(axis=1), labels[rows.index])
+    index = _row_index(config, inputs, mask)
+    pred = _proba(params, config, inputs, index).argmax(axis=1)
+    return _accuracy(pred, labels[index])
 
 
 def _accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
@@ -396,7 +433,7 @@ def loss_and_gradients(
     computed; dropout still draws a mask for every node.
     """
     k, z = config.num_layers, config.hidden_dim
-    rows = _select_rows(config, inputs, mask)
+    rows = _select_rows(inputs, _row_index(config, inputs, mask))
     labels = labels[rows.index]
     cache = _forward(params, config, rows, dropout_rng)
     m_count = labels.size

@@ -262,11 +262,16 @@ def _bernoulli_subgraph(m: int, r: int, p: float, q: float, rng) -> np.ndarray:
     return np.column_stack([iu[keep], ju[keep]]).astype(np.int64)
 
 
+def _exact_degrees(m: int, p: float, q: float) -> tuple[int, int]:
+    """Each node's intra- and inter-community degree in expectation_exact
+    mode: its expected counts p * (m - 1) and q * m, rounded."""
+    return int(np.round(p * (m - 1))), int(np.round(q * m))
+
+
 def _exact_subgraph(m: int, r: int, p: float, q: float, rng) -> np.ndarray:
     if r != 2:
         raise InputError("expectation_exact mode supports exactly 2 communities")
-    d_in = int(np.round(p * (m - 1)))
-    d_out = int(np.round(q * m))
+    d_in, d_out = _exact_degrees(m, p, q)
     parts = [
         _regular_edges(m, d_in, rng),
         _regular_edges(m, d_in, rng) + m,
@@ -342,6 +347,24 @@ def _mean_and_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values.mean(axis=0), np.zeros_like(values[0])
 
 
+def _generated_lambdas(config: FsbmConfig) -> np.ndarray:
+    """Each subgraph's homophily as the generator realizes it: p / (p + q)
+    in bernoulli mode, d_in / (d_in + d_out) of the rounded degrees in
+    expectation_exact mode."""
+    if config.mode == "bernoulli":
+        return np.asarray(config.lambdas())
+    lambdas = []
+    for p, q in zip(config.p, config.q):
+        d_in, d_out = _exact_degrees(config.community_size, p, q)
+        if d_in + d_out == 0:
+            raise InputError(
+                f"lambda undefined: p={p:g}, q={q:g} round to no edges per node "
+                f"at community size {config.community_size}"
+            )
+        lambdas.append(d_in / (d_in + d_out))
+    return np.asarray(lambdas)
+
+
 def theory_check(config: FsbmConfig, trials: int, base_seed=0) -> TheoryReport:
     """Monte-Carlo estimate of both closed forms from one draw per trial.
 
@@ -349,13 +372,15 @@ def theory_check(config: FsbmConfig, trials: int, base_seed=0) -> TheoryReport:
     local similarity phi gives both the per-subgraph means and the mean
     cross-subgraph |phi_i - phi_j|.  Uses the scalar-feature similarity
     -(x_i - x_j)^2 and the naive per-node mean, the setting in which both
-    closed forms are derived: 2 communities in 2 subgraphs.
+    closed forms are derived: 2 communities in 2 subgraphs.  Both closed
+    forms use the homophily the generator realizes, which in
+    expectation_exact mode follows the rounded degrees.
     """
     if config.num_communities != 2 or config.num_subgraphs != 2:
         raise InputError("the closed forms are stated for the 2-community/2-subgraph layout")
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
-    lambdas = np.asarray(config.lambdas())
+    lambdas = _generated_lambdas(config)
     gap_sq = (config.mu[0] - config.mu[1]) ** 2
     analytic = -2.0 * config.sigma**2 - (1.0 - lambdas) * gap_sq
     base = _seed_list(base_seed)
@@ -425,6 +450,8 @@ def toy_study(
     features reduce to bare signs under row normalization).
     """
     seeds = tuple(int(s) for s in seeds)
+    if not seeds:
+        raise InputError("toy study needs at least one seed")
     cells = []
     for ci, lambdas in enumerate(lambda_grid):
         config = multi_subgraph_config(tuple(lambdas), num_nodes=num_nodes, mode=mode)

@@ -126,6 +126,31 @@ def test_theory_smoke(tmp_path, capsys):
     assert lines[3].startswith("l1_gap")
 
 
+def test_toy_without_seeds_exits_2(config_file, tmp_path, capsys):
+    out = tmp_path / "toy"
+    assert main(["toy", "--lambdas", "1,1", "--seeds", "0",
+                 "--config", str(config_file), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "at least one seed" in captured.err
+    assert "nan" not in captured.out
+    assert not (out / "report.csv").exists()
+
+
+def test_theory_compares_against_the_generated_lambda(tmp_path, capsys):
+    # 10 nodes per community: d_in = round(0.5 * 9) = 4 and d_out = 5, so
+    # the generated homophily is 4/9, not the nominal 0.5.  With sigma 0
+    # every draw hits the closed form exactly.
+    out = tmp_path / "theory"
+    assert main(["theory", "--lambdas", "0.5,0.5", "--nodes", "40", "--sigma", "0",
+                 "--trials", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()]
+    for row in rows[1:3]:
+        lam, analytic, empirical = (float(v) for v in row[2:5])
+        assert lam == pytest.approx(4.0 / 9.0, abs=1e-15)
+        assert abs(analytic - empirical) <= 1e-12
+
+
 def test_theory_draws_each_trial_once_for_both_checks(tmp_path, monkeypatch, capsys):
     calls = []
     real = synthetic.generate_fsbm

@@ -502,6 +502,46 @@ def test_predict_proba_matches_loop_forward(localsim_mode, weight_mode):
     assert np.max(np.abs(predict_proba(params, config, inputs) - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("localsim_mode,weight_mode", ROW_MODES)
+def test_blocked_inference_matches_one_block(localsim_mode, weight_mode, monkeypatch):
+    n = 40
+    g, _, config, inputs, labels = make_instance(
+        n=n, d=3, k=2, z=5, seed=27, localsim_mode=localsim_mode, weight_mode=weight_mode)
+    params = init_parameters(config, np.random.default_rng(27))
+    monkeypatch.setattr(model_module, "_BLOCK_ROWS", n)
+    whole = predict_proba(params, config, inputs)
+    monkeypatch.setattr(model_module, "_BLOCK_ROWS", 3)
+    # block edges split nodes from their neighbors
+    assert np.any(g.entry_rows() // 3 != g.col_indices // 3)
+    assert np.max(np.abs(predict_proba(params, config, inputs) - whole)) <= 1e-12
+    pred = predict(params, config, inputs)
+    assert np.array_equal(pred, whole.argmax(axis=1))
+    for mask in (sparse_mask(g, n), np.ones(n, dtype=bool)):
+        assert mask.sum() > 2 * 3
+        want = float((pred[mask] == labels[mask]).mean())
+        assert evaluate(params, config, inputs, labels, mask) == want
+
+
+def test_predict_proba_memory_does_not_grow_with_rows():
+    peaks = []
+    for n in (4096, 16384):
+        rng = np.random.default_rng(n)
+        g = build_graph(rng.integers(0, n, size=(5 * n // 2, 2)), n)
+        x = rng.normal(size=(n, 4))
+        stack = build_stack(enhanced_filters(g, 0.5), x, PropagationConfig(num_layers=2))
+        config = ModelConfig(num_layers=2, in_dim=4, hidden_dim=32, num_classes=3)
+        inputs = ModelInputs.build(g, x, stack, config.sim_kind)
+        params = init_parameters(config, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            predict_proba(params, config, inputs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
 def test_adam_first_step_is_signed_learning_rate():
     model = {"w": np.array([[2.0, -3.0]]), "b": np.array([0.5, 0.0])}
     grads = {"w": np.array([[0.3, -40.0]]), "b": np.array([-2.0, 0.0])}

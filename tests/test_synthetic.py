@@ -178,6 +178,15 @@ def test_theory_check_errors():
         theory_check(three, trials=2)
 
 
+def test_theory_check_rejects_degrees_that_round_to_zero():
+    # 10 nodes per community: 0.01 * 9 and 0.01 * 10 both round to 0 edges
+    config = FsbmConfig(num_nodes=40, num_communities=2, num_subgraphs=2,
+                        p=(0.5, 0.01), q=(0.5, 0.01), mu=(1.0, -1.0), sigma=1.0,
+                        mode="expectation_exact")
+    with pytest.raises(InputError, match="lambda undefined"):
+        theory_check(config, trials=1)
+
+
 def test_l1_gap_meets_bound_and_trivial_case():
     config = multi_subgraph_config((0.9, 0.1), num_nodes=500)
     report = theory_check(config, trials=8)
