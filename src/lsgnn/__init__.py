@@ -1,8 +1,3 @@
-"""Graph learning with locally similarity-guided channel fusion.
-
-Submodules import numpy and scipy; this top-level module stays light so
-the CLI can configure thread environment variables before any numeric
-library loads.
-"""
+"""Graph learning with locally similarity-guided channel fusion."""
 
 __version__ = "0.1.0"

@@ -1,12 +1,9 @@
 """Command-line entry point.
 
-Heavy submodules are imported inside command handlers so that --threads
-can pin BLAS/OpenMP pool sizes through environment variables before numpy
-first loads.
-
 Every command writes a `report.csv` (stable, byte-identical across reruns
 with the same arguments) and a `manifest.txt` (argv, resolved config,
-seeds, version) into its output directory.
+seeds, version) into its output directory.  A failing command prints
+`error: ...` and exits 2 without writing either file.
 """
 
 from __future__ import annotations
@@ -16,40 +13,54 @@ import os
 import sys
 from dataclasses import asdict, astuple, fields, replace
 
+import numpy as np
 import yaml
 
 from .errors import InputError, LsgnnError
-
-_THREAD_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
+from .harness import (
+    ExperimentConfig,
+    SearchSpace,
+    dataset_stats,
+    depth_sweep,
+    load_dataset,
+    make_splits,
+    random_search,
+    run_experiment,
+    save_dataset,
+    write_manifest,
+    write_report,
 )
+from .model import ModelInputs, evaluate, load_checkpoint, save_checkpoint
+from .propagation import precompute_bundle, save_bundle
+from .synthetic import generate_fsbm, multi_subgraph_config, theory_check, toy_study
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
-        raise LsgnnError(f"expected comma-separated numbers, got {text!r}") from exc
+        raise InputError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
-        raise LsgnnError(f"expected comma-separated integers, got {text!r}") from exc
+        raise InputError(f"expected comma-separated integers, got {text!r}") from exc
 
 
 def _load_overrides(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    # Read as bytes so that PyYAML decodes the file itself and reports a
+    # non-UTF-8 byte as a YAMLError, like any other malformed input.
+    with open(path, "rb") as fh:
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise InputError(f"config file {path} is not valid YAML: {exc}") from exc
     if data is None:
         return {}
     if not isinstance(data, dict):
-        raise LsgnnError(f"config file {path} must contain a flat key-value mapping")
+        raise InputError(f"config file {path} must contain a flat key-value mapping")
     return data
 
 
@@ -66,8 +77,6 @@ def _fits(value, default) -> bool:
 def _resolve_configs(args):
     """Split config-file overrides between the experiment config and the
     search space; unknown keys and values of the wrong type are errors."""
-    from .harness import ExperimentConfig, SearchSpace
-
     overrides = _load_overrides(args.config) if args.config else {}
     exp_defaults = asdict(ExperimentConfig())
     space_defaults = asdict(SearchSpace())
@@ -94,29 +103,12 @@ def _resolve_configs(args):
     return config, space
 
 
-def _out_dir(args, default_name: str) -> str:
-    out = args.out or os.path.join("runs", default_name)
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _write_outputs(out, argv, args, header, rows, config: dict, notes: dict | None) -> None:
-    """Write a command's `report.csv` and `manifest.txt` into `out`."""
-    from .harness import write_manifest, write_report
-
-    write_report(os.path.join(out, "report.csv"), header, rows)
-    write_manifest(os.path.join(out, "manifest.txt"), ["lsgnn", *argv], config, args.seed, notes)
-
-
 def _stats_table(stats) -> tuple[list[str], list[list]]:
     """The report header and single row of a `DatasetStats`."""
     return [f.name for f in fields(stats)], [list(astuple(stats))]
 
 
-def _cmd_gen_fsbm(args, argv):
-    from .harness import dataset_stats, load_dataset, save_dataset
-    from .synthetic import generate_fsbm, multi_subgraph_config
-
+def _cmd_gen_fsbm(args, out):
     config = multi_subgraph_config(
         _parse_floats(args.lambdas),
         num_nodes=args.nodes,
@@ -126,89 +118,51 @@ def _cmd_gen_fsbm(args, argv):
         mode=args.mode,
     )
     ds = generate_fsbm(config, seed=[args.seed])
-    out = _out_dir(args, "gen-fsbm")
     save_dataset(out, ds.graph, ds.x, ds.community, subgraph_id=ds.subgraph_id)
     stats = dataset_stats(load_dataset(out))
-    _write_outputs(out, argv, args, *_stats_table(stats), asdict(config), None)
     print(f"wrote dataset to {out} ({stats.num_nodes} nodes, {stats.num_edges} edges)")
-    return 0
+    return *_stats_table(stats), asdict(config), None
 
 
-def _cmd_precompute(args, argv):
-    from .harness import load_dataset
-    from .propagation import precompute_bundle, save_bundle
-
+def _cmd_precompute(args, out):
     config, _ = _resolve_configs(args)
     bundle = load_dataset(args.data)
     stack = precompute_bundle(bundle.graph, bundle.features, config.propagation())
-    out = _out_dir(args, "precompute")
     path = os.path.join(out, "bundle.lspb")
     save_bundle(stack, path)
-    _write_outputs(
-        out,
-        argv,
-        args,
+    print(f"wrote propagation bundle to {path}")
+    prop = stack.config
+    return (
         ["num_nodes", "feature_dim", "num_layers", "variant", "gamma", "beta", "normalize"],
-        [[
-            stack.num_nodes,
-            stack.feature_dim,
-            stack.config.num_layers,
-            stack.config.variant,
-            stack.config.gamma,
-            stack.config.beta,
-            int(stack.config.normalize),
-        ]],
+        [[stack.num_nodes, stack.feature_dim, prop.num_layers, prop.variant, prop.gamma, prop.beta,
+          int(prop.normalize)]],
         asdict(config),
         {"feature_digest": stack.feature_digest.hex(), "bundle": path},
     )
-    print(f"wrote propagation bundle to {path}")
-    return 0
 
 
-def _cmd_train(args, argv):
-    from .harness import load_dataset, make_splits, run_experiment
-    from .model import save_checkpoint
-
+def _cmd_train(args, out):
     config, _ = _resolve_configs(args)
     bundle = load_dataset(args.data)
     splits = make_splits(bundle.num_nodes, base_seed=args.seed, count=args.splits)
-    out = _out_dir(args, "train")
     report = run_experiment(bundle, config, splits, base_seed=args.seed)
     checkpoint = os.path.join(out, "model.lspm")
     model_cfg = config.model(bundle.features.shape[1], bundle.num_classes)
     save_checkpoint(checkpoint, model_cfg, report.best_params)
-
-    rows = [
-        [i, report.test_accuracies[i], report.val_accuracies[i]]
-        for i in range(len(splits))
-    ]
+    rows = [[i, report.test_accuracies[i], report.val_accuracies[i]] for i in range(len(splits))]
     rows.append(["mean", report.mean, report.val_mean])
-    _write_outputs(
-        out,
-        argv,
-        args,
+    print(f"mean test accuracy {report.mean:.4f} (std {report.std:.4f}) over {args.splits} splits")
+    print(f"checkpoint written to {checkpoint}")
+    return (
         ["split", "test_accuracy", "val_accuracy"],
         rows,
         asdict(config),
-        {
-            "data": args.data,
-            "splits": args.splits,
-            "checkpoint": checkpoint,
-            "seconds": f"{report.seconds:.3f}",
-        },
+        {"data": args.data, "splits": args.splits, "checkpoint": checkpoint,
+         "seconds": f"{report.seconds:.3f}"},
     )
-    print(f"mean test accuracy {report.mean:.4f} (std {report.std:.4f}) over {args.splits} splits")
-    print(f"checkpoint written to {checkpoint}")
-    return 0
 
 
-def _cmd_eval(args, argv):
-    import numpy as np
-
-    from .harness import load_dataset
-    from .model import ModelInputs, evaluate, load_checkpoint
-    from .propagation import precompute_bundle
-
+def _cmd_eval(args, out):
     config, _ = _resolve_configs(args)
     bundle = load_dataset(args.data)
     model_cfg, params = load_checkpoint(args.checkpoint)
@@ -223,28 +177,21 @@ def _cmd_eval(args, argv):
     inputs = ModelInputs.build(bundle.graph, bundle.features, stack, model_cfg.sim_kind)
     mask = np.ones(bundle.num_nodes, dtype=bool)
     accuracy = evaluate(params, model_cfg, inputs, bundle.labels, mask)
-    out = _out_dir(args, "eval")
-    _write_outputs(
-        out,
-        argv,
-        args,
+    print(f"accuracy over all nodes: {accuracy:.4f}")
+    return (
         ["num_nodes", "accuracy"],
         [[bundle.num_nodes, accuracy]],
         asdict(config),
         {"data": args.data, "checkpoint": args.checkpoint},
     )
-    print(f"accuracy over all nodes: {accuracy:.4f}")
-    return 0
 
 
-def _cmd_toy(args, argv):
-    from .synthetic import toy_study
-
+def _cmd_toy(args, out):
     config, _ = _resolve_configs(args)
     grid = [_parse_floats(cell) for cell in args.lambdas]
     for cell in grid:
         if len(cell) != 2:
-            raise LsgnnError(f"each --lambdas cell needs two values, got {cell}")
+            raise InputError(f"each --lambdas cell needs two values, got {cell}")
     cells = toy_study(
         grid,
         seeds=range(args.seeds),
@@ -256,73 +203,37 @@ def _cmd_toy(args, argv):
         patience=config.patience,
         base_seed=args.seed,
     )
-    rows = []
-    for cell in cells:
-        for i, s in enumerate(cell.seeds):
-            rows.append(
-                [
-                    cell.lambdas[0],
-                    cell.lambdas[1],
-                    s,
-                    cell.raw[i],
-                    cell.graph_level[i],
-                    cell.node_level[i],
-                ]
-            )
-    out = _out_dir(args, "toy")
-    _write_outputs(
-        out,
-        argv,
-        args,
-        ["lambda1", "lambda2", "seed", "raw", "graph_level", "node_level"],
-        rows,
-        asdict(config),
-        {"lambdas": ";".join(args.lambdas), "seeds": args.seeds, "mode": args.mode},
-    )
+    rows = [
+        [cell.lambdas[0], cell.lambdas[1], s, cell.raw[i], cell.graph_level[i], cell.node_level[i]]
+        for cell in cells
+        for i, s in enumerate(cell.seeds)
+    ]
     for cell in cells:
         means = cell.means()
         print(
             f"lambdas={cell.lambdas}: raw={means['raw']:.4f} "
             f"graph_level={means['graph_level']:.4f} node_level={means['node_level']:.4f}"
         )
-    return 0
-
-
-def _cmd_theory(args, argv):
-    from .synthetic import multi_subgraph_config, theory_check
-
-    lambdas = _parse_floats(args.lambdas)
-    if len(lambdas) != 2:
-        raise LsgnnError(f"--lambdas needs two values, got {lambdas}")
-    config = multi_subgraph_config(
-        lambdas, num_nodes=args.nodes, sigma=args.sigma, mode=args.mode
-    )
-    report = theory_check(config, trials=args.trials, base_seed=args.seed)
-    rows = []
-    for tau in range(config.num_subgraphs):
-        rows.append(
-            [
-                "expectation",
-                tau,
-                report.lambdas[tau],
-                report.analytic[tau],
-                report.empirical[tau],
-                report.stderr[tau],
-            ]
-        )
-    rows.append(
-        ["l1_gap", "-", "-", report.gap_bound, report.gap_empirical, report.gap_stderr]
-    )
-    out = _out_dir(args, "theory")
-    _write_outputs(
-        out,
-        argv,
-        args,
-        ["kind", "subgraph", "lambda", "reference", "empirical", "stderr"],
+    return (
+        ["lambda1", "lambda2", "seed", "raw", "graph_level", "node_level"],
         rows,
         asdict(config),
-        {"trials": args.trials},
+        {"lambdas": ";".join(args.lambdas), "seeds": args.seeds, "mode": args.mode},
     )
+
+
+def _cmd_theory(args, out):
+    lambdas = _parse_floats(args.lambdas)
+    if len(lambdas) != 2:
+        raise InputError(f"--lambdas needs two values, got {lambdas}")
+    config = multi_subgraph_config(lambdas, num_nodes=args.nodes, sigma=args.sigma, mode=args.mode)
+    report = theory_check(config, trials=args.trials, base_seed=args.seed)
+    rows = [
+        ["expectation", tau, report.lambdas[tau], report.analytic[tau], report.empirical[tau],
+         report.stderr[tau]]
+        for tau in range(config.num_subgraphs)
+    ]
+    rows.append(["l1_gap", "-", "-", report.gap_bound, report.gap_empirical, report.gap_stderr])
     for tau in range(config.num_subgraphs):
         print(
             f"subgraph {tau}: lambda={report.lambdas[tau]:.3f} "
@@ -333,103 +244,80 @@ def _cmd_theory(args, argv):
         f"l1 gap: bound={report.gap_bound:.4f} empirical={report.gap_empirical:.4f} "
         f"stderr={report.gap_stderr:.4f} passed={report.gap_passed}"
     )
-    return 0
+    return (
+        ["kind", "subgraph", "lambda", "reference", "empirical", "stderr"],
+        rows,
+        asdict(config),
+        {"trials": args.trials},
+    )
 
 
-def _cmd_stats(args, argv):
-    from .harness import dataset_stats, load_dataset
-
+def _cmd_stats(args, out):
     stats = dataset_stats(load_dataset(args.data))
-    out = _out_dir(args, "stats")
-    _write_outputs(out, argv, args, *_stats_table(stats), {}, {"data": args.data})
     print(
         f"nodes={stats.num_nodes} edges={stats.num_edges} classes={stats.num_classes} "
         f"features={stats.feature_dim} homophily={stats.homophily:.4f}"
     )
-    return 0
+    return *_stats_table(stats), {}, {"data": args.data}
 
 
-def _cmd_sweep_depth(args, argv):
-    from .harness import depth_sweep, load_dataset, make_splits
-
+def _cmd_sweep_depth(args, out):
     config, _ = _resolve_configs(args)
     bundle = load_dataset(args.data)
     splits = make_splits(bundle.num_nodes, base_seed=args.seed, count=args.splits)
-    out = _out_dir(args, "sweep-depth")
     sweep = depth_sweep(bundle, config, _parse_ints(args.k_list), splits, base_seed=args.seed)
-    rows = []
-    for row in sweep:
-        for arm, report in (("main", row.main), ("sgc_variant", row.sgc_variant)):
-            for i, acc in enumerate(report.test_accuracies):
-                rows.append([row.num_layers, arm, i, acc])
-    _write_outputs(
-        out,
-        argv,
-        args,
-        ["num_layers", "arm", "split", "test_accuracy"],
-        rows,
-        asdict(config),
-        {"data": args.data, "k_list": args.k_list, "splits": args.splits},
-    )
+    rows = [
+        [row.num_layers, arm, i, acc]
+        for row in sweep
+        for arm, report in (("main", row.main), ("sgc_variant", row.sgc_variant))
+        for i, acc in enumerate(report.test_accuracies)
+    ]
     for row in sweep:
         print(
             f"K={row.num_layers}: main={row.main.mean:.4f} "
             f"sgc_variant={row.sgc_variant.mean:.4f}"
         )
-    return 0
+    return (
+        ["num_layers", "arm", "split", "test_accuracy"],
+        rows,
+        asdict(config),
+        {"data": args.data, "k_list": args.k_list, "splits": args.splits},
+    )
 
 
-def _cmd_search(args, argv):
-    from .harness import load_dataset, make_splits, random_search
-
+def _cmd_search(args, out):
     config, space = _resolve_configs(args)
     bundle = load_dataset(args.data)
     splits = make_splits(bundle.num_nodes, base_seed=args.seed, count=args.splits)
-    out = _out_dir(args, "search")
     result = random_search(
         bundle, space, budget=args.budget, splits=splits, seed=args.seed, base=config
     )
-    rows = []
-    for trial in result.trials:
-        cfg = trial.config
-        rows.append(
-            [
-                trial.index,
-                int(trial.failed),
-                trial.val_mean,
-                trial.test_mean,
-                cfg["lr"],
-                cfg["weight_decay"],
-                cfg["dropout"],
-                cfg["beta"],
-                cfg["gamma"],
-                cfg["sim_kind"],
-            ]
-        )
-    _write_outputs(
-        out,
-        argv,
-        args,
-        ["trial", "failed", "val_mean", "test_mean", "lr", "weight_decay", "dropout", "beta", "gamma", "sim_kind"],
-        rows,
-        asdict(config),
-        {"data": args.data, "budget": args.budget, "splits": args.splits},
-    )
+    columns = ["lr", "weight_decay", "dropout", "beta", "gamma", "sim_kind"]
+    rows = [
+        [trial.index, int(trial.failed), trial.val_mean, trial.test_mean]
+        + [trial.config[key] for key in columns]
+        for trial in result.trials
+    ]
     with open(os.path.join(out, "best_config.yaml"), "w", encoding="utf-8") as fh:
         yaml.safe_dump(asdict(result.best_config), fh, sort_keys=True)
     print(
         f"best trial: val={result.best_report.val_mean:.4f} "
         f"test={result.best_report.mean:.4f} config={asdict(result.best_config)}"
     )
-    return 0
+    return (
+        ["trial", "failed", "val_mean", "test_mean", *columns],
+        rows,
+        asdict(config),
+        {"data": args.data, "budget": args.budget, "splits": args.splits},
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=0, help="base seed for all derived randomness")
-    shared.add_argument("--config", default=None, help="flat YAML config file")
     shared.add_argument("--out", default=None, help="output directory (default runs/<command>)")
-    shared.add_argument("--threads", type=int, default=None, help="cap BLAS/OpenMP thread pools")
+    configured = argparse.ArgumentParser(add_help=False, parents=[shared])
+    configured.add_argument("--config", default=None, help="flat YAML config file")
 
     parser = argparse.ArgumentParser(prog="lsgnn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -443,21 +331,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["bernoulli", "expectation_exact"], default="bernoulli")
     p.set_defaults(func=_cmd_gen_fsbm)
 
-    p = sub.add_parser("precompute", parents=[shared], help="precompute and store a propagation bundle")
+    p = sub.add_parser("precompute", parents=[configured], help="precompute and store a propagation bundle")
     p.add_argument("--data", required=True, help="dataset directory")
     p.set_defaults(func=_cmd_precompute)
 
-    p = sub.add_parser("train", parents=[shared], help="train over random splits and checkpoint the best")
+    p = sub.add_parser("train", parents=[configured], help="train over random splits and checkpoint the best")
     p.add_argument("--data", required=True)
     p.add_argument("--splits", type=int, default=10)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", parents=[shared], help="evaluate a checkpoint on a dataset")
+    p = sub.add_parser("eval", parents=[configured], help="evaluate a checkpoint on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("toy", parents=[shared], help="raw vs graph-level vs node-level case study")
+    p = sub.add_parser("toy", parents=[configured], help="raw vs graph-level vs node-level case study")
     p.add_argument("--lambdas", action="append", required=True, help="one cell per flag, e.g. 0.9,0.1")
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--mode", choices=["bernoulli", "expectation_exact"], default="bernoulli")
@@ -475,13 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("sweep-depth", parents=[shared], help="accuracy versus propagation depth")
+    p = sub.add_parser("sweep-depth", parents=[configured], help="accuracy versus propagation depth")
     p.add_argument("--data", required=True)
     p.add_argument("--k-list", default="1,2,4,8")
     p.add_argument("--splits", type=int, default=5)
     p.set_defaults(func=_cmd_sweep_depth)
 
-    p = sub.add_parser("search", parents=[shared], help="random hyperparameter search")
+    p = sub.add_parser("search", parents=[configured], help="random hyperparameter search")
     p.add_argument("--data", required=True)
     p.add_argument("--budget", type=int, default=200)
     p.add_argument("--splits", type=int, default=10)
@@ -491,18 +379,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Its handler `_cmd_<name>(args, out)` does its work
+    in `out` and returns the report's header and rows and the manifest's
+    config and notes; only this function creates `out`, writes both files
+    and chooses the exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads is not None:
-        for var in _THREAD_ENV_VARS:
-            os.environ[var] = str(args.threads)
+    args = build_parser().parse_args(argv)
+    out = args.out or os.path.join("runs", args.command)
     try:
-        return args.func(args, argv)
-    except LsgnnError as exc:
+        os.makedirs(out, exist_ok=True)
+        header, rows, config, notes = args.func(args, out)
+        write_report(os.path.join(out, "report.csv"), header, rows)
+        write_manifest(os.path.join(out, "manifest.txt"), ["lsgnn", *argv], config, args.seed, notes)
+    except (LsgnnError, OSError) as exc:
+        # Every OSError here comes from a path the user named.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -252,9 +252,13 @@ def node_homophily(g: SparseGraph, labels: np.ndarray) -> HomophilyReport:
 
 
 def read_edge_list(path) -> np.ndarray:
-    """Read whitespace-separated "i j" pairs; '#' starts a comment line."""
+    """Read whitespace-separated "i j" pairs; '#' starts a comment line.
+
+    An undecodable byte becomes a lone surrogate, so it fails as a
+    non-integer node id with its file and line.
+    """
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:

@@ -135,10 +135,12 @@ def load_dataset(directory) -> DatasetBundle:
         if not os.path.isfile(path):
             raise InputError(f"dataset directory {directory} is missing {name}")
 
+    # An undecodable byte becomes a lone surrogate, which no number parses,
+    # so it fails below as a malformed value with its file and line.
     rows: list[np.ndarray] = []
     linenos: list[int] = []
     width = None
-    with open(paths["features.csv"], "r", encoding="utf-8") as fh:
+    with open(paths["features.csv"], "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
@@ -163,7 +165,7 @@ def load_dataset(directory) -> DatasetBundle:
         raise FormatError(f"features.csv:{linenos[bad_row]}: non-finite value")
 
     labels_list = []
-    with open(paths["labels.txt"], "r", encoding="utf-8") as fh:
+    with open(paths["labels.txt"], "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:

@@ -1,7 +1,13 @@
+import os
+import shutil
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import yaml
 
+import lsgnn
 from lsgnn import synthetic
 from lsgnn.cli import main
 from lsgnn.harness import ExperimentConfig, dataset_stats, load_dataset, save_dataset
@@ -225,10 +231,6 @@ def test_search_smoke(dataset_dir, config_file, tmp_path, capsys):
 def test_unknown_config_key_exits_2(dataset_dir, tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("learning_rate: 0.1\n")
-    code = main(["stats", "--data", str(dataset_dir), "--config", str(bad),
-                 "--out", str(tmp_path / "out")])
-    # stats ignores --config, so use a command that resolves it
-    assert code == 0
     code = main(["precompute", "--data", str(dataset_dir), "--config", str(bad),
                  "--out", str(tmp_path / "out2")])
     assert code == 2
@@ -288,3 +290,68 @@ def test_infeasible_generator_settings_exit_2(tmp_path, capsys):
     for command in ("gen-fsbm", "theory"):
         assert main([command, "--nodes", "0", "--out", str(tmp_path / "o")]) == 2
         assert "num_nodes must be positive, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, make",
+    [
+        ("precompute", "--config", lambda path: None),
+        ("precompute", "--config", lambda path: path.write_text("lr: [1, 2\n")),
+        ("eval", "--checkpoint", lambda path: None),
+        ("eval", "--checkpoint", lambda path: path.mkdir()),
+        ("stats", "--out", lambda path: path.write_text("")),
+    ],
+    ids=["missing-config", "malformed-config", "missing-checkpoint", "directory-checkpoint",
+         "out-is-a-file"],
+)
+def test_bad_paths_exit_2_naming_the_path(command, flag, make, dataset_dir, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    make(bad)
+    argv = [command, "--data", str(dataset_dir), flag, str(bad)]
+    if flag != "--out":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theory", "--nodes", "20", "--trials", "1", "--config", "c.yaml"],
+        ["gen-fsbm", "--nodes", "20", "--config", "c.yaml"],
+        ["stats", "--data", "d", "--config", "c.yaml"],
+        ["theory", "--nodes", "20", "--trials", "1", "--threads", "2"],
+        ["train", "--data", "d", "--threads", "2"],
+    ],
+)
+def test_unread_options_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["features.csv", "labels.txt", "edges.txt", "config.yaml"])
+def test_non_utf8_input_exits_2_naming_the_file(name, dataset_dir, config_file, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    config = tmp_path / "config.yaml"
+    shutil.copy(config_file, config)
+    path = config if name == "config.yaml" else data / name
+    path.write_bytes(b"\xff" + path.read_bytes())
+    assert main(["precompute", "--data", str(data), "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert name in capsys.readouterr().err
+
+
+def test_cli_module_imports_first_in_a_fresh_interpreter():
+    # Every other test imports lsgnn modules before lsgnn.cli, which would
+    # hide an import cycle that only shows when the CLI loads first.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lsgnn.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for args in (["--help"], ["train", "--help"]):
+        done = subprocess.run([sys.executable, "-m", "lsgnn.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
