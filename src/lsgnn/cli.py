@@ -32,7 +32,7 @@ from .harness import (
 )
 from .model import ModelInputs, evaluate, load_checkpoint, save_checkpoint
 from .propagation import precompute_bundle, save_bundle
-from .synthetic import generate_fsbm, multi_subgraph_config, theory_check, toy_study
+from .synthetic import MODES, generate_fsbm, multi_subgraph_config, theory_check, toy_study
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -47,6 +47,17 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
         raise InputError(f"expected comma-separated integers, got {text!r}") from exc
+
+
+def _seed(text: str) -> int:
+    """The `--seed` type: numpy seeds must be non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _load_overrides(path):
@@ -314,7 +325,7 @@ def _cmd_search(args, out):
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=0, help="base seed for all derived randomness")
+    shared.add_argument("--seed", type=_seed, default=0, help="base seed for all derived randomness")
     shared.add_argument("--out", default=None, help="output directory (default runs/<command>)")
     configured = argparse.ArgumentParser(add_help=False, parents=[shared])
     configured.add_argument("--config", default=None, help="flat YAML config file")
@@ -328,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=float, default=10.0)
     p.add_argument("--mu", default="1,-1", help="community feature means")
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--mode", choices=["bernoulli", "expectation_exact"], default="bernoulli")
+    p.add_argument("--mode", choices=MODES, default="bernoulli")
     p.set_defaults(func=_cmd_gen_fsbm)
 
     p = sub.add_parser("precompute", parents=[configured], help="precompute and store a propagation bundle")
@@ -348,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("toy", parents=[configured], help="raw vs graph-level vs node-level case study")
     p.add_argument("--lambdas", action="append", required=True, help="one cell per flag, e.g. 0.9,0.1")
     p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--mode", choices=["bernoulli", "expectation_exact"], default="bernoulli")
+    p.add_argument("--mode", choices=MODES, default="bernoulli")
     p.set_defaults(func=_cmd_toy)
 
     p = sub.add_parser("theory", parents=[shared], help="Monte-Carlo checks of the local-similarity theory")
@@ -356,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=1000)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--mode", choices=["bernoulli", "expectation_exact"], default="expectation_exact")
+    p.add_argument("--mode", choices=MODES, default="expectation_exact")
     p.set_defaults(func=_cmd_theory)
 
     p = sub.add_parser("stats", parents=[shared], help="dataset statistics (size, classes, homophily)")

@@ -78,7 +78,6 @@ class FilterPair:
     information.
     """
 
-    beta: float
     low: sp.csr_array
     high: sp.csr_array
 
@@ -232,7 +231,7 @@ def enhanced_filters(g: SparseGraph, beta: float) -> FilterPair:
         off=norm.data,
     )
     high = complement_filter(low)
-    return FilterPair(beta=float(beta), low=low, high=high)
+    return FilterPair(low=low, high=high)
 
 
 def node_homophily(g: SparseGraph, labels: np.ndarray) -> HomophilyReport:

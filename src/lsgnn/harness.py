@@ -81,7 +81,6 @@ class DatasetBundle:
     graph: SparseGraph
     features: np.ndarray
     labels: np.ndarray
-    name: str | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -171,30 +170,26 @@ def load_dataset(directory) -> DatasetBundle:
             if not text:
                 continue
             try:
-                labels_list.append(int(text))
+                label = int(text)
             except ValueError as exc:
                 raise FormatError(f"labels.txt:{lineno}: non-integer label") from exc
+            if label < 0:
+                raise FormatError(f"labels.txt:{lineno}: negative label {label}")
+            labels_list.append(label)
     labels = np.asarray(labels_list, dtype=np.int64)
     if labels.shape[0] != features.shape[0]:
         raise InputError(
             f"labels.txt has {labels.shape[0]} rows but features.csv has {features.shape[0]}"
         )
-    if labels.min(initial=0) < 0:
-        raise FormatError("labels must be nonnegative")
     present = np.unique(labels)
     expected = np.arange(labels.max() + 1)
     if present.shape != expected.shape or (present != expected).any():
         missing = sorted(set(expected.tolist()) - set(present.tolist()))
-        raise FormatError(f"label ids are not dense in [0, C): missing {missing}")
+        raise FormatError(f"labels.txt: label ids are not dense in [0, C): missing {missing}")
 
     edges = read_edge_list(paths["edges.txt"])
     graph = build_graph(edges, num_nodes=features.shape[0])
-    return DatasetBundle(
-        graph=graph,
-        features=features,
-        labels=labels,
-        name=os.path.basename(os.path.normpath(directory)),
-    )
+    return DatasetBundle(graph=graph, features=features, labels=labels)
 
 
 # --- splits ----------------------------------------------------------------
@@ -207,8 +202,6 @@ class SplitSpec:
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
-    seed: tuple
-    ratios: tuple
 
 
 def make_splits(
@@ -229,17 +222,14 @@ def make_splits(
     out = []
     base = _seed_list(base_seed)
     for i in range(count):
-        seed = tuple(base + [i])
-        perm = np.random.default_rng(list(seed)).permutation(n)
+        perm = np.random.default_rng(base + [i]).permutation(n)
         train_mask = np.zeros(n, dtype=bool)
         val_mask = np.zeros(n, dtype=bool)
         test_mask = np.zeros(n, dtype=bool)
         train_mask[perm[:n_train]] = True
         val_mask[perm[n_train : n_train + n_val]] = True
         test_mask[perm[n_train + n_val :]] = True
-        out.append(
-            SplitSpec(train=train_mask, val=val_mask, test=test_mask, seed=seed, ratios=tuple(ratios))
-        )
+        out.append(SplitSpec(train=train_mask, val=val_mask, test=test_mask))
     return out
 
 
@@ -366,6 +356,7 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         self.propagation()
         self.model(in_dim=1, num_classes=2)
+        self.training(seed=0)
         return self
 
 
@@ -412,14 +403,14 @@ def sample_config(
 
 @dataclass(eq=False)
 class MetricsReport:
-    """Per-split accuracies with their aggregate and provenance."""
+    """Per-split accuracies with their aggregate, timing and the kept
+    parameters."""
 
     test_accuracies: list[float]
     val_accuracies: list[float]
     mean: float
     std: float
     seconds: float
-    config: dict
     best_params: dict[str, np.ndarray]
     cache_hit: bool = False
 
@@ -467,7 +458,6 @@ def run_experiment(
         mean=float(np.mean(test_accs)),
         std=float(np.std(test_accs)),
         seconds=time.perf_counter() - started,
-        config=asdict(config),
         best_params=best_params,
         cache_hit=hit,
     )

@@ -537,6 +537,17 @@ class TrainConfig:
     patience: int = 40
     seed: int = 0
 
+    def __post_init__(self):
+        # `not >` also rejects NaN.
+        if not self.lr > 0.0:
+            raise InputError(f"lr must be > 0, got {self.lr}")
+        if not self.weight_decay >= 0.0:
+            raise InputError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.epochs < 1:
+            raise InputError(f"epochs must be >= 1, got {self.epochs}")
+        if self.patience < 0:
+            raise InputError(f"patience must be >= 0, got {self.patience}")
+
 
 @dataclass(eq=False)
 class TrainResult:
@@ -686,6 +697,13 @@ def load_checkpoint(path) -> tuple[ModelConfig, Params]:
         ) = struct.unpack(_CONFIG_PACK, header)
         if version != _VERSION:
             raise reader.error(f"unsupported checkpoint version {version}")
+        for field, tag, names in (
+            ("sim_kind", sim_tag, SIM_KINDS),
+            ("localsim_mode", ls_tag, LOCALSIM_MODES),
+            ("weight_mode", wm_tag, WEIGHT_MODES),
+        ):
+            if tag >= len(names):
+                raise reader.error(f"unknown {field} tag {tag}")
         try:
             config = ModelConfig(
                 num_layers=num_layers,
@@ -699,7 +717,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, Params]:
                 alpha_hidden=alpha_hidden,
                 dropout=dropout,
             )
-        except (IndexError, InputError) as exc:
+        except InputError as exc:
             raise reader.error(f"invalid config in checkpoint: {exc}") from exc
         (count,) = struct.unpack("<I", reader.read(4, "array count"))
         if 2 * num_layers + 1 > count:

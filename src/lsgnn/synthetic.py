@@ -8,7 +8,11 @@ feature equal to its community mean plus Gaussian noise.
 Two sampling modes ship: `bernoulli` draws each pair independently;
 `expectation_exact` gives every node exactly its expected intra- and
 inter-community edge counts, which is the regime where the closed-form
-local-similarity expectation holds exactly.
+local-similarity expectation holds exactly.  Exact mode builds each
+community's graph and each cross-community pairing by stub pairing (the
+configuration model) and repairs self loops and duplicate edges with
+degree-preserving endpoint swaps; a target denser than half of a node's
+possible partners is built as the complement of a sparse one.
 
 `theory_check` tests the paper's two closed forms, the per-subgraph mean
 local similarity and the cross-subgraph gap bound, against one set of
@@ -155,102 +159,63 @@ def multi_subgraph_config(
 # --- exact-degree generation ----------------------------------------------
 
 
-def _repair_pairs(u, v, n_ids, rng, bipartite, rounds=300):
-    """Swap second endpoints between edges until no self loops/duplicates.
+def _random_pairing(stubs: np.ndarray, n_ids: int, rng, bipartite: bool) -> np.ndarray:
+    """Pair stubs into a simple graph, keeping every node's stub count.
 
-    Endpoint swaps preserve every node's degree.  Returns None when the
-    round budget runs out so the caller can reshuffle and retry.
+    Bipartite stubs pair with a permuted copy of themselves (left, right);
+    others pair with each other.  Self loops (non-bipartite only) and
+    duplicates are repaired by swapping second endpoints between edges,
+    which preserves every degree; a draw that is not simple after 300
+    swap rounds is discarded, and 100 discarded draws raise.
     """
-    for _ in range(rounds):
-        if bipartite:
-            lo, hi = u, v
-        else:
-            lo = np.minimum(u, v)
-            hi = np.maximum(u, v)
-        key = lo.astype(np.int64) * n_ids + hi
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        bad = np.zeros(u.shape[0], dtype=bool)
-        bad[order[1:][sorted_key[1:] == sorted_key[:-1]]] = True
-        if not bipartite:
-            bad |= u == v
-        bad_idx = np.flatnonzero(bad)
-        if bad_idx.size == 0:
-            return u, v
-        partners = rng.integers(0, u.shape[0], size=bad_idx.size)
-        for b, p in zip(bad_idx, partners):
-            v[b], v[p] = v[p], v[b]
-    return None
-
-
-def _edges_from_degrees(degrees: np.ndarray, rng, attempts=100) -> np.ndarray:
-    """Simple graph with an exact degree sequence via stub pairing."""
-    total = int(degrees.sum())
-    if total == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    if total % 2 != 0:
-        raise GenerationError("degree sequence has odd sum")
-    stubs = np.repeat(np.arange(degrees.shape[0], dtype=np.int64), degrees)
-    for _ in range(attempts):
+    for _ in range(100):
         perm = rng.permutation(stubs)
-        u = perm[0::2].copy()
-        v = perm[1::2].copy()
-        fixed = _repair_pairs(u, v, degrees.shape[0], rng, bipartite=False)
-        if fixed is not None:
-            return np.column_stack(fixed)
+        u, v = (stubs, perm) if bipartite else (perm[0::2].copy(), perm[1::2].copy())
+        for _ in range(300):
+            lo, hi = (u, v) if bipartite else (np.minimum(u, v), np.maximum(u, v))
+            key = lo * n_ids + hi
+            order = np.argsort(key, kind="stable")
+            sorted_key = key[order]
+            bad = np.zeros(u.shape[0], dtype=bool)
+            bad[order[1:][sorted_key[1:] == sorted_key[:-1]]] = True
+            if not bipartite:
+                bad |= u == v
+            bad_idx = np.flatnonzero(bad)
+            if bad_idx.size == 0:
+                return np.column_stack([u, v])
+            partners = rng.integers(0, u.shape[0], size=bad_idx.size)
+            for b, p in zip(bad_idx, partners):
+                v[b], v[p] = v[p], v[b]
     raise GenerationError("could not realize the exact degree sequence")
 
 
-def _complement_pairs(m: int, edges: np.ndarray) -> np.ndarray:
-    adj = np.ones((m, m), dtype=bool)
-    np.fill_diagonal(adj, False)
-    if edges.size:
-        adj[edges[:, 0], edges[:, 1]] = False
-        adj[edges[:, 1], edges[:, 0]] = False
-    iu, ju = np.nonzero(np.triu(adj, k=1))
-    return np.column_stack([iu, ju]).astype(np.int64)
+def _exact_edges(m: int, d: int, rng, bipartite: bool) -> np.ndarray:
+    """d edges per node on m nodes, or between two m-node sides when
+    bipartite (local (left, right) index pairs).
 
-
-def _regular_edges(m: int, d: int, rng) -> np.ndarray:
-    """d-regular simple graph on m nodes.
-
-    An odd stub total drops one stub from an rng-chosen node (that node
-    ends one edge short).  Dense targets are built as complements of
-    sparse ones, which keeps stub pairing in its reliable regime.
+    A node has m possible partners when bipartite and m - 1 otherwise.  An
+    odd stub total drops one stub from an rng-chosen node (that node ends
+    one edge short).  A target denser than half the partners is built as
+    the complement of a sparse one, which keeps stub pairing in its
+    reliable regime.
     """
-    if not 0 <= d < m:
-        raise GenerationError(f"regular degree {d} infeasible on {m} nodes")
+    partners = m if bipartite else m - 1
     degrees = np.full(m, d, dtype=np.int64)
-    if (m * d) % 2 == 1:
+    if not bipartite and (m * d) % 2 == 1:
         degrees[int(rng.integers(m))] -= 1
-    if d > (m - 1) // 2:
-        comp = _edges_from_degrees((m - 1) - degrees, rng)
-        return _complement_pairs(m, comp)
-    return _edges_from_degrees(degrees, rng)
-
-
-def _bipartite_regular_edges(m: int, d: int, rng) -> np.ndarray:
-    """d-regular bipartite pairing between two m-node sides; returns
-    (left, right) local index pairs."""
-    if not 0 <= d <= m:
-        raise GenerationError(f"bipartite degree {d} infeasible with side size {m}")
-    if d == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    if d > m // 2:
-        comp = _bipartite_regular_edges(m, m - d, rng)
-        adj = np.ones((m, m), dtype=bool)
-        if comp.size:
-            adj[comp[:, 0], comp[:, 1]] = False
-        iu, ju = np.nonzero(adj)
-        return np.column_stack([iu, ju]).astype(np.int64)
-    left = np.repeat(np.arange(m, dtype=np.int64), d)
-    for _ in range(100):
-        u = left.copy()
-        v = rng.permutation(left)
-        fixed = _repair_pairs(u, v, m, rng, bipartite=True)
-        if fixed is not None:
-            return np.column_stack(fixed)
-    raise GenerationError("could not realize the exact bipartite pairing")
+    dense = d > partners // 2
+    if dense:
+        degrees = partners - degrees
+    stubs = np.repeat(np.arange(m, dtype=np.int64), degrees)
+    pairs = _random_pairing(stubs, m, rng, bipartite)
+    if not dense:
+        return pairs
+    adj = np.ones((m, m), dtype=bool)
+    adj[pairs[:, 0], pairs[:, 1]] = False
+    if not bipartite:
+        adj[pairs[:, 1], pairs[:, 0]] = False
+        adj = np.triu(adj, k=1)
+    return np.argwhere(adj)
 
 
 def _bernoulli_subgraph(m: int, r: int, p: float, q: float, rng) -> np.ndarray:
@@ -272,16 +237,11 @@ def _exact_subgraph(m: int, r: int, p: float, q: float, rng) -> np.ndarray:
     if r != 2:
         raise InputError("expectation_exact mode supports exactly 2 communities")
     d_in, d_out = _exact_degrees(m, p, q)
-    parts = [
-        _regular_edges(m, d_in, rng),
-        _regular_edges(m, d_in, rng) + m,
-    ]
-    cross = _bipartite_regular_edges(m, d_out, rng)
-    if cross.size:
-        cross = cross.copy()
-        cross[:, 1] += m
-        parts.append(cross)
-    return np.vstack([part for part in parts if part.size] or [np.zeros((0, 2), np.int64)])
+    return np.vstack([
+        _exact_edges(m, d_in, rng, bipartite=False),
+        _exact_edges(m, d_in, rng, bipartite=False) + m,
+        _exact_edges(m, d_out, rng, bipartite=True) + [0, m],
+    ])
 
 
 def generate_fsbm(config: FsbmConfig, seed=0) -> SyntheticDataset:
@@ -296,16 +256,10 @@ def generate_fsbm(config: FsbmConfig, seed=0) -> SyntheticDataset:
     block = m * r
     community = np.tile(np.repeat(np.arange(r), m), t)
     subgraph_id = np.repeat(np.arange(t), block)
-    chunks = []
-    for tau in range(t):
-        p, q = config.p[tau], config.q[tau]
-        if config.mode == "bernoulli":
-            local = _bernoulli_subgraph(m, r, p, q, rng)
-        else:
-            local = _exact_subgraph(m, r, p, q, rng)
-        if local.size:
-            chunks.append(local + tau * block)
-    edges = np.vstack(chunks) if chunks else np.zeros((0, 2), dtype=np.int64)
+    subgraph = _bernoulli_subgraph if config.mode == "bernoulli" else _exact_subgraph
+    edges = np.vstack([
+        subgraph(m, r, config.p[tau], config.q[tau], rng) + tau * block for tau in range(t)
+    ])
     graph = build_graph(edges, config.num_nodes)
     mu = np.asarray(config.mu, dtype=np.float64)
     x = (mu[community] + rng.normal(0.0, config.sigma, size=config.num_nodes))[:, None]
@@ -332,7 +286,6 @@ class TheoryReport:
     gap_bound: float
     gap_empirical: float
     gap_stderr: float
-    trials: int
 
     @property
     def gap_passed(self) -> bool:
@@ -403,7 +356,6 @@ def theory_check(config: FsbmConfig, trials: int, base_seed=0) -> TheoryReport:
         gap_bound=float(abs(lambdas[0] - lambdas[1]) * gap_sq),
         gap_empirical=float(gap_empirical),
         gap_stderr=float(gap_stderr),
-        trials=trials,
     )
 
 
@@ -473,7 +425,7 @@ def toy_study(
                 linear_accuracy(raw_model, ds.x, ds.community, split.test)
             )
             low = self_loop_adj(ds.graph)
-            pair = FilterPair(beta=0.0, low=low, high=complement_filter(low))
+            pair = FilterPair(low=low, high=complement_filter(low))
             stack = build_stack(
                 pair,
                 ds.x,

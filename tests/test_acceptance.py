@@ -325,8 +325,7 @@ def test_criterion_6_generator_structure():
 @pytest.fixture(scope="module")
 def depth_data():
     ds = generate_fsbm(multi_subgraph_config((0.9,), num_nodes=1000), seed=0)
-    bundle = DatasetBundle(graph=ds.graph, features=ds.x, labels=ds.community,
-                           name="fsbm-homophilic")
+    bundle = DatasetBundle(graph=ds.graph, features=ds.x, labels=ds.community)
     return bundle, make_splits(1000, base_seed=0, count=10)
 
 

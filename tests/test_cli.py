@@ -293,6 +293,51 @@ def test_infeasible_generator_settings_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [("epochs", "0"), ("epochs", "-3"), ("lr", "-0.5"), ("lr", "0.0"),
+     ("weight_decay", "-1.0"), ("patience", "-1")],
+)
+def test_training_settings_are_validated(field, value, dataset_dir, tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text(f"num_layers: 1\nhidden_dim: 4\nepochs: 2\n{field}: {value}\n")
+    assert main(["train", "--data", str(dataset_dir), "--splits", "1", "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model.lspm").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--data", "d", "--seed", "-1"],
+        ["gen-fsbm", "--nodes", "20", "--seed", "-2"],
+        ["theory", "--nodes", "20", "--trials", "1", "--seed", "-1"],
+        ["toy", "--lambdas", "0.9,0.1", "--seeds", "1", "--seed", "x"],
+    ],
+)
+def test_seed_must_be_a_non_negative_integer(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_malformed_values_exit_2_naming_the_value(dataset_dir, tmp_path, capsys):
+    assert main(["sweep-depth", "--data", str(dataset_dir), "--k-list", "1,x",
+                 "--out", str(tmp_path / "o1")]) == 2
+    assert "'1,x'" in capsys.readouterr().err
+    listed = tmp_path / "list.yaml"
+    listed.write_text("- lr: 0.1\n")
+    assert main(["precompute", "--data", str(dataset_dir), "--config", str(listed),
+                 "--out", str(tmp_path / "o2")]) == 2
+    assert f"config file {listed} must contain a flat key-value mapping" in capsys.readouterr().err
+    assert main(["theory", "--lambdas", "0.5", "--out", str(tmp_path / "o3")]) == 2
+    assert "--lambdas needs two values, got (0.5,)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command, flag, make",
     [
         ("precompute", "--config", lambda path: None),

@@ -30,8 +30,7 @@ from lsgnn.synthetic import generate_fsbm, multi_subgraph_config
 
 def small_bundle(n=200, lambdas=(0.9, 0.1), seed=0):
     ds = generate_fsbm(multi_subgraph_config(lambdas, num_nodes=n), seed=seed)
-    return DatasetBundle(graph=ds.graph, features=ds.x, labels=ds.community,
-                         name="toy")
+    return DatasetBundle(graph=ds.graph, features=ds.x, labels=ds.community)
 
 
 def quick_config(**overrides):
@@ -61,7 +60,6 @@ def test_make_splits_determinism_and_errors():
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.train, sb.train)
         assert np.array_equal(sa.test, sb.test)
-        assert sa.seed == sb.seed
     c = make_splits(100, base_seed=6, count=1)
     assert not np.array_equal(a[0].train, c[0].train)
     with pytest.raises(InputError):
@@ -78,7 +76,6 @@ def test_dataset_round_trip(tmp_path):
                  subgraph_id=subgraphs)
     assert (where / "subgraphs.txt").exists()
     loaded = load_dataset(where)
-    assert loaded.name == "toyset"
     assert np.array_equal(loaded.graph.edge_array(), bundle.graph.edge_array())
     assert np.array_equal(loaded.features, bundle.features)  # bitwise via repr
     assert np.array_equal(loaded.labels, bundle.labels)
@@ -135,6 +132,18 @@ def test_load_dataset_error_paths(tmp_path):
         write_minimal(nonfinite, features_text=f"1.0,2.0\n\n3.0,{bad}\n")
         with pytest.raises(FormatError, match="features.csv:3: non-finite value"):
             load_dataset(nonfinite)
+
+
+def test_label_errors_name_labels_txt(tmp_path):
+    negative = tmp_path / "negative"
+    write_minimal(negative, labels_text="0\n\n-1\n")
+    with pytest.raises(FormatError, match="labels.txt:3: negative label -1"):
+        load_dataset(negative)
+
+    gap = tmp_path / "gap"
+    write_minimal(gap, labels_text="0\n2\n")
+    with pytest.raises(FormatError, match=r"labels.txt: label ids are not dense .*missing \[1\]"):
+        load_dataset(gap)
 
 
 def test_dataset_stats_on_path_graph():
@@ -211,7 +220,6 @@ def test_run_experiment_is_deterministic_and_uses_cache():
     assert r1.std == pytest.approx(np.std(r1.test_accuracies))
     assert len(r1.test_accuracies) == 2
     assert not r1.cache_hit and r2.cache_hit
-    assert r1.config["num_layers"] == 2
     no_cache = run_experiment(bundle, config, splits, base_seed=3)
     assert no_cache.test_accuracies == r1.test_accuracies
     assert not no_cache.cache_hit

@@ -371,6 +371,32 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_checkpoint(bad)
 
 
+# Header offsets after the magic: the version is the first u32, and the
+# sim_kind, localsim_mode and weight_mode tags are the u8s after seven u32s.
+@pytest.mark.parametrize(
+    "offset, value, message",
+    [
+        (0, struct.pack("<I", 9), "unsupported checkpoint version 9"),
+        (struct.calcsize("<7I"), b"\x07", "unknown sim_kind tag 7"),
+        (struct.calcsize("<7I") + 1, b"\x07", "unknown localsim_mode tag 7"),
+        (struct.calcsize("<7I") + 2, b"\x07", "unknown weight_mode tag 7"),
+    ],
+    ids=["version", "sim_kind", "localsim_mode", "weight_mode"],
+)
+def test_checkpoint_names_a_bad_header_field(offset, value, message, tmp_path):
+    _, _, config, _, _ = make_instance(seed=19)
+    params = init_parameters(config, np.random.default_rng(19))
+    path = tmp_path / "model.lspm"
+    save_checkpoint(path, config, params)
+    raw = bytearray(path.read_bytes())
+    at = len(model_module._MAGIC) + offset
+    raw[at:at + len(value)] = value
+    bad = tmp_path / "bad.lspm"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=rf"bad\.lspm: {message}"):
+        load_checkpoint(bad)
+
+
 def test_checkpoint_save_failure_keeps_previous_file(tmp_path, monkeypatch):
     _, _, config, _, _ = make_instance(seed=19)
     params = init_parameters(config, np.random.default_rng(19))

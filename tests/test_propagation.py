@@ -211,6 +211,25 @@ def test_bundle_rejects_corruption(tmp_path, random_graph):
         load_bundle(truncated)
 
 
+def test_bundle_rejects_unknown_version_and_variant_tag(tmp_path, random_graph):
+    g, _ = random_graph(n=8, p=0.4, seed=33)
+    stack = precompute_bundle(g, make_features(8), PropagationConfig(num_layers=2))
+    path = tmp_path / "stack.lspb"
+    save_bundle(stack, path)
+    raw = path.read_bytes()
+    start = len(propagation_module._MAGIC)
+    version = tmp_path / "version.lspb"
+    version.write_bytes(raw[:start] + struct.pack("<I", 3) + raw[start + 4:])
+    with pytest.raises(FormatError, match=r"version\.lspb: unsupported bundle version 3"):
+        load_bundle(version)
+    # The variant tag follows the version, n, d, num_layers, gamma and beta.
+    tag_at = start + struct.calcsize("<IIIIdd")
+    variant = tmp_path / "variant.lspb"
+    variant.write_bytes(raw[:tag_at] + bytes([9]) + raw[tag_at + 1:])
+    with pytest.raises(FormatError, match=r"variant\.lspb: unknown variant tag 9"):
+        load_bundle(variant)
+
+
 def test_bundle_save_failure_keeps_previous_file(tmp_path, random_graph, monkeypatch):
     g, _ = random_graph(n=8, p=0.4, seed=33)
     stack = precompute_bundle(g, make_features(8), PropagationConfig(num_layers=2))
@@ -239,7 +258,7 @@ def test_save_bundle_refuses_ad_hoc_filter_stacks(tmp_path, random_graph):
 
     g, _ = random_graph(n=8, p=0.4, seed=34)
     low = self_loop_adj(g)
-    pair = FilterPair(beta=0.0, low=low, high=complement_filter(low))
+    pair = FilterPair(low=low, high=complement_filter(low))
     stack = build_stack(pair, make_features(8, d=1), PropagationConfig(num_layers=1),
                         filter_kind="self_loop")
     with pytest.raises(InputError):

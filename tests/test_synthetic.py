@@ -135,6 +135,23 @@ def test_expectation_exact_dense_regime_uses_complement():
     assert np.all(edges[:, 0] != edges[:, 1])
 
 
+def test_expectation_exact_dense_cross_pairing_uses_complement():
+    # d_out = round(0.8*10) = 8 > 10/2 forces the bipartite complement
+    config = FsbmConfig(num_nodes=20, num_communities=2, num_subgraphs=1,
+                        p=(0.2,), q=(0.8,), mu=(1.0, -1.0), sigma=1.0,
+                        mode="expectation_exact")
+    ds = generate_fsbm(config, seed=6)
+    edges = ds.graph.edge_array()
+    assert ds.graph.loops_dropped == 0 and ds.graph.duplicates_dropped == 0
+    assert edges.shape[0] == 20 * (2 + 8) // 2
+    same = ds.community[edges[:, 0]] == ds.community[edges[:, 1]]
+    n = config.num_nodes
+    same_degree = np.bincount(edges[same].ravel(), minlength=n)
+    cross_degree = np.bincount(edges[~same].ravel(), minlength=n)
+    assert np.all(same_degree == 2)
+    assert np.all(cross_degree == 8)
+
+
 def test_expectation_exact_odd_stub_total_drops_one_edge():
     # m=5, d_in=3: an odd stub sum leaves one node per community a degree short
     config = FsbmConfig(num_nodes=10, num_communities=2, num_subgraphs=1,
@@ -158,7 +175,6 @@ def test_expectation_exact_rejects_three_communities():
 def test_theory_check_tracks_closed_form(sigma):
     config = multi_subgraph_config((0.2, 0.8), num_nodes=1000, sigma=sigma)
     report = theory_check(config, trials=30)
-    assert report.trials == 30
     assert np.allclose(report.lambdas, [0.2, 0.8])
     gap_sq = 4.0
     want = -2.0 * sigma**2 - (1.0 - report.lambdas) * gap_sq
