@@ -7,6 +7,7 @@ the same order on every run.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -250,12 +251,40 @@ def node_homophily(g: SparseGraph, labels: np.ndarray) -> HomophilyReport:
     return HomophilyReport(per_node=per_node, graph_level=graph_level)
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _loadtxt(path, dtype, delimiter=None, comments=None) -> np.ndarray | None:
+    """Parse a whole text file with one `np.loadtxt` call into a 2-D array.
+
+    Returns None when numpy rejects the file or warns (an empty file
+    warns).  numpy accepts no token that `int()` or `float()` rejects and
+    parses the ones both accept to the same value, so a caller may use an
+    array of the shape its line loop would build as is.  On None or any
+    other shape it re-reads with the loop, which names the bad line.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+                return np.loadtxt(fh, dtype=dtype, delimiter=delimiter, comments=comments, ndmin=2)
+        except (ValueError, Warning):
+            return None
+
+
 def read_edge_list(path) -> np.ndarray:
-    """Read whitespace-separated "i j" pairs; '#' starts a comment line.
+    """Read whitespace-separated "i j" pairs; '#' starts a comment.
 
     An undecodable byte becomes a lone surrogate, so it fails as a
     non-integer node id with its file and line.
     """
+    edges = _loadtxt(path, np.int64, comments="#")
+    if edges is not None and edges.shape[1] == 2:
+        return edges
+    return _read_edge_lines(path)
+
+
+def _read_edge_lines(path) -> np.ndarray:
     pairs = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -266,9 +295,12 @@ def read_edge_list(path) -> np.ndarray:
             if len(parts) != 2:
                 raise InputError(f"{path}:{lineno}: expected two node ids, got {text!r}")
             try:
-                pairs.append((int(parts[0]), int(parts[1])))
+                pair = (int(parts[0]), int(parts[1]))
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: non-integer node id in {text!r}") from exc
+            if not all(_INT64.min <= v <= _INT64.max for v in pair):
+                raise InputError(f"{path}:{lineno}: node id outside int64 in {text!r}")
+            pairs.append(pair)
     if not pairs:
         return np.zeros((0, 2), dtype=np.int64)
     return np.asarray(pairs, dtype=np.int64)

@@ -17,7 +17,14 @@ import numpy as np
 
 from . import __version__
 from .errors import FormatError, InputError, LsgnnError, TrainingDivergedError
-from .graph import SparseGraph, build_graph, node_homophily, read_edge_list, write_edge_list
+from .graph import (
+    SparseGraph,
+    _loadtxt,
+    build_graph,
+    node_homophily,
+    read_edge_list,
+    write_edge_list,
+)
 from .model import (
     ModelConfig,
     ModelInputs,
@@ -124,7 +131,9 @@ def load_dataset(directory) -> DatasetBundle:
     """Read a canonical dataset directory and validate its consistency.
 
     Labels must be dense in [0, C): every class id below the maximum must
-    occur at least once.
+    occur at least once.  Each file is parsed whole by `np.loadtxt`; its
+    line loop runs only when that parse fails or a check rejects the
+    result, and it raises the error with the file and line at fault.
     """
     paths = {
         name: os.path.join(directory, name)
@@ -134,12 +143,43 @@ def load_dataset(directory) -> DatasetBundle:
         if not os.path.isfile(path):
             raise InputError(f"dataset directory {directory} is missing {name}")
 
+    features = _loadtxt(paths["features.csv"], np.float64, delimiter=",")
+    if features is None or not np.isfinite(features).all():
+        features = _read_feature_lines(paths["features.csv"])
+    labels = _loadtxt(paths["labels.txt"], np.int64)
+    if labels is not None and labels.shape[1] == 1 and labels.min() >= 0:
+        labels = labels.reshape(-1)
+    else:
+        labels = _read_label_lines(paths["labels.txt"])
+    n = features.shape[0]
+    if labels.shape[0] != n:
+        raise InputError(f"labels.txt has {labels.shape[0]} rows but features.csv has {n}")
+    # Dense ids in [0, C) imply max < rows, so only ids below both are
+    # counted and a huge id allocates nothing.
+    top = int(labels.max())
+    seen = np.zeros(min(top + 1, n), dtype=bool)
+    seen[labels[labels < seen.size]] = True
+    missing = np.flatnonzero(~seen).tolist()
+    if top >= n:
+        raise FormatError(
+            f"labels.txt: label ids are not dense in [0, C): missing {missing} below the "
+            f"row count {n}, and label {top} is not below it"
+        )
+    if missing:
+        raise FormatError(f"labels.txt: label ids are not dense in [0, C): missing {missing}")
+
+    edges = read_edge_list(paths["edges.txt"])
+    graph = build_graph(edges, num_nodes=n)
+    return DatasetBundle(graph=graph, features=features, labels=labels)
+
+
+def _read_feature_lines(path) -> np.ndarray:
     # An undecodable byte becomes a lone surrogate, which no number parses,
-    # so it fails below as a malformed value with its file and line.
+    # so it fails as a malformed value with its file and line.
     rows: list[np.ndarray] = []
     linenos: list[int] = []
     width = None
-    with open(paths["features.csv"], "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
@@ -162,9 +202,12 @@ def load_dataset(directory) -> DatasetBundle:
     if not np.isfinite(features).all():
         bad_row = np.flatnonzero(~np.isfinite(features).all(axis=1))[0]
         raise FormatError(f"features.csv:{linenos[bad_row]}: non-finite value")
+    return features
 
-    labels_list = []
-    with open(paths["labels.txt"], "r", encoding="utf-8", errors="surrogateescape") as fh:
+
+def _read_label_lines(path) -> np.ndarray:
+    labels = []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
@@ -175,21 +218,10 @@ def load_dataset(directory) -> DatasetBundle:
                 raise FormatError(f"labels.txt:{lineno}: non-integer label") from exc
             if label < 0:
                 raise FormatError(f"labels.txt:{lineno}: negative label {label}")
-            labels_list.append(label)
-    labels = np.asarray(labels_list, dtype=np.int64)
-    if labels.shape[0] != features.shape[0]:
-        raise InputError(
-            f"labels.txt has {labels.shape[0]} rows but features.csv has {features.shape[0]}"
-        )
-    present = np.unique(labels)
-    expected = np.arange(labels.max() + 1)
-    if present.shape != expected.shape or (present != expected).any():
-        missing = sorted(set(expected.tolist()) - set(present.tolist()))
-        raise FormatError(f"labels.txt: label ids are not dense in [0, C): missing {missing}")
-
-    edges = read_edge_list(paths["edges.txt"])
-    graph = build_graph(edges, num_nodes=features.shape[0])
-    return DatasetBundle(graph=graph, features=features, labels=labels)
+            if label > np.iinfo(np.int64).max:
+                raise FormatError(f"labels.txt:{lineno}: label {label} is outside int64")
+            labels.append(label)
+    return np.asarray(labels, dtype=np.int64)
 
 
 # --- splits ----------------------------------------------------------------

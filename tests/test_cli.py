@@ -292,6 +292,13 @@ def test_infeasible_generator_settings_exit_2(tmp_path, capsys):
         assert "num_nodes must be positive, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("degree", ["-1", "0", "nan"])
+def test_non_positive_degree_is_named(degree, tmp_path, capsys):
+    assert main(["gen-fsbm", "--degree", degree, "--nodes", "40",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "--degree" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("epochs", "0"), ("epochs", "-3"), ("lr", "-0.5"), ("lr", "0.0"),

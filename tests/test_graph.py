@@ -196,3 +196,10 @@ def test_read_edge_list_reports_offending_line(tmp_path):
     path.write_text("0 1\n1\n")
     with pytest.raises(InputError, match=r"edges\.txt:2"):
         read_edge_list(path)
+
+
+def test_read_edge_list_names_a_node_id_outside_int64(tmp_path):
+    path = tmp_path / "edges.txt"
+    path.write_text("0 1\n1 99999999999999999999\n")
+    with pytest.raises(InputError, match=r"edges\.txt:2: node id outside int64"):
+        read_edge_list(path)

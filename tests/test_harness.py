@@ -146,6 +146,21 @@ def test_label_errors_name_labels_txt(tmp_path):
         load_dataset(gap)
 
 
+def test_label_outside_int64_is_named(tmp_path):
+    write_minimal(tmp_path, labels_text="0\n99999999999999999999\n")
+    with pytest.raises(FormatError, match="labels.txt:2: label 99999999999999999999 is outside int64"):
+        load_dataset(tmp_path)
+
+
+def test_label_id_beyond_the_row_count_is_named_without_allocating(tmp_path):
+    # Dense ids in [0, C) imply max < rows; a check sized by the maximum
+    # would ask for petabytes here.
+    where = tmp_path / "far"
+    write_minimal(where, features_text="1.0\n2.0\n3.0\n", labels_text="0\n1\n1000000000000000\n")
+    with pytest.raises(FormatError, match=r"labels.txt: .*missing \[2\].*label 1000000000000000"):
+        load_dataset(where)
+
+
 def test_dataset_stats_on_path_graph():
     g = build_graph(np.array([[0, 1], [1, 2], [2, 3]]), 4)
     bundle = DatasetBundle(graph=g, features=np.eye(4),
