@@ -127,6 +127,12 @@ def save_dataset(
                 fh.write(f"{int(sg)}\n")
 
 
+def _first_ids(ids: np.ndarray) -> str:
+    """The first 10 ids as a list, then a count of the rest."""
+    rest = ids.size - 10
+    return f"{ids[:10].tolist()}" + (f" and {rest} more" if rest > 0 else "")
+
+
 def load_dataset(directory) -> DatasetBundle:
     """Read a canonical dataset directory and validate its consistency.
 
@@ -159,13 +165,13 @@ def load_dataset(directory) -> DatasetBundle:
     top = int(labels.max())
     seen = np.zeros(min(top + 1, n), dtype=bool)
     seen[labels[labels < seen.size]] = True
-    missing = np.flatnonzero(~seen).tolist()
+    missing = _first_ids(np.flatnonzero(~seen))
     if top >= n:
         raise FormatError(
             f"labels.txt: label ids are not dense in [0, C): missing {missing} below the "
             f"row count {n}, and label {top} is not below it"
         )
-    if missing:
+    if not seen.all():
         raise FormatError(f"labels.txt: label ids are not dense in [0, C): missing {missing}")
 
     edges = read_edge_list(paths["edges.txt"])

@@ -37,14 +37,7 @@ def similarity(x: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
     if x.shape != y.shape or x.ndim != 2:
         raise InputError(f"expected matching (m, d) arrays, got {x.shape} and {y.shape}")
     if kind == "cosine":
-        dots = (x * y).sum(axis=1)
-        nx = np.sqrt((x * x).sum(axis=1))
-        ny = np.sqrt((y * y).sum(axis=1))
-        denom = nx * ny
-        out = np.zeros(x.shape[0], dtype=np.float64)
-        nz = denom > 0.0
-        out[nz] = dots[nz] / denom[nz]
-        return out
+        return _cosine((x * y).sum(axis=1), _norms(x), _norms(y))
     if kind == "euclidean":
         diff = x - y
         return -np.sqrt((diff * diff).sum(axis=1))
@@ -58,22 +51,44 @@ def similarity(x: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
     raise InputError(f"similarity kind must be one of {SIM_KINDS}, got {kind!r}")
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt((x * x).sum(axis=1))
+
+
+def _cosine(dots: np.ndarray, nx: np.ndarray, ny: np.ndarray) -> np.ndarray:
+    """dots / (nx * ny), with 0 where either norm is 0."""
+    denom = nx * ny
+    out = np.zeros(dots.shape[0], dtype=np.float64)
+    nz = denom > 0.0
+    out[nz] = dots[nz] / denom[nz]
+    return out
+
+
 def edge_sim_values(g: SparseGraph, x: np.ndarray, kind: str) -> np.ndarray:
     """Similarity for every directed adjacency entry, in CSR entry order.
 
     Processes the edge set in fixed-size chunks so memory stays bounded on
     large graphs; chunking cannot change the result because each entry is
-    computed independently.
+    computed independently.  Cosine takes each node's norm once and
+    multiplies the gathered rows in place; the values are bitwise those of
+    `similarity`.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != g.num_nodes:
         raise InputError(f"features must be ({g.num_nodes}, d), got shape {x.shape}")
     rows = g.entry_rows()
     cols = g.col_indices
+    norms = _norms(x) if kind == "cosine" else None
     out = np.empty(g.num_entries, dtype=np.float64)
     for start in range(0, g.num_entries, _CHUNK):
         stop = min(start + _CHUNK, g.num_entries)
-        out[start:stop] = similarity(x[rows[start:stop]], x[cols[start:stop]], kind)
+        r, c = rows[start:stop], cols[start:stop]
+        if norms is None:
+            out[start:stop] = similarity(x[r], x[c], kind)
+        else:
+            prod = x[r]
+            prod *= x[c]
+            out[start:stop] = _cosine(prod.sum(axis=1), norms[r], norms[c])
     return out
 
 

@@ -3,12 +3,20 @@
 The classifier reads 2K+1 channels per node, kept as one list in draw
 order: the raw features (`w_in`), the K low-pass propagated layers
 (`w_low_1..K`) and the K high-pass layers (`w_high_1..K`), each through
-its own linear+ReLU map.  A small MLP turns each node's local similarity
-into per-node mixing weights α with 3K columns; column j·K + kk weights
-term j (identity, low kk+1, high kk+1) of fused block kk.  So the identity
-channel is block 0 and, weighted by column kk, the first term of fused
-block kk, and channel c >= 1 is weighted by column K + c - 1 in fused block
-(c - 1) mod K.  A linear layer over the K+1 blocks produces class logits.
+its own linear+ReLU map; dropout, when training with it, scales each
+map's ReLU output in place.  A small MLP turns each node's local
+similarity into per-node mixing weights α with 3K columns; column j·K + kk
+weights term j (identity, low kk+1, high kk+1) of fused block kk + 1, and
+block 0 is the identity channel alone.  A linear layer `w_out` over the
+K+1 blocks produces class logits.
+
+The fusion runs in logit space.  Each α column is a per-row scalar, so
+a block's share of the logits is the α-weighted sum of its channels'
+projections through that block of `w_out`.  The identity channel is
+projected through all K+1 blocks in one product (weight 1 in block 0,
+column kk in block kk + 1).  Channel c >= 1 is projected through block
+1 + (c - 1) mod K alone, weighted by column K + c - 1.  Neither pass
+builds the (rows, (K+1)·z) fused features.
 
 Parameters are one ordered `dict[str, np.ndarray]`: the channel maps in
 channel order, then `ls_w1, ls_b1, ls_w2, ls_b2` (refined local
@@ -276,18 +284,6 @@ def _select_rows(inputs: ModelInputs, index: slice | np.ndarray) -> _Rows:
     )
 
 
-def _dropout(h: np.ndarray, p: float, rng: np.random.Generator | None, rows: _Rows):
-    """Inverted dropout; returns (output, multiplier) with multiplier None
-    when dropout is inactive.  The mask is drawn for all n nodes and then
-    indexed to the selected rows, so the generator's stream does not depend
-    on which rows a pass computes."""
-    if rng is None or p == 0.0:
-        return h, None
-    draw = rng.random((rows.num_nodes, h.shape[1]))[rows.index]
-    mult = (draw >= p).astype(np.float64) / (1.0 - p)
-    return h * mult, mult
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shift = logits - logits.max(axis=1, keepdims=True)
     return shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
@@ -306,6 +302,23 @@ def _cross_entropy(log_probs: np.ndarray, labels: np.ndarray) -> tuple[float, np
     return loss, dlogits
 
 
+def _fusion_terms(k: int, alpha: np.ndarray):
+    """Each channel's part in the fusion, in channel order: the `w_out`
+    blocks it feeds (a slice), its per-row weight in each of them, shape
+    (rows, blocks), and the α columns those weights read (module
+    docstring)."""
+    ones = np.ones((alpha.shape[0], 1), dtype=np.float64)
+    yield slice(0, k + 1), np.hstack([ones, alpha[:, :k]]), slice(0, k)
+    for ch in range(1, 2 * k + 1):
+        b, col = 1 + (ch - 1) % k, k + ch - 1
+        yield slice(b, b + 1), alpha[:, col : col + 1], slice(col, col + 1)
+
+
+def _block_columns(w_blocks: np.ndarray) -> np.ndarray:
+    """(blocks, z, C) weights as one (z, blocks * C) matrix, block-major."""
+    return w_blocks.transpose(1, 0, 2).reshape(w_blocks.shape[1], -1)
+
+
 def _forward(
     params: Params,
     config: ModelConfig,
@@ -322,11 +335,22 @@ def _forward(
     n = rows.bases[0].shape[0]
     cache: dict = {}
 
-    channels = []
+    # Inverted dropout, in place.  Each channel's draw fills one buffer for
+    # every node and its keep mask is then indexed to the selected rows, so
+    # the generator's stream does not depend on which rows a pass computes.
+    dropout = dropout_rng is not None and config.dropout > 0.0
+    if dropout:
+        draw = np.empty((rows.num_nodes, z), dtype=np.float64)
+    hidden = []
     for name, basis in zip(_channel_names(k), rows.bases):
-        pre = basis @ params[name]
-        h, mult = _dropout(_relu(pre), config.dropout, dropout_rng, rows)
-        channels.append((pre, h, mult))
+        h = basis @ params[name]
+        np.maximum(h, 0.0, out=h)
+        if dropout:
+            dropout_rng.random(out=draw)
+            h *= (draw >= config.dropout)[rows.index]
+            h *= 1.0 / (1.0 - config.dropout)
+        hidden.append(h)
+    cache["dropout"] = dropout
 
     if config.weight_mode == "graph_level":
         alpha = np.broadcast_to(params["graph_alpha"], (n, 3 * k))
@@ -345,21 +369,17 @@ def _forward(
         q1 = _relu(b1)
         alpha = q1 @ params["al_w2"] + params["al_b2"]
         cache.update(phi=phi, psi=psi, al_b1=b1, al_q1=q1)
-    cache["alpha"] = alpha
 
-    # Each fused block is summed in contiguous temporaries and written
-    # once; accumulating into the strided block in place is slower.
-    hidden = [h for _, h, _ in channels]
-    feats = np.empty((n, (k + 1) * z), dtype=np.float64)
-    feats[:, :z] = hidden[0]
-    for kk in range(k):
-        feats[:, (kk + 1) * z : (kk + 2) * z] = (
-            alpha[:, kk, None] * hidden[0]
-            + alpha[:, k + kk, None] * hidden[1 + kk]
-            + alpha[:, 2 * k + kk, None] * hidden[1 + k + kk]
-        )
-    log_probs = _log_softmax(feats @ params["w_out"])
-    cache.update(channels=channels, feats=feats, log_probs=log_probs)
+    # Fusion in logit space (module docstring).
+    c = config.num_classes
+    w_blocks = params["w_out"].reshape(k + 1, z, c)
+    logits = np.zeros((n, c), dtype=np.float64)
+    fusion = []
+    for h, (blocks, weights, cols) in zip(hidden, _fusion_terms(k, alpha)):
+        proj = (h @ _block_columns(w_blocks[blocks])).reshape(n, weights.shape[1], c)
+        logits += (weights[:, :, None] * proj).sum(axis=1)
+        fusion.append((blocks, weights, cols, proj))
+    cache.update(hidden=hidden, fusion=fusion, log_probs=_log_softmax(logits))
     return cache
 
 
@@ -442,28 +462,25 @@ def loss_and_gradients(
 
     # Keys in parameter order; each is assigned below.
     grads = dict.fromkeys(params)
-    grads["w_out"] = cache["feats"].T @ dlogits
-    dblocks = (dlogits @ params["w_out"].T).reshape(m_count, k + 1, z)
-
-    # Each channel's gradient, in the fusion's layout (module docstring).
-    alpha = cache["alpha"]
+    c = config.num_classes
+    w_blocks = params["w_out"].reshape(k + 1, z, c)
+    dw_out = np.zeros_like(w_blocks)
     dalpha = np.empty((m_count, 3 * k), dtype=np.float64)
-    for c, (name, basis) in enumerate(zip(_channel_names(k), rows.bases)):
-        pre, h, mult = cache["channels"][c]
-        if c == 0:
-            dh = dblocks[:, 0].copy()
-            for kk in range(k):
-                dz = dblocks[:, kk + 1]
-                dalpha[:, kk] = (dz * h).sum(axis=1)
-                dh += alpha[:, kk, None] * dz
-        else:
-            col = k + c - 1
-            dz = dblocks[:, 1 + (c - 1) % k]
-            dalpha[:, col] = (dz * h).sum(axis=1)
-            dh = alpha[:, col, None] * dz
-        if mult is not None:
-            dh = dh * mult
-        grads[name] = basis.T @ (dh * (pre > 0.0))
+    terms = zip(_channel_names(k), rows.bases, cache["hidden"], cache["fusion"])
+    for ch, (name, basis, h, (blocks, weights, cols, proj)) in enumerate(terms):
+        dweights = (proj * dlogits[:, None, :]).sum(axis=2)
+        # The identity channel's weight in block 0 is the constant 1.
+        dalpha[:, cols] = dweights[:, 1:] if ch == 0 else dweights
+        dproj = (weights[:, :, None] * dlogits[:, None, :]).reshape(m_count, weights.shape[1] * c)
+        dw_out[blocks] += (h.T @ dproj).reshape(z, -1, c).transpose(1, 0, 2)
+        dh = dproj @ _block_columns(w_blocks[blocks]).T
+        if cache["dropout"]:
+            dh *= 1.0 / (1.0 - config.dropout)
+        # Dropout zeroed h where it dropped, so h > 0 is the product of the
+        # keep mask and the ReLU's mask.
+        dh *= h > 0.0
+        grads[name] = basis.T @ dh
+    grads["w_out"] = dw_out.reshape(params["w_out"].shape)
 
     if config.weight_mode == "graph_level":
         grads["graph_alpha"] = dalpha.sum(axis=0)

@@ -161,6 +161,19 @@ def test_label_id_beyond_the_row_count_is_named_without_allocating(tmp_path):
         load_dataset(where)
 
 
+@pytest.mark.parametrize("last", [1999, 10**6])
+def test_missing_label_ids_are_capped_at_ten(tmp_path, last):
+    # 1999 zeros and one large id: 1998 or 1999 ids are missing.
+    write_minimal(tmp_path, features_text="1.0\n" * 2000, labels_text="0\n" * 1999 + f"{last}\n")
+    with pytest.raises(FormatError) as info:
+        load_dataset(tmp_path)
+    message = str(info.value)
+    rest = 1998 - 10 if last == 1999 else 1999 - 10
+    assert message.startswith("labels.txt: label ids are not dense in [0, C): missing ")
+    assert f"missing {list(range(1, 11))} and {rest} more" in message
+    assert len(message) < 200
+
+
 def test_dataset_stats_on_path_graph():
     g = build_graph(np.array([[0, 1], [1, 2], [2, 3]]), 4)
     bundle = DatasetBundle(graph=g, features=np.eye(4),

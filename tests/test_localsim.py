@@ -98,6 +98,18 @@ def test_chunked_evaluation_matches_single_pass(random_graph, monkeypatch):
     assert np.array_equal(edge_sim_values(g, x, "cosine"), full)
 
 
+@pytest.mark.parametrize("d", [1, 5])
+@pytest.mark.parametrize("chunk", [7, localsim._CHUNK])
+def test_cosine_edge_values_are_bitwise_similarity(random_graph, monkeypatch, d, chunk):
+    g, _ = random_graph(n=24, p=0.4, seed=45)
+    x = np.random.default_rng(11).normal(size=(24, d))
+    x[[0, 5, 17]] = 0.0  # zero-norm rows
+    monkeypatch.setattr(localsim, "_CHUNK", chunk)
+    want = similarity(x[g.entry_rows()], x[g.col_indices], "cosine")
+    for layout in (x, np.asfortranarray(x)):
+        assert edge_sim_values(g, layout, "cosine").tobytes() == want.tobytes()
+
+
 def test_neighborhood_mean_deg_zero_and_values():
     g = build_graph(np.array([[0, 1], [0, 2]]), 4)
     vals = np.array([1.0, 5.0, 1.0, 5.0])  # entries: 0->1, 0->2, 1->0, 2->0

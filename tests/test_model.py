@@ -145,33 +145,42 @@ def test_probs_invariant_under_shared_output_column_shift():
     assert np.allclose(predict_proba(shifted, config, inputs), base, atol=1e-12)
 
 
+_FD_CASES = [
+    ("cosine", "naive", "graph_level", 1e-5, 1e-4, 0.0),
+    ("cosine", "naive", "node_level", 1e-5, 1e-4, 0.0),
+    ("cosine", "refined", "node_level", 1e-5, 1e-4, 0.0),
+    # euclidean has higher curvature; h^2 truncation needs a smaller step
+    ("euclidean", "refined", "node_level", 1e-6, 5e-4, 0.0),
+    ("neg_sq_scalar", "refined", "node_level", 1e-5, 1e-4, 0.0),
+    ("cosine", "refined", "node_level", 1e-5, 1e-4, 0.5),
+    ("cosine", "naive", "graph_level", 1e-5, 1e-4, 0.5),
+]
+
+
 @pytest.mark.parametrize(
-    "sim_kind,localsim_mode,weight_mode,h,tol",
-    [
-        ("cosine", "naive", "graph_level", 1e-5, 1e-4),
-        ("cosine", "naive", "node_level", 1e-5, 1e-4),
-        ("cosine", "refined", "node_level", 1e-5, 1e-4),
-        # euclidean has higher curvature; h^2 truncation needs a smaller step
-        ("euclidean", "refined", "node_level", 1e-6, 5e-4),
-        ("neg_sq_scalar", "refined", "node_level", 1e-5, 1e-4),
-    ],
+    "sim_kind,localsim_mode,weight_mode,h,tol,dropout",
+    _FD_CASES,
+    ids=["-".join(map(str, case[:5])) + (f"-dropout{case[5]}" if case[5] else "")
+         for case in _FD_CASES],
 )
-def test_gradients_match_finite_differences(sim_kind, localsim_mode, weight_mode, h, tol):
+def test_gradients_match_finite_differences(sim_kind, localsim_mode, weight_mode, h, tol,
+                                            dropout):
     scalar = sim_kind == "neg_sq_scalar"
     _, _, config, inputs, labels = make_instance(
         n=14, d=3, k=2, z=3, seed=9, sim_kind=sim_kind,
-        localsim_mode=localsim_mode, weight_mode=weight_mode, scalar=scalar)
+        localsim_mode=localsim_mode, weight_mode=weight_mode, scalar=scalar, dropout=dropout)
     params = init_parameters(config, np.random.default_rng(9))
     tr, _, _ = masks(14, rng_seed=9)
     wd = 5e-4
 
-    _, grads = loss_and_gradients(params, config, inputs, labels, tr, weight_decay=wd)
+    def loss_and_grads():
+        # A fresh generator per evaluation draws the same dropout masks.
+        rng = np.random.default_rng(4) if dropout else None
+        return loss_and_gradients(params, config, inputs, labels, tr, weight_decay=wd,
+                                  dropout_rng=rng)
 
-    def loss_fn():
-        value, _ = loss_and_gradients(params, config, inputs, labels, tr, weight_decay=wd)
-        return value
-
-    numeric = central_fd(loss_fn, params, h)
+    _, grads = loss_and_grads()
+    numeric = central_fd(lambda: loss_and_grads()[0], params, h)
     assert max_rel_error(grads, numeric) <= tol
 
 
