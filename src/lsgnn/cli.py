@@ -31,7 +31,7 @@ from .harness import (
     write_report,
 )
 from .model import ModelInputs, evaluate, load_checkpoint, save_checkpoint
-from .propagation import precompute_bundle, save_bundle
+from .propagation import _fits_type, precompute_bundle, save_bundle
 from .synthetic import MODES, generate_fsbm, multi_subgraph_config, theory_check, toy_study
 
 
@@ -60,7 +60,10 @@ def _seed(text: str) -> int:
     return value
 
 
-def _load_overrides(path):
+def _load_overrides(path) -> dict:
+    """The flat mapping a `--config` file holds; no file means no overrides."""
+    if path is None:
+        return {}
     # Read as bytes so that PyYAML decodes the file itself and reports a
     # non-UTF-8 byte as a YAMLError, like any other malformed input.
     with open(path, "rb") as fh:
@@ -75,20 +78,9 @@ def _load_overrides(path):
     return data
 
 
-def _fits(value, default) -> bool:
-    """Whether a config value has its default's type: an int passes for a
-    float, a bool never passes for a number."""
-    if isinstance(value, bool) != isinstance(default, bool):
-        return False
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
-
-
-def _resolve_configs(args):
+def _resolve_configs(overrides: dict):
     """Split config-file overrides between the experiment config and the
     search space; unknown keys and values of the wrong type are errors."""
-    overrides = _load_overrides(args.config) if args.config else {}
     exp_defaults = asdict(ExperimentConfig())
     space_defaults = asdict(SearchSpace())
     defaults = exp_defaults | space_defaults
@@ -100,10 +92,10 @@ def _resolve_configs(args):
     for key, value in overrides.items():
         default = defaults[key]
         if isinstance(default, tuple):
-            ok = isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+            ok = isinstance(value, list) and all(_fits_type(v, type(default[0])) for v in value)
             expected = f"a list of {type(default[0]).__name__}"
         else:
-            ok = _fits(value, default)
+            ok = _fits_type(value, type(default))
             expected = type(default).__name__
         if not ok:
             raise InputError(f"config key {key!r} expects {expected}, got {value!r}")
@@ -136,7 +128,7 @@ def _cmd_gen_fsbm(args, out):
 
 
 def _cmd_precompute(args, out):
-    config, _ = _resolve_configs(args)
+    config, _ = _resolve_configs(_load_overrides(args.config))
     bundle = load_dataset(args.data)
     stack = precompute_bundle(bundle.graph, bundle.features, config.propagation())
     path = os.path.join(out, "bundle.lspb")
@@ -153,13 +145,13 @@ def _cmd_precompute(args, out):
 
 
 def _cmd_train(args, out):
-    config, _ = _resolve_configs(args)
+    config, _ = _resolve_configs(_load_overrides(args.config))
     bundle = load_dataset(args.data)
     splits = make_splits(bundle.num_nodes, base_seed=args.seed, count=args.splits)
     report = run_experiment(bundle, config, splits, base_seed=args.seed)
     checkpoint = os.path.join(out, "model.lspm")
     model_cfg = config.model(bundle.features.shape[1], bundle.num_classes)
-    save_checkpoint(checkpoint, model_cfg, report.best_params)
+    save_checkpoint(checkpoint, model_cfg, config.propagation(), report.best_params)
     rows = [[i, report.test_accuracies[i], report.val_accuracies[i]] for i in range(len(splits))]
     rows.append(["mean", report.mean, report.val_mean])
     print(f"mean test accuracy {report.mean:.4f} (std {report.std:.4f}) over {args.splits} splits")
@@ -174,16 +166,25 @@ def _cmd_train(args, out):
 
 
 def _cmd_eval(args, out):
-    config, _ = _resolve_configs(args)
+    """Evaluate with the checkpoint's own configs; a config-file key that
+    names one of their fields must agree with it, other keys are unused."""
+    overrides = _load_overrides(args.config)
+    _resolve_configs(overrides)
+    model_cfg, prop_cfg, params = load_checkpoint(args.checkpoint)
+    stored = asdict(prop_cfg) | asdict(model_cfg)
+    for key, value in sorted(overrides.items()):
+        if key in stored and value != stored[key]:
+            raise InputError(
+                f"config key {key!r} is {value!r}, but checkpoint {args.checkpoint} "
+                f"was trained with {stored[key]!r}"
+            )
     bundle = load_dataset(args.data)
-    model_cfg, params = load_checkpoint(args.checkpoint)
     width = bundle.features.shape[1]
     if width != model_cfg.in_dim:
         raise InputError(
             f"checkpoint {args.checkpoint} expects {model_cfg.in_dim} features per node, "
             f"but dataset {args.data} has {width}"
         )
-    prop_cfg = replace(config.propagation(), num_layers=model_cfg.num_layers)
     stack = precompute_bundle(bundle.graph, bundle.features, prop_cfg)
     inputs = ModelInputs.build(bundle.graph, bundle.features, stack, model_cfg.sim_kind)
     mask = np.ones(bundle.num_nodes, dtype=bool)
@@ -192,13 +193,13 @@ def _cmd_eval(args, out):
     return (
         ["num_nodes", "accuracy"],
         [[bundle.num_nodes, accuracy]],
-        asdict(config),
+        stored,
         {"data": args.data, "checkpoint": args.checkpoint},
     )
 
 
 def _cmd_toy(args, out):
-    config, _ = _resolve_configs(args)
+    config, _ = _resolve_configs(_load_overrides(args.config))
     grid = [_parse_floats(cell) for cell in args.lambdas]
     for cell in grid:
         if len(cell) != 2:
@@ -273,7 +274,7 @@ def _cmd_stats(args, out):
 
 
 def _cmd_sweep_depth(args, out):
-    config, _ = _resolve_configs(args)
+    config, _ = _resolve_configs(_load_overrides(args.config))
     bundle = load_dataset(args.data)
     splits = make_splits(bundle.num_nodes, base_seed=args.seed, count=args.splits)
     sweep = depth_sweep(bundle, config, _parse_ints(args.k_list), splits, base_seed=args.seed)
@@ -297,7 +298,7 @@ def _cmd_sweep_depth(args, out):
 
 
 def _cmd_search(args, out):
-    config, space = _resolve_configs(args)
+    config, space = _resolve_configs(_load_overrides(args.config))
     bundle = load_dataset(args.data)
     splits = make_splits(bundle.num_nodes, base_seed=args.seed, count=args.splits)
     result = random_search(

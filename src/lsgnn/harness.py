@@ -450,7 +450,6 @@ class MetricsReport:
     std: float
     seconds: float
     best_params: dict[str, np.ndarray]
-    cache_hit: bool = False
 
     @property
     def val_mean(self) -> float:
@@ -475,9 +474,9 @@ def run_experiment(
     started = time.perf_counter()
     prop_cfg = config.propagation()
     if cache is None:
-        stack, hit = precompute_bundle(bundle.graph, bundle.features, prop_cfg), False
+        stack = precompute_bundle(bundle.graph, bundle.features, prop_cfg)
     else:
-        stack, hit = cache.get_or_compute(bundle.graph, bundle.features, prop_cfg)
+        stack, _ = cache.get_or_compute(bundle.graph, bundle.features, prop_cfg)
     model_cfg = config.model(bundle.features.shape[1], bundle.num_classes)
     inputs = ModelInputs.build(bundle.graph, bundle.features, stack, model_cfg.sim_kind)
     test_accs = []
@@ -497,7 +496,6 @@ def run_experiment(
         std=float(np.std(test_accs)),
         seconds=time.perf_counter() - started,
         best_params=best_params,
-        cache_hit=hit,
     )
 
 

@@ -39,17 +39,22 @@ differences in the test suite; there is no autograd dependency.
 from __future__ import annotations
 
 import functools
-import math
-import struct
-from dataclasses import dataclass
-from typing import BinaryIO, Callable
+import reprlib
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import DigestMismatchError, FormatError, InputError, TrainingDivergedError
 from .graph import SparseGraph
 from .localsim import SIM_KINDS, edge_sim_values, neighborhood_mean
-from .propagation import PropagationStack, _ArtifactReader, _atomic_write, feature_digest
+from .propagation import (
+    PropagationConfig,
+    PropagationStack,
+    _read_artifact,
+    _write_artifact,
+    feature_digest,
+)
 
 __all__ = [
     "LOCALSIM_MODES",
@@ -76,7 +81,6 @@ LOCALSIM_MODES = ("naive", "refined")
 WEIGHT_MODES = ("node_level", "graph_level")
 
 _MAGIC = b"LSPM"
-_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -645,118 +649,45 @@ def train(
 # --- checkpoint serialization ---------------------------------------------
 
 
-def _write_array(fh: BinaryIO, name: str, arr: np.ndarray) -> None:
-    encoded = name.encode("utf-8")
-    fh.write(struct.pack("<H", len(encoded)))
-    fh.write(encoded)
-    fh.write(struct.pack("<B", arr.ndim))
-    for dim in arr.shape:
-        fh.write(struct.pack("<Q", dim))
-    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes(order="C"))
+def save_checkpoint(
+    path, config: ModelConfig, propagation: PropagationConfig, params: Params
+) -> None:
+    """Write an LSPM artifact (see `propagation._write_artifact`): the
+    `model` config, the `propagation` config its inputs were built with,
+    and every named array.  `load_checkpoint` refuses the file unless both
+    configs have the same num_layers."""
+    header = {"model": asdict(config), "propagation": asdict(propagation)}
+    _write_artifact(path, _MAGIC, header, params)
 
 
-def _read_array(reader: _ArtifactReader) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<H", reader.read(2, "array name length"))
-    name = reader.read(name_len, "array name").decode("utf-8")
-    (ndim,) = struct.unpack("<B", reader.read(1, "array rank"))
-    shape = tuple(
-        struct.unpack("<Q", reader.read(8, "array dim"))[0] for _ in range(ndim)
+def load_checkpoint(path) -> tuple[ModelConfig, PropagationConfig, Params]:
+    """Read an LSPM file.  Both configs must have the same num_layers, and
+    the arrays the names and shapes the model config implies."""
+    header, arrays = _read_artifact(
+        path, _MAGIC, {"model": ModelConfig, "propagation": PropagationConfig}
     )
-    raw = reader.read(math.prod(shape) * 8, f"array {name} dims {shape}")
-    return name, np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-
-
-_CONFIG_PACK = "<IIIIIIIBBBd"
-
-
-def save_checkpoint(path, config: ModelConfig, params: Params) -> None:
-    """Write config plus every named array to the LSPM binary format."""
-    with _atomic_write(path) as fh:
-        fh.write(_MAGIC)
-        fh.write(
-            struct.pack(
-                _CONFIG_PACK,
-                _VERSION,
-                config.num_layers,
-                config.in_dim,
-                config.hidden_dim,
-                config.num_classes,
-                config.ls_hidden,
-                config.alpha_hidden,
-                SIM_KINDS.index(config.sim_kind),
-                LOCALSIM_MODES.index(config.localsim_mode),
-                WEIGHT_MODES.index(config.weight_mode),
-                config.dropout,
-            )
-        )
-        fh.write(struct.pack("<I", len(params)))
-        for name, arr in params.items():
-            _write_array(fh, name, arr)
-
-
-def load_checkpoint(path) -> tuple[ModelConfig, Params]:
-    """Read an LSPM file; array names and shapes must match the config."""
-    with open(path, "rb") as fh:
-        reader = _ArtifactReader(fh, _MAGIC)
-        header = reader.read(struct.calcsize(_CONFIG_PACK), "config header")
-        (
-            version,
-            num_layers,
-            in_dim,
-            hidden_dim,
-            num_classes,
-            ls_hidden,
-            alpha_hidden,
-            sim_tag,
-            ls_tag,
-            wm_tag,
-            dropout,
-        ) = struct.unpack(_CONFIG_PACK, header)
-        if version != _VERSION:
-            raise reader.error(f"unsupported checkpoint version {version}")
-        for field, tag, names in (
-            ("sim_kind", sim_tag, SIM_KINDS),
-            ("localsim_mode", ls_tag, LOCALSIM_MODES),
-            ("weight_mode", wm_tag, WEIGHT_MODES),
-        ):
-            if tag >= len(names):
-                raise reader.error(f"unknown {field} tag {tag}")
-        try:
-            config = ModelConfig(
-                num_layers=num_layers,
-                in_dim=in_dim,
-                hidden_dim=hidden_dim,
-                num_classes=num_classes,
-                sim_kind=SIM_KINDS[sim_tag],
-                localsim_mode=LOCALSIM_MODES[ls_tag],
-                weight_mode=WEIGHT_MODES[wm_tag],
-                ls_hidden=ls_hidden,
-                alpha_hidden=alpha_hidden,
-                dropout=dropout,
-            )
-        except InputError as exc:
-            raise reader.error(f"invalid config in checkpoint: {exc}") from exc
-        (count,) = struct.unpack("<I", reader.read(4, "array count"))
-        if 2 * num_layers + 1 > count:
-            raise reader.error(
-                f"config needs {2 * num_layers + 1} channel maps for num_layers="
-                f"{num_layers}, but the file holds {count} arrays"
-            )
-        arrays = dict(_read_array(reader) for _ in range(count))
-        reader.finish("final array")
-
-    expected = _parameter_shapes(config)
-    if sorted(arrays) != sorted(expected):
+    config, propagation = header["model"], header["propagation"]
+    k = config.num_layers
+    if propagation.num_layers != k:
         raise FormatError(
-            f"{path}: checkpoint arrays {sorted(arrays)} do not match config "
-            f"expectation {sorted(expected)}"
+            f"{path}: model.num_layers={k} differs from "
+            f"propagation.num_layers={propagation.num_layers}"
         )
-    for name, (shape, _) in expected.items():
-        if arrays[name].shape != shape:
+    # Counted first, so that a corrupt num_layers cannot build a huge table.
+    if len(arrays) < 2 * k + 1:
+        raise FormatError(
+            f"{path}: model.num_layers={k} needs {2 * k + 1} channel maps, "
+            f"but the file holds {len(arrays)} arrays"
+        )
+    expected = {name: shape for name, (shape, _) in _parameter_shapes(config).items()}
+    found = {name: a.shape for name, a in arrays.items()}
+    for name in sorted(expected.keys() | found.keys()):
+        if found.get(name) != expected.get(name):
             raise FormatError(
-                f"{path}: array {name} has shape {arrays[name].shape}, expected {shape}"
+                f"{path}: array {reprlib.repr(name)} has shape {found.get(name)} in the file, "
+                f"but {expected.get(name)} in the model config"
             )
-    return config, {name: arrays[name] for name in expected}
+    return config, propagation, {name: arrays[name] for name in expected}
 
 
 # --- plain linear softmax head --------------------------------------------

@@ -13,12 +13,17 @@ already captured.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import json
+import math
 import os
+import re
+import reprlib
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import BinaryIO, Iterator
+from dataclasses import asdict, dataclass
+from typing import BinaryIO, Iterator, get_type_hints
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,7 +49,8 @@ __all__ = [
 VARIANTS = ("irdc", "sgc", "initial_residual", "difference_residual")
 
 _MAGIC = b"LSPB"
-_VERSION = 1
+# The artifact format version, shared by LSPB and LSPM files.
+_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -208,8 +214,22 @@ def precompute_bundle(g: SparseGraph, x: np.ndarray, config: PropagationConfig) 
     return build_stack(pair, x, config, filter_kind="enhanced")
 
 
-def _write_matrix(fh: BinaryIO, m: np.ndarray) -> None:
-    fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes(order="C"))
+# --- artifacts ---------------------------------------------------------------
+
+
+def _fits_type(value, kind: type) -> bool:
+    """Whether a config value has type `kind`: an int passes for a float, a
+    bool never passes for a number.  Config files and artifact headers are
+    both checked by this rule."""
+    if isinstance(value, bool) != (kind is bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
+# A config dataclass's field names and types, resolved once per class.
+_field_types = functools.cache(get_type_hints)
 
 
 @contextmanager
@@ -218,7 +238,7 @@ def _atomic_write(path) -> Iterator[BinaryIO]:
 
     The temporary file replaces `path` only once the body has finished, and
     is removed if the body raises, so a failed save leaves the previous file
-    intact and no stray file behind.  Shared by the LSPB and LSPM writers.
+    intact and no stray file behind.
     """
     tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
     try:
@@ -231,71 +251,133 @@ def _atomic_write(path) -> Iterator[BinaryIO]:
         raise
 
 
-class _ArtifactReader:
-    """Bounded reads from an open LSPB or LSPM file.
+def _write_artifact(path, magic: bytes, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write an LSPB or LSPM artifact atomically.
 
-    Every `FormatError` it raises names the file.  A read checks its size
-    against the bytes left before anything is allocated, so a corrupt
-    header cannot ask for more memory than the file holds.
+    Layout: the 4-byte magic, then the format version and the header's
+    length as u32, the UTF-8 JSON header, and every array as row-major
+    little-endian float64 in manifest order.  The header is `header` plus
+    the manifest `arrays: [[name, shape], ...]`, with sorted keys and no
+    timestamps, so equal inputs give equal bytes.
+    """
+    arrays = {name: np.asarray(a, dtype="<f8", order="C") for name, a in arrays.items()}
+    manifest = [[name, list(a.shape)] for name, a in arrays.items()]
+    text = json.dumps({**header, "arrays": manifest}, sort_keys=True, allow_nan=False).encode()
+    with _atomic_write(path) as fh:
+        fh.write(magic + struct.pack("<II", _VERSION, len(text)))
+        fh.write(text)
+        for a in arrays.values():
+            fh.write(a)
+
+
+def _is_array_entry(entry) -> bool:
+    """Whether a manifest entry is a [name, shape] pair."""
+    if not (isinstance(entry, list) and len(entry) == 2):
+        return False
+    name, shape = entry
+    return isinstance(name, str) and isinstance(shape, list) and all(
+        type(dim) is int and dim >= 0 for dim in shape
+    )
+
+
+def _read_artifact(
+    path, magic: bytes, configs: dict[str, type], extras: tuple[str, ...] = ()
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a file `_write_artifact` wrote; return its header and arrays.
+
+    The header holds `arrays`, the `extras` keys and, for each section name
+    in `configs`, exactly the fields of its config dataclass, which comes
+    back built.  Every `FormatError` names the file.  Nothing is allocated
+    for the arrays until they are known to fill exactly the bytes after the
+    header, so a corrupt header cannot ask for more memory than the file
+    holds.  The arrays are views of one buffer.
     """
 
-    def __init__(self, fh: BinaryIO, magic: bytes):
-        self._fh = fh
-        self._size = os.fstat(fh.fileno()).st_size
-        found = self.read(len(magic), "magic")
+    def error(message: str) -> FormatError:
+        return FormatError(f"{path}: {message}")
+
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        found = fh.read(len(magic))
         if found != magic:
-            raise self.error(f"bad magic {found!r}, expected {magic!r}")
+            raise error(f"bad magic {found!r}, expected {magic!r}")
+        preamble = fh.read(8)
+        if len(preamble) < 8:
+            raise error("file ends inside the version and header length")
+        version, length = struct.unpack("<II", preamble)
+        if version != _VERSION:
+            raise error(f"unsupported version {version}, expected {_VERSION}")
+        if length > size - fh.tell():
+            raise error(f"header needs {length} bytes, but only {size - fh.tell()} remain")
+        try:
+            header = json.loads(fh.read(length).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise error(f"header is not UTF-8 JSON: {exc}") from None
 
-    def error(self, message: str) -> FormatError:
-        return FormatError(f"{self._fh.name}: {message}")
+        expected = sorted({*configs, *extras, "arrays"})
+        if not isinstance(header, dict) or sorted(header) != expected:
+            keys = sorted(header) if isinstance(header, dict) else header
+            raise error(f"header holds {reprlib.repr(keys)}, expected the keys {expected}")
+        manifest = header["arrays"]
+        if (
+            not isinstance(manifest, list)
+            or not all(map(_is_array_entry, manifest))
+            or len({name for name, _ in manifest}) != len(manifest)
+        ):
+            raise error(f"arrays must list distinct [name, shape] pairs: {reprlib.repr(manifest)}")
 
-    def reserve(self, size: int, what: str) -> None:
-        left = self._size - self._fh.tell()
-        if size > left:
-            raise self.error(f"{what} needs {size} bytes, but only {left} remain")
+        for name, config in configs.items():
+            section = header[name]
+            types = _field_types(config)
+            if not isinstance(section, dict):
+                raise error(f"{name} expects an object, got {reprlib.repr(section)}")
+            odd = sorted(section.keys() ^ types.keys())
+            if odd:
+                state = "unknown" if odd[0] in section else "missing"
+                raise error(f"{name}.{odd[0][:60]} is {state}")
+            for key, kind in types.items():
+                value = section[key]
+                if not _fits_type(value, kind):
+                    raise error(f"{name}.{key} expects {kind.__name__}, got {reprlib.repr(value)}")
+            try:
+                header[name] = config(**section)
+            except InputError as exc:
+                # Every range check's message starts with its field's name.
+                raise error(f"{name}.{exc}") from None
 
-    def read(self, size: int, what: str) -> bytes:
-        self.reserve(size, what)
-        return self._fh.read(size)
+        count = sum(math.prod(shape) for _, shape in manifest)
+        left = size - fh.tell()
+        if 8 * count != left:
+            raise error(f"the arrays need {8 * count} bytes, but {left} follow the header")
+        payload = np.empty(count, dtype="<f8")
+        if fh.readinto(payload) != 8 * count:
+            raise error("file changed while it was read")
+    arrays, offset = {}, 0
+    for name, shape in manifest:
+        arrays[name] = payload[offset:offset + math.prod(shape)].reshape(shape)
+        offset += arrays[name].size
+    return header, arrays
 
-    def finish(self, what: str) -> None:
-        if self._fh.read(1):
-            raise self.error(f"trailing bytes after {what}")
+
+def _layer_names(num_layers: int) -> list[str]:
+    """A bundle's array names: the low layers, then the high layers."""
+    return [f"{band}_{k}" for band in ("low", "high") for k in range(1, num_layers + 1)]
 
 
 def save_bundle(stack: PropagationStack, path) -> None:
-    """Serialize a propagation stack to the LSPB binary format.
+    """Write a propagation stack as an LSPB artifact (see `_write_artifact`).
 
-    Layout: magic, version, n/d/num_layers (u32), gamma/beta (f64), variant
-    and normalize tags (u8), 32-byte feature digest, then the low layers
-    followed by the high layers as row-major little-endian float64.
+    The header holds the `propagation` config and the `feature_digest`
+    (hex); the arrays are `low_1..K`, then `high_1..K`.
     """
     if stack.filter_kind != "enhanced":
         raise InputError(
             f"only stacks built from the enhanced filter pair can be saved, "
             f"got filter_kind={stack.filter_kind!r}"
         )
-    cfg = stack.config
-    with _atomic_write(path) as fh:
-        fh.write(_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIIIddBB",
-                _VERSION,
-                stack.num_nodes,
-                stack.feature_dim,
-                cfg.num_layers,
-                cfg.gamma,
-                cfg.beta,
-                VARIANTS.index(cfg.variant),
-                int(cfg.normalize),
-            )
-        )
-        fh.write(stack.feature_digest)
-        for m in stack.low:
-            _write_matrix(fh, m)
-        for m in stack.high:
-            _write_matrix(fh, m)
+    header = {"propagation": asdict(stack.config), "feature_digest": stack.feature_digest.hex()}
+    layers = dict(zip(_layer_names(stack.config.num_layers), [*stack.low, *stack.high]))
+    _write_artifact(path, _MAGIC, header, layers)
 
 
 def load_bundle(path, features: np.ndarray | None = None) -> PropagationStack:
@@ -305,47 +387,30 @@ def load_bundle(path, features: np.ndarray | None = None) -> PropagationStack:
     time; a mismatch raises DigestMismatchError so stale bundles cannot be
     silently paired with edited inputs.
     """
-    with open(path, "rb") as fh:
-        reader = _ArtifactReader(fh, _MAGIC)
-        header = reader.read(struct.calcsize("<IIIIddBB"), "header")
-        version, n, d, num_layers, gamma, beta, variant_tag, normalize = struct.unpack(
-            "<IIIIddBB", header
+    header, arrays = _read_artifact(
+        path, _MAGIC, {"propagation": PropagationConfig}, extras=("feature_digest",)
+    )
+    config = header["propagation"]
+    k = config.num_layers
+    if len(arrays) != 2 * k or list(arrays) != _layer_names(k):
+        raise FormatError(
+            f"{path}: arrays {reprlib.repr(list(arrays))} do not match propagation.num_layers={k}"
         )
-        if version != _VERSION:
-            raise reader.error(f"unsupported bundle version {version}")
-        if variant_tag >= len(VARIANTS):
-            raise reader.error(f"unknown variant tag {variant_tag}")
-        digest = reader.read(32, "feature digest")
-        config = PropagationConfig(
-            num_layers=num_layers,
-            gamma=gamma,
-            beta=beta,
-            variant=VARIANTS[variant_tag],
-            normalize=bool(normalize),
-        )
-        count = n * d * 8
-        # An empty layer costs no bytes, so a huge num_layers would pass
-        # the size check below and loop over billions of empty reads.
-        if count == 0:
-            raise reader.error(f"header n={n}, d={d} describes empty layers")
-        reader.reserve(
-            2 * num_layers * count, f"header n={n}, d={d}, num_layers={num_layers}"
-        )
-        low = []
-        high = []
-        for dest, name in ((low, "low"), (high, "high")):
-            for k in range(num_layers):
-                raw = reader.read(count, f"{name} layer {k + 1}")
-                dest.append(np.frombuffer(raw, dtype="<f8").reshape(n, d).copy())
-        reader.finish("final layer")
-    if features is not None and feature_digest(features) != digest:
+    shapes = sorted({a.shape for a in arrays.values()})
+    if len(shapes) != 1 or len(shapes[0]) != 2:
+        raise FormatError(f"{path}: layers must share one (n, d) shape, got {reprlib.repr(shapes)}")
+    digest = header["feature_digest"]
+    if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
+        raise FormatError(f"{path}: feature_digest {reprlib.repr(digest)} is not 32 bytes of hex")
+    if features is not None and feature_digest(features).hex() != digest:
         raise DigestMismatchError(
-            "stored bundle was computed from a different feature matrix"
+            f"{path}: stored bundle was computed from a different feature matrix"
         )
+    layers = list(arrays.values())
     return PropagationStack(
         config=config,
-        low=low,
-        high=high,
-        feature_digest=digest,
+        low=layers[:k],
+        high=layers[k:],
+        feature_digest=bytes.fromhex(digest),
         filter_kind="enhanced",
     )

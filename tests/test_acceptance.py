@@ -272,18 +272,36 @@ def test_criterion_5_filter_and_propagation_identities(tmp_path):
         and stack.feature_digest == loaded.feature_digest
     )
 
-    ok = (filter_dev <= 1e-12 and repeated and flipped and lin_dev <= 1e-10 and bitwise)
+    # At gamma = 1/2 and K = 2, IRDC's second layer S(x/2 - Sx/2) is exactly
+    # half of the difference recurrence's S(x - Sx): halving is exact in
+    # binary floating point, so the row-normalized stacks are bitwise equal.
+    halved = True
+    for seed in range(3):
+        ds = generate_fsbm(multi_subgraph_config((0.2,), num_nodes=600), seed=seed)
+        feats = np.hstack([ds.x, np.random.default_rng([seed, 1]).normal(size=(600, 4))])
+        for beta in (0.5, 1.0):
+            pair = enhanced_filters(ds.graph, beta)
+            main = build_stack(pair, feats, PropagationConfig(num_layers=2, gamma=0.5, beta=beta))
+            diff = build_stack(pair, feats, PropagationConfig(
+                num_layers=2, beta=beta, variant="difference_residual"))
+            halved &= all(np.array_equal(a, b)
+                          for a, b in zip(main.low + main.high, diff.low + diff.high))
+
+    ok = (filter_dev <= 1e-12 and repeated and flipped and lin_dev <= 1e-10 and bitwise
+          and halved)
     announce(
         f"[criterion 5] exact identities: low+high filters sum to I (<= 1e-12), gamma=0 "
         f"repeats S*X bitwise, gamma=1/K=2 gives -S^2*X bitwise, linearity <= 1e-10, "
-        f"bundle round trip bitwise: {verdict(ok)} "
+        f"bundle round trip bitwise, gamma=1/2/K=2 normalized irdc = difference_residual "
+        f"bitwise: {verdict(ok)} "
         f"(filter dev {filter_dev:.1e}, linearity dev {lin_dev:.1e}, "
-        f"repeat={repeated}, flip={flipped}, bitwise={bitwise})"
+        f"repeat={repeated}, flip={flipped}, bitwise={bitwise}, halved={halved})"
     )
     assert filter_dev <= 1e-12
     assert repeated and flipped
     assert lin_dev <= 1e-10
     assert bitwise
+    assert halved
 
 
 # --- criterion 6: generator structural fidelity -----------------------------

@@ -109,6 +109,62 @@ def test_eval_rejects_feature_width_mismatch(dataset_dir, config_file, tmp_path,
     assert "expects 1 features" in err and "has 3" in err
 
 
+@pytest.fixture(scope="module")
+def tuned_checkpoint(dataset_dir, tmp_path_factory):
+    """A checkpoint trained with non-default propagation, and its config file."""
+    root = tmp_path_factory.mktemp("tuned")
+    config = root / "tuned.yaml"
+    config.write_text("num_layers: 3\ngamma: 0.9\nbeta: 1.0\nhidden_dim: 8\nepochs: 20\n"
+                      "dropout: 0.0\nlr: 0.05\n")
+    assert main(["train", "--data", str(dataset_dir), "--splits", "1", "--config", str(config),
+                 "--out", str(root / "train")]) == 0
+    return root / "train" / "model.lspm", config
+
+
+def test_eval_propagates_with_the_checkpoint_config(dataset_dir, tuned_checkpoint, tmp_path, capsys):
+    checkpoint, config = tuned_checkpoint
+    argv = ["eval", "--data", str(dataset_dir), "--checkpoint", str(checkpoint)]
+    assert main(argv + ["--config", str(config), "--out", str(tmp_path / "with")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "without")]) == 0
+    capsys.readouterr()
+    report = (tmp_path / "with" / "report.csv").read_bytes()
+    assert (tmp_path / "without" / "report.csv").read_bytes() == report
+    manifest = (tmp_path / "without" / "manifest.txt").read_text().splitlines()
+    for line in ("config.num_layers=3", "config.gamma=0.9", "config.beta=1.0",
+                 "config.hidden_dim=8", "config.variant=irdc", "config.in_dim=1"):
+        assert line in manifest
+
+
+def test_eval_rejects_a_config_key_the_checkpoint_contradicts(dataset_dir, tuned_checkpoint,
+                                                              tmp_path, capsys):
+    checkpoint, _ = tuned_checkpoint
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("num_layers: 7\nhidden_dim: 8\nvariant: sgc\nbeta: 0.0\ngamma: 0.1\n")
+    out = tmp_path / "eval"
+    assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(checkpoint),
+                 "--config", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config key 'beta' is 0.0, but checkpoint {checkpoint} was trained with 1.0" in err
+    assert not (out / "report.csv").exists()
+
+
+def test_eval_takes_the_bench_config_for_a_checkpoint_from_another_graph(dataset_dir, tmp_path,
+                                                                          capsys):
+    # The benchmark trains its checkpoint on a smaller graph and passes a
+    # config file holding only these four keys to both commands.
+    settings = tmp_path / "settings.yaml"
+    settings.write_text(yaml.safe_dump({"num_layers": 2, "epochs": 5, "patience": 5, "lr": 0.01}))
+    other = tmp_path / "other"
+    assert main(["gen-fsbm", "--nodes", "160", "--lambdas", "0.9,0.1", "--seed", "8",
+                 "--out", str(other)]) == 0
+    assert main(["train", "--data", str(other), "--splits", "1", "--config", str(settings),
+                 "--out", str(tmp_path / "train")]) == 0
+    assert main(["eval", "--data", str(dataset_dir), "--checkpoint",
+                 str(tmp_path / "train" / "model.lspm"), "--config", str(settings),
+                 "--out", str(tmp_path / "eval")]) == 0
+    assert "accuracy over all nodes" in capsys.readouterr().out
+
+
 def test_toy_smoke(config_file, tmp_path, capsys):
     out = tmp_path / "toy"
     assert main(["toy", "--lambdas", "1,1", "--seeds", "2",

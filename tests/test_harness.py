@@ -239,7 +239,15 @@ def test_run_experiment_is_deterministic_and_uses_cache():
     bundle = small_bundle()
     splits = make_splits(bundle.num_nodes, count=2)
     config = quick_config()
-    cache = PropagationCache()
+    hits = []
+
+    class RecordingCache(PropagationCache):
+        def get_or_compute(self, g, x, prop_config):
+            stack, hit = super().get_or_compute(g, x, prop_config)
+            hits.append(hit)
+            return stack, hit
+
+    cache = RecordingCache()
     r1 = run_experiment(bundle, config, splits, base_seed=3, cache=cache)
     r2 = run_experiment(bundle, config, splits, base_seed=3, cache=cache)
     assert r1.test_accuracies == r2.test_accuracies
@@ -247,10 +255,10 @@ def test_run_experiment_is_deterministic_and_uses_cache():
     assert r1.mean == pytest.approx(np.mean(r1.test_accuracies))
     assert r1.std == pytest.approx(np.std(r1.test_accuracies))
     assert len(r1.test_accuracies) == 2
-    assert not r1.cache_hit and r2.cache_hit
+    assert hits == [False, True]
     no_cache = run_experiment(bundle, config, splits, base_seed=3)
     assert no_cache.test_accuracies == r1.test_accuracies
-    assert not no_cache.cache_hit
+    assert hits == [False, True]
     with pytest.raises(InputError):
         run_experiment(bundle, config, [], base_seed=3)
 

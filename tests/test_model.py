@@ -32,7 +32,7 @@ from lsgnn.model import (
 )
 from lsgnn.propagation import PropagationConfig, build_stack
 
-from conftest import random_edges
+from conftest import edit_header, fail_artifact_write, join_artifact, random_edges, split_artifact
 from reference import central_fd, dense_adjacency, loop_forward, max_rel_error
 
 
@@ -344,13 +344,23 @@ def test_train_divergence_reports_learning_rate():
         train(config, tcfg, inputs, labels, tr, va)
 
 
+def saved_checkpoint(tmp_path, seed=19, **kwargs):
+    _, _, config, _, _ = make_instance(seed=seed, **kwargs)
+    params = init_parameters(config, np.random.default_rng(seed))
+    path = tmp_path / "model.lspm"
+    save_checkpoint(path, config, PropagationConfig(num_layers=config.num_layers), params)
+    return config, params, path
+
+
 def test_checkpoint_round_trip_bitwise(tmp_path):
     _, _, config, inputs, _ = make_instance(seed=18, localsim_mode="refined")
     params = init_parameters(config, np.random.default_rng(18))
+    propagation = PropagationConfig(num_layers=2, gamma=0.9, beta=1.0, normalize=False)
     path = tmp_path / "model.lspm"
-    save_checkpoint(path, config, params)
-    config2, params2 = load_checkpoint(path)
+    save_checkpoint(path, config, propagation, params)
+    config2, propagation2, params2 = load_checkpoint(path)
     assert config2 == config
+    assert propagation2 == propagation
     for (n1, a1), (n2, a2) in zip(params.items(), params2.items()):
         assert n1 == n2
         assert np.array_equal(a1, a2)
@@ -360,71 +370,80 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
-    _, _, config, _, _ = make_instance(seed=19)
-    params = init_parameters(config, np.random.default_rng(19))
-    path = tmp_path / "model.lspm"
-    save_checkpoint(path, config, params)
+    _, _, path = saved_checkpoint(tmp_path)
     raw = path.read_bytes()
+    _, _, _, payload = split_artifact(raw)
+    need = len(payload)
     bad = tmp_path / "bad.lspm"
     bad.write_bytes(raw[:-4])
-    with pytest.raises(FormatError, match=r"bad\.lspm: "):
+    with pytest.raises(FormatError, match=rf"bad\.lspm: the arrays need {need} bytes, but {need - 4}"):
         load_checkpoint(bad)
     bad.write_bytes(raw[:10])
-    with pytest.raises(FormatError, match=r"bad\.lspm: config header needs"):
+    with pytest.raises(FormatError, match=r"bad\.lspm: file ends inside the version"):
         load_checkpoint(bad)
     bad.write_bytes(b"????" + raw[4:])
     with pytest.raises(FormatError, match=r"bad\.lspm: bad magic"):
         load_checkpoint(bad)
     bad.write_bytes(raw + b"\x00")
-    with pytest.raises(FormatError, match=r"bad\.lspm: trailing bytes"):
+    with pytest.raises(FormatError, match=rf"bad\.lspm: the arrays need {need} bytes, but {need + 1}"):
+        load_checkpoint(bad)
+    bad.write_bytes(edit_header(raw, lambda h: h["propagation"].update(num_layers=3)))
+    with pytest.raises(FormatError, match=r"model\.num_layers=2 differs from propagation\.num_layers=3"):
         load_checkpoint(bad)
 
 
-# Header offsets after the magic: the version is the first u32, and the
-# sim_kind, localsim_mode and weight_mode tags are the u8s after seven u32s.
+def _set(section, **values):
+    return lambda header: header[section].update(values)
+
+
 @pytest.mark.parametrize(
-    "offset, value, message",
+    "edit, message",
     [
-        (0, struct.pack("<I", 9), "unsupported checkpoint version 9"),
-        (struct.calcsize("<7I"), b"\x07", "unknown sim_kind tag 7"),
-        (struct.calcsize("<7I") + 1, b"\x07", "unknown localsim_mode tag 7"),
-        (struct.calcsize("<7I") + 2, b"\x07", "unknown weight_mode tag 7"),
+        (None, "unsupported version 9, expected 2"),
+        (_set("model", sim_kind="bogus"), r"model\.sim_kind must be one of .*, got 'bogus'"),
+        (_set("model", localsim_mode="bogus"), r"model\.localsim_mode must be one of"),
+        (_set("model", weight_mode="bogus"), r"model\.weight_mode must be one of"),
+        (_set("model", sim_kind=7), r"model\.sim_kind expects str, got 7"),
+        (lambda h: h["model"].pop("sim_kind"), r"model\.sim_kind is missing"),
+        (_set("model", hidden_dim=4.0), r"model\.hidden_dim expects int, got 4\.0"),
+        (_set("model", hidden_dim=True), r"model\.hidden_dim expects int, got True"),
+        (_set("propagation", normalize=1), r"propagation\.normalize expects bool, got 1"),
+        (_set("propagation", beta=1.5), r"propagation\.beta must lie in \[0, 1\]"),
+        (lambda h: h.pop("propagation"), r"header holds \['arrays', 'model'\]"),
+        (_set("model", w_extra=1), r"model\.w_extra is unknown"),
     ],
-    ids=["version", "sim_kind", "localsim_mode", "weight_mode"],
+    ids=["version", "sim_kind", "localsim_mode", "weight_mode", "sim_kind-type",
+         "sim_kind-missing", "hidden_dim-float", "hidden_dim-bool", "normalize-int",
+         "beta-range", "propagation-missing", "unknown-key"],
 )
-def test_checkpoint_names_a_bad_header_field(offset, value, message, tmp_path):
-    _, _, config, _, _ = make_instance(seed=19)
-    params = init_parameters(config, np.random.default_rng(19))
-    path = tmp_path / "model.lspm"
-    save_checkpoint(path, config, params)
-    raw = bytearray(path.read_bytes())
-    at = len(model_module._MAGIC) + offset
-    raw[at:at + len(value)] = value
+def test_checkpoint_names_a_bad_header_field(edit, message, tmp_path):
+    _, _, path = saved_checkpoint(tmp_path)
+    magic, _, header, payload = split_artifact(path.read_bytes())
     bad = tmp_path / "bad.lspm"
-    bad.write_bytes(bytes(raw))
+    if edit is None:
+        bad.write_bytes(join_artifact(magic, 9, header, payload))
+    else:
+        bad.write_bytes(edit_header(path.read_bytes(), edit))
     with pytest.raises(FormatError, match=rf"bad\.lspm: {message}"):
         load_checkpoint(bad)
 
 
+def test_checkpoint_rejects_a_version_1_file(tmp_path):
+    # The first version packed the config as "<IIIIIIIBBBd" after the magic.
+    v1 = tmp_path / "old.lspm"
+    v1.write_bytes(b"LSPM" + struct.pack("<IIIIIIIBBBd", 1, 2, 3, 4, 3, 5, 6, 0, 0, 0, 0.0))
+    with pytest.raises(FormatError, match=r"old\.lspm: unsupported version 1, expected 2"):
+        load_checkpoint(v1)
+
+
 def test_checkpoint_save_failure_keeps_previous_file(tmp_path, monkeypatch):
-    _, _, config, _, _ = make_instance(seed=19)
-    params = init_parameters(config, np.random.default_rng(19))
-    path = tmp_path / "model.lspm"
-    save_checkpoint(path, config, params)
+    config, params, path = saved_checkpoint(tmp_path)
     before = path.read_bytes()
-    calls = []
-    real = model_module._write_array
-
-    def failing(*args):
-        calls.append(1)
-        if len(calls) == 2:
-            raise OSError("disk full")
-        real(*args)
-
-    monkeypatch.setattr(model_module, "_write_array", failing)
+    # writes: the preamble, the header, w_in, then w_low_1 fails
+    fail_artifact_write(monkeypatch, 4)
     newer = {name: a + 1.0 for name, a in params.items()}
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(path, config, newer)
+        save_checkpoint(path, config, PropagationConfig(num_layers=config.num_layers), newer)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.lspm"]
 
@@ -432,37 +451,35 @@ def test_checkpoint_save_failure_keeps_previous_file(tmp_path, monkeypatch):
 def test_checkpoint_rejects_oversized_array_dims(tmp_path):
     # Dims of (2^31, 2^20) must fail on the file's size, not by trying to
     # allocate the 2^54 bytes they imply.
-    _, _, config, _, _ = make_instance(seed=19)
-    params = init_parameters(config, np.random.default_rng(19))
-    path = tmp_path / "model.lspm"
-    save_checkpoint(path, config, params)
-    raw = bytearray(path.read_bytes())
-    # magic, config header and array count, then w_in's name length, name
-    # and rank come before its dims
-    offset = 4 + struct.calcsize("<IIIIIIIBBBd") + 4 + 2 + len("w_in") + 1
-    assert raw[offset - 5 : offset - 1] == b"w_in"
-    struct.pack_into("<QQ", raw, offset, 2**31, 2**20)
+    _, _, path = saved_checkpoint(tmp_path)
+    raw = path.read_bytes()
+
+    def grow_w_in(header):
+        assert header["arrays"][0][0] == "w_in"
+        header["arrays"][0][1] = [2**31, 2**20]
+
     big = tmp_path / "big.lspm"
-    big.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match=r"big\.lspm: array w_in dims \(2147483648, 1048576\)"):
+    big.write_bytes(edit_header(raw, grow_w_in))
+    with pytest.raises(FormatError, match=r"big\.lspm: the arrays need \d{17} bytes, but \d+ follow"):
         load_checkpoint(big)
 
 
 @pytest.mark.parametrize("field, bit", [("hidden_dim", 22), ("num_layers", 17)])
 def test_checkpoint_corrupt_header_fails_before_allocating(tmp_path, field, bit):
-    # One flipped header bit must fail on the file's own arrays, not by
-    # building parameters the size the corrupt config implies.
+    # One flipped bit in a header value must fail on the file's own arrays,
+    # not by building parameters the size the corrupt config implies.
     config = ModelConfig(num_layers=1, in_dim=2, hidden_dim=4, num_classes=2)
     params = init_parameters(config, np.random.default_rng(0))
     path = tmp_path / "model.lspm"
-    save_checkpoint(path, config, params)
-    raw = bytearray(path.read_bytes())
-    # magic, then version, num_layers, in_dim, hidden_dim as u32
-    offset = 4 + 4 * ("version", "num_layers", "in_dim", "hidden_dim").index(field)
-    (value,) = struct.unpack_from("<I", raw, offset)
-    struct.pack_into("<I", raw, offset, value ^ (1 << bit))
+    save_checkpoint(path, config, PropagationConfig(num_layers=1), params)
+
+    def flip(header):
+        for section in ("model", "propagation"):
+            if field in header[section]:
+                header[section][field] ^= 1 << bit
+
     bad = tmp_path / "flipped.lspm"
-    bad.write_bytes(bytes(raw))
+    bad.write_bytes(edit_header(path.read_bytes(), flip))
     tracemalloc.start()
     try:
         with pytest.raises(FormatError) as info:

@@ -1,9 +1,8 @@
-import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-import lsgnn.propagation as propagation_module
 from lsgnn.errors import DigestMismatchError, FormatError, InputError
 from lsgnn.graph import enhanced_filters, sym_norm_adj
 from lsgnn.propagation import (
@@ -18,6 +17,7 @@ from lsgnn.propagation import (
     save_bundle,
 )
 
+from conftest import edit_header, fail_artifact_write, join_artifact, split_artifact
 from reference import (
     dense_adjacency,
     dense_irdc,
@@ -185,67 +185,70 @@ def test_bundle_digest_mismatch(tmp_path, random_graph):
     load_bundle(path)
 
 
-def test_bundle_rejects_corruption(tmp_path, random_graph):
+def saved_bundle(tmp_path, random_graph, name="stack.lspb"):
     g, _ = random_graph(n=8, p=0.4, seed=33)
     stack = precompute_bundle(g, make_features(8), PropagationConfig(num_layers=2))
-    path = tmp_path / "stack.lspb"
+    path = tmp_path / name
     save_bundle(stack, path)
-    raw = bytearray(path.read_bytes())
+    return g, path
+
+
+def test_bundle_rejects_corruption(tmp_path, random_graph):
+    _, path = saved_bundle(tmp_path, random_graph)
+    raw = path.read_bytes()
 
     bad_magic = tmp_path / "magic.lspb"
-    bad_magic.write_bytes(b"XXXX" + bytes(raw[4:]))
-    with pytest.raises(FormatError, match=r"magic\.lspb: bad magic"):
+    bad_magic.write_bytes(b"XXXX" + raw[4:])
+    with pytest.raises(FormatError, match=r"magic\.lspb: bad magic b'XXXX'"):
         load_bundle(bad_magic)
 
     trailing = tmp_path / "trailing.lspb"
-    trailing.write_bytes(bytes(raw) + b"\x00")
-    with pytest.raises(FormatError, match=r"trailing\.lspb: trailing bytes"):
+    trailing.write_bytes(raw + b"\x00")
+    with pytest.raises(FormatError, match=r"trailing\.lspb: the arrays need 1024 bytes, but 1025"):
         load_bundle(trailing)
 
     truncated = tmp_path / "short.lspb"
-    truncated.write_bytes(bytes(raw[:-9]))
-    with pytest.raises(FormatError, match=r"short\.lspb: "):
+    truncated.write_bytes(raw[:-9])
+    with pytest.raises(FormatError, match=r"short\.lspb: the arrays need 1024 bytes, but 1015"):
         load_bundle(truncated)
-    truncated.write_bytes(bytes(raw[:40]))
-    with pytest.raises(FormatError, match=r"short\.lspb: feature digest needs"):
+    truncated.write_bytes(raw[:40])
+    with pytest.raises(FormatError, match=r"short\.lspb: header needs \d+ bytes, but only 28"):
+        load_bundle(truncated)
+    truncated.write_bytes(raw[:7])
+    with pytest.raises(FormatError, match=r"short\.lspb: file ends inside the version"):
         load_bundle(truncated)
 
 
 def test_bundle_rejects_unknown_version_and_variant_tag(tmp_path, random_graph):
-    g, _ = random_graph(n=8, p=0.4, seed=33)
-    stack = precompute_bundle(g, make_features(8), PropagationConfig(num_layers=2))
-    path = tmp_path / "stack.lspb"
-    save_bundle(stack, path)
-    raw = path.read_bytes()
-    start = len(propagation_module._MAGIC)
+    _, path = saved_bundle(tmp_path, random_graph)
+    magic, _, header, payload = split_artifact(path.read_bytes())
     version = tmp_path / "version.lspb"
-    version.write_bytes(raw[:start] + struct.pack("<I", 3) + raw[start + 4:])
-    with pytest.raises(FormatError, match=r"version\.lspb: unsupported bundle version 3"):
+    version.write_bytes(join_artifact(magic, 3, header, payload))
+    with pytest.raises(FormatError, match=r"version\.lspb: unsupported version 3, expected 2"):
         load_bundle(version)
-    # The variant tag follows the version, n, d, num_layers, gamma and beta.
-    tag_at = start + struct.calcsize("<IIIIdd")
+
+    def set_variant(value):
+        return lambda h: h["propagation"].update(variant=value)
+
     variant = tmp_path / "variant.lspb"
-    variant.write_bytes(raw[:tag_at] + bytes([9]) + raw[tag_at + 1:])
-    with pytest.raises(FormatError, match=r"variant\.lspb: unknown variant tag 9"):
-        load_bundle(variant)
+    for edit, message in [
+        (set_variant("bogus"), r"propagation\.variant must be one of .*, got 'bogus'"),
+        (set_variant(9), r"propagation\.variant expects str, got 9"),
+        (lambda h: h["propagation"].pop("variant"), r"propagation\.variant is missing"),
+        (lambda h: h["propagation"].update(depth=3), r"propagation\.depth is unknown"),
+        (lambda h: h.pop("feature_digest"), r"header holds \['arrays', 'propagation'\]"),
+        (lambda h: h.update(feature_digest="ab"), r"feature_digest 'ab' is not 32 bytes of hex"),
+    ]:
+        variant.write_bytes(edit_header(path.read_bytes(), edit))
+        with pytest.raises(FormatError, match=rf"variant\.lspb: {message}"):
+            load_bundle(variant)
 
 
 def test_bundle_save_failure_keeps_previous_file(tmp_path, random_graph, monkeypatch):
-    g, _ = random_graph(n=8, p=0.4, seed=33)
-    stack = precompute_bundle(g, make_features(8), PropagationConfig(num_layers=2))
-    path = tmp_path / "bundle.lspb"
-    save_bundle(stack, path)
+    g, path = saved_bundle(tmp_path, random_graph, name="bundle.lspb")
     before = path.read_bytes()
-    calls = []
-    real = propagation_module._write_matrix
-
-    def failing(*args):
-        calls.append(1)
-        if len(calls) == 2:
-            raise OSError("disk full")
-        real(*args)
-
-    monkeypatch.setattr(propagation_module, "_write_matrix", failing)
+    # writes: the preamble, the header, low_1, then low_2 fails
+    fail_artifact_write(monkeypatch, 4)
     other = precompute_bundle(g, make_features(8) + 1.0, PropagationConfig(num_layers=2))
     with pytest.raises(OSError, match="disk full"):
         save_bundle(other, path)
@@ -273,22 +276,28 @@ def test_build_stack_shape_validation(random_graph):
 
 
 def test_bundle_rejects_oversized_header(tmp_path, random_graph):
-    # A header claiming n = 2^31 must fail on the file's size, not by
+    # A manifest claiming n = 2^31 must fail on the file's size, not by
     # trying to allocate the layers it implies.
-    g, _ = random_graph(n=8, p=0.4, seed=34)
-    stack = precompute_bundle(g, make_features(8), PropagationConfig(num_layers=2))
-    path = tmp_path / "stack.lspb"
-    save_bundle(stack, path)
-    raw = bytearray(path.read_bytes())
-    struct.pack_into("<I", raw, 8, 2**31)  # n, after magic and version
+    _, path = saved_bundle(tmp_path, random_graph)
+    raw = path.read_bytes()
     big = tmp_path / "big.lspb"
-    big.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match=r"big\.lspb: header n=2147483648, d=4"):
-        load_bundle(big)
-    # n = 0 makes every layer empty; with num_layers = 2^32 - 1 the reader
-    # would otherwise loop over billions of zero-byte layers
-    struct.pack_into("<II", raw, 8, 0, 4)
-    struct.pack_into("<I", raw, 16, 2**32 - 1)
-    big.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match=r"big\.lspb: header n=0, d=4 describes empty layers"):
+    big.write_bytes(edit_header(raw, lambda h: h["arrays"][0].__setitem__(1, [2**31, 4])))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=r"big\.lspb: the arrays need 68719477504 bytes"):
+            load_bundle(big)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+    # Empty layers cost no bytes, so a huge num_layers must fail on the
+    # manifest's length rather than loop over billions of layers.
+    def empty_layers(h):
+        h["propagation"]["num_layers"] = 2**32 - 1
+        for entry in h["arrays"]:
+            entry[1] = [0, 4]
+
+    big.write_bytes(edit_header(raw[:-1024], empty_layers))
+    with pytest.raises(FormatError, match=r"big\.lspb: arrays .* do not match propagation\.num_layers=4294967295"):
         load_bundle(big)
