@@ -22,9 +22,8 @@ __all__ = [
     "HomophilyReport",
     "build_graph",
     "sym_norm_adj",
-    "self_loop_adj",
     "enhanced_filters",
-    "complement_filter",
+    "self_loop_filters",
     "node_homophily",
     "read_edge_list",
     "write_edge_list",
@@ -76,11 +75,13 @@ class FilterPair:
 
     The pair always sums to the identity entrywise, so a model mixing the
     two channels can trade smoothing against sharpening without losing
-    information.
+    information.  `kind` names the builder: "enhanced" (`enhanced_filters`)
+    or "self_loop" (`self_loop_filters`).
     """
 
     low: sp.csr_array
     high: sp.csr_array
+    kind: str
 
 
 @dataclass(eq=False)
@@ -155,12 +156,6 @@ def _csr(
     return sp.csr_array((values, col_indices, row_offsets), shape=(n, n), copy=False)
 
 
-def _adjacency_values(g: SparseGraph, entry_value) -> sp.csr_array:
-    """CSR array on the adjacency pattern; entry_value(rows, cols) -> values."""
-    values = entry_value(g.entry_rows(), g.col_indices)
-    return _csr(g.num_nodes, g.row_offsets, g.col_indices, np.asarray(values, dtype=np.float64))
-
-
 def sym_norm_adj(g: SparseGraph) -> sp.csr_array:
     """Symmetrically normalized adjacency D^{-1/2} A D^{-1/2}.
 
@@ -169,70 +164,41 @@ def sym_norm_adj(g: SparseGraph) -> sp.csr_array:
     inv_sqrt = np.zeros(g.num_nodes, dtype=np.float64)
     nz = g.degrees > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(g.degrees[nz].astype(np.float64))
-    return _adjacency_values(g, lambda r, c: inv_sqrt[r] * inv_sqrt[c])
+    values = inv_sqrt[g.entry_rows()] * inv_sqrt[g.col_indices]
+    return _csr(g.num_nodes, g.row_offsets, g.col_indices, values)
 
 
-def _with_diagonal(g: SparseGraph, diag: np.ndarray, off: np.ndarray) -> sp.csr_array:
-    """CSR array on the adjacency pattern plus an always-stored diagonal.
+def _filter_pair(g: SparseGraph, kind: str, diag: np.ndarray, off: np.ndarray) -> FilterPair:
+    """Low filter diag*I + off and its identity complement I - low.
 
-    `off` holds one value per directed adjacency entry, `diag` one per node.
-    Storing the diagonal even when a value is 0.0 keeps patterns of related
-    filters identical.
+    `off` holds one value per directed adjacency entry, `diag` one per
+    node.  The A + I pattern is sorted once and both filters share its
+    index arrays; the diagonal is stored even where a value is 0.0, so
+    low + high equals the identity exactly.
     """
     n = g.num_nodes
     rows = np.concatenate([g.entry_rows(), np.arange(n, dtype=np.int64)])
     cols = np.concatenate([g.col_indices, np.arange(n, dtype=np.int64)])
-    vals = np.concatenate([off, diag])
     order = np.argsort(rows * n + cols, kind="stable")
-    cols = cols[order]
-    vals = vals[order]
-    counts = g.degrees + 1
     row_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_offsets[1:])
-    return _csr(n, row_offsets, cols.astype(np.int64), vals.astype(np.float64))
-
-
-def self_loop_adj(g: SparseGraph) -> sp.csr_array:
-    """Adjacency with self loops added: A + I, unnormalized."""
-    return _with_diagonal(
-        g,
-        diag=np.ones(g.num_nodes, dtype=np.float64),
-        off=np.ones(g.num_entries, dtype=np.float64),
-    )
-
-
-def complement_filter(m: sp.csr_array) -> sp.csr_array:
-    """Return I - m on the same sparsity pattern.
-
-    Requires every diagonal entry to be stored in m, which holds for all
-    filters built by this module's `_with_diagonal` construction.
-    """
-    n = m.shape[0]
-    values = -m.data
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(m.indptr))
-    diag_mask = rows == m.indices
-    if int(diag_mask.sum()) != n:
-        raise InputError("complement_filter requires an explicitly stored diagonal")
-    values[diag_mask] += 1.0
-    return _csr(n, m.indptr, m.indices, values)
+    np.cumsum(g.degrees + 1, out=row_offsets[1:])
+    low = _csr(n, row_offsets, cols[order], np.concatenate([off, diag])[order])
+    high = _csr(n, low.indptr, low.indices, np.concatenate([-off, 1.0 - diag])[order])
+    return FilterPair(low=low, high=high, kind=kind)
 
 
 def enhanced_filters(g: SparseGraph, beta: float) -> FilterPair:
-    """Low-pass beta*I + D^{-1/2}AD^{-1/2} and its identity complement.
-
-    Both matrices share one sparsity pattern (diagonal always stored), and
-    low + high equals the identity exactly by construction.
-    """
+    """Low-pass beta*I + D^{-1/2}AD^{-1/2} and its identity complement."""
     if not 0.0 <= beta <= 1.0:
         raise InputError(f"beta must lie in [0, 1], got {beta}")
-    norm = sym_norm_adj(g)
-    low = _with_diagonal(
-        g,
-        diag=np.full(g.num_nodes, beta, dtype=np.float64),
-        off=norm.data,
-    )
-    high = complement_filter(low)
-    return FilterPair(low=low, high=high)
+    diag = np.full(g.num_nodes, beta, dtype=np.float64)
+    return _filter_pair(g, "enhanced", diag, sym_norm_adj(g).data)
+
+
+def self_loop_filters(g: SparseGraph) -> FilterPair:
+    """Unnormalized A + I and its identity complement -A."""
+    diag = np.ones(g.num_nodes, dtype=np.float64)
+    return _filter_pair(g, "self_loop", diag, np.ones(g.num_entries, dtype=np.float64))
 
 
 def node_homophily(g: SparseGraph, labels: np.ndarray) -> HomophilyReport:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -359,37 +359,20 @@ class ExperimentConfig:
     epochs: int = 200
     patience: int = 40
 
+    def _project(self, target: type, **given):
+        """A `target` config holding this config's values of its fields,
+        with `given` supplying the fields this config does not hold."""
+        shared = {f.name: getattr(self, f.name) for f in fields(target) if f.name not in given}
+        return target(**shared, **given)
+
     def propagation(self) -> PropagationConfig:
-        return PropagationConfig(
-            num_layers=self.num_layers,
-            gamma=self.gamma,
-            beta=self.beta,
-            variant=self.variant,
-            normalize=self.normalize,
-        )
+        return self._project(PropagationConfig)
 
     def model(self, in_dim: int, num_classes: int) -> ModelConfig:
-        return ModelConfig(
-            num_layers=self.num_layers,
-            in_dim=in_dim,
-            hidden_dim=self.hidden_dim,
-            num_classes=num_classes,
-            sim_kind=self.sim_kind,
-            localsim_mode=self.localsim_mode,
-            weight_mode=self.weight_mode,
-            ls_hidden=self.ls_hidden,
-            alpha_hidden=self.alpha_hidden,
-            dropout=self.dropout,
-        )
+        return self._project(ModelConfig, in_dim=in_dim, num_classes=num_classes)
 
     def training(self, seed) -> TrainConfig:
-        return TrainConfig(
-            lr=self.lr,
-            weight_decay=self.weight_decay,
-            epochs=self.epochs,
-            patience=self.patience,
-            seed=seed,
-        )
+        return self._project(TrainConfig, seed=seed)
 
     def validate(self) -> "ExperimentConfig":
         self.propagation()
@@ -408,6 +391,18 @@ class SearchSpace:
     beta_choices: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
     gamma_choices: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
     sim_choices: tuple[str, ...] = ("cosine", "euclidean")
+
+    def __post_init__(self):
+        # Ranges are drawn log-uniformly, so both ends must be positive.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith("_range"):
+                if not (len(value) == 2 and np.isfinite(value).all() and 0.0 < value[0] <= value[1]):
+                    raise InputError(
+                        f"{f.name} must be two finite numbers with 0 < low <= high, got {list(value)}"
+                    )
+            elif not value:
+                raise InputError(f"{f.name} must not be empty")
 
 
 def sample_config(

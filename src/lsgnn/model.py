@@ -182,7 +182,6 @@ class ModelInputs:
     sim_kind: str
     edge_feats: np.ndarray
     phi_naive: np.ndarray
-    entry_rows: np.ndarray
     inv_degrees: np.ndarray
 
     @classmethod
@@ -214,7 +213,6 @@ class ModelInputs:
             sim_kind=sim_kind,
             edge_feats=np.column_stack([sims, sims * sims]),
             phi_naive=neighborhood_mean(graph, sims),
-            entry_rows=graph.entry_rows(),
             inv_degrees=inv_deg,
         )
 
@@ -265,15 +263,14 @@ def _select_rows(inputs: ModelInputs, index: slice | np.ndarray) -> _Rows:
     """Gather the rows `index` selects (ascending); a slice copies nothing."""
     graph = inputs.graph
     n = graph.num_nodes
+    degrees = graph.degrees[index]
+    entry_slots = np.repeat(np.arange(degrees.size), degrees)
     if isinstance(index, slice):
         start, stop, _ = index.indices(n)
         entries = slice(graph.row_offsets[start], graph.row_offsets[stop])
-        entry_slots = inputs.entry_rows[entries] - start
     else:
         # CSR entries are grouped by row in ascending order, like `index`:
         # slot i's entries are row_offsets[index[i]] onwards.
-        degrees = graph.degrees[index]
-        entry_slots = np.repeat(np.arange(index.size), degrees)
         firsts = graph.row_offsets[index] - (np.cumsum(degrees) - degrees)
         entries = firsts[entry_slots] + np.arange(entry_slots.size)
     stack = inputs.stack

@@ -35,8 +35,6 @@ __all__ = [
     "VARIANTS",
     "PropagationConfig",
     "PropagationStack",
-    "irdc",
-    "residual_propagate",
     "propagate_layers",
     "row_normalize",
     "feature_digest",
@@ -79,15 +77,16 @@ class PropagationStack:
     """Propagated layers for a low/high filter pair, ready for training.
 
     `low` and `high` each hold num_layers dense (n, d) float64 arrays.
-    `filter_kind` records how the pair was built; only stacks built from
-    the enhanced spectral pair are accepted by `save_bundle`.
+    `filter_kind` is the `FilterPair.kind` of the pair they were built
+    from; only stacks built from the enhanced spectral pair are accepted by
+    `save_bundle`.
     """
 
     config: PropagationConfig
     low: list[np.ndarray]
     high: list[np.ndarray]
     feature_digest: bytes
-    filter_kind: str = "enhanced"
+    filter_kind: str
 
     @property
     def num_nodes(self) -> int:
@@ -98,72 +97,42 @@ class PropagationStack:
         return self.low[0].shape[1]
 
 
-def _check_feature_rows(s: sp.csr_array, x: np.ndarray) -> None:
-    if x.ndim != 2 or x.shape[0] != s.shape[0]:
-        raise InputError(
-            f"features must be 2-d with {s.shape[0]} rows, got shape {x.shape}"
-        )
+def propagate_layers(
+    variant: str, s: sp.csr_array, x: np.ndarray, num_layers: int, gamma: float
+) -> list[np.ndarray]:
+    """The first num_layers layers of one recurrence over the filter s.
 
-
-def irdc(s: sp.csr_array, x: np.ndarray, num_layers: int, gamma: float) -> list[np.ndarray]:
-    """Incremental propagation: each hop filters what earlier hops missed.
-
-    Layer 1 is s @ x; layer k filters (1 - gamma) * x minus gamma times the
-    running sum of all earlier (unnormalized) layers.  With gamma = 0 every
-    layer equals s @ x; with gamma = 1 layer 2 equals -(s @ s @ x).
-    """
-    _check_feature_rows(s, x)
-    layers = []
-    h = s @ x
-    layers.append(h)
-    if num_layers == 1:
-        return layers
-    running = h.copy()
-    for _ in range(1, num_layers):
-        h = s @ ((1.0 - gamma) * x - gamma * running)
-        layers.append(h)
-        running += h
-    return layers
-
-
-def residual_propagate(variant: str, s: sp.csr_array, x: np.ndarray, num_layers: int) -> list[np.ndarray]:
-    """Ablation recurrences that re-smooth instead of propagating increments.
-
+    irdc: layer 1 is s @ x; layer k filters (1 - gamma) * x minus gamma
+    times the running sum of all earlier (unnormalized) layers.  With
+    gamma = 0 every layer equals s @ x; with gamma = 1 layer 2 equals
+    -(s @ s @ x).  The three ablations re-smooth instead of propagating
+    increments, and ignore gamma:
     sgc: layer k = s applied k times to x.
     initial_residual: layer k = x + s @ layer (k-1), layer 0 = x.
     difference_residual: layer 1 = s @ x, layer k = s @ (layer (k-2) - layer (k-1)).
     """
-    _check_feature_rows(s, x)
-    layers: list[np.ndarray] = []
-    if variant == "sgc":
-        z = x
-        for _ in range(num_layers):
-            z = s @ z
-            layers.append(z)
-    elif variant == "initial_residual":
-        z = x
-        for _ in range(num_layers):
-            z = x + s @ z
-            layers.append(z)
-    elif variant == "difference_residual":
-        prev2 = x
-        prev1 = s @ x
-        layers.append(prev1)
-        for _ in range(1, num_layers):
-            nxt = s @ (prev2 - prev1)
-            layers.append(nxt)
-            prev2, prev1 = prev1, nxt
-    else:
-        raise InputError(f"unknown residual variant {variant!r}")
+    if variant not in VARIANTS:
+        raise InputError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if x.ndim != 2 or x.shape[0] != s.shape[0]:
+        raise InputError(
+            f"features must be 2-d with {s.shape[0]} rows, got shape {x.shape}"
+        )
+    h = x + s @ x if variant == "initial_residual" else s @ x
+    # `running` sums irdc's layers so far; `prev` is the layer before h.
+    layers, prev = [h], x
+    running = h.copy() if variant == "irdc" else None
+    for _ in range(1, num_layers):
+        if variant == "irdc":
+            h = s @ ((1.0 - gamma) * x - gamma * running)
+            running += h
+        elif variant == "sgc":
+            h = s @ h
+        elif variant == "initial_residual":
+            h = x + s @ h
+        else:
+            prev, h = h, s @ (prev - h)
+        layers.append(h)
     return layers
-
-
-def propagate_layers(
-    variant: str, s: sp.csr_array, x: np.ndarray, num_layers: int, gamma: float
-) -> list[np.ndarray]:
-    if variant == "irdc":
-        return irdc(s, x, num_layers, gamma)
-    return residual_propagate(variant, s, x, num_layers)
 
 
 def row_normalize(m: np.ndarray) -> np.ndarray:
@@ -182,18 +151,10 @@ def feature_digest(x: np.ndarray) -> bytes:
     return h.digest()
 
 
-def build_stack(
-    pair: FilterPair,
-    x: np.ndarray,
-    config: PropagationConfig,
-    filter_kind: str = "enhanced",
-) -> PropagationStack:
-    """Run the configured recurrence over both filters of a pair."""
+def build_stack(pair: FilterPair, x: np.ndarray, config: PropagationConfig) -> PropagationStack:
+    """Run the configured recurrence over both filters of a pair; the
+    stack's `filter_kind` is the pair's `kind`."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != pair.low.shape[0]:
-        raise InputError(
-            f"features must be ({pair.low.shape[0]}, d), got shape {x.shape}"
-        )
     low = propagate_layers(config.variant, pair.low, x, config.num_layers, config.gamma)
     high = propagate_layers(config.variant, pair.high, x, config.num_layers, config.gamma)
     if config.normalize:
@@ -204,14 +165,13 @@ def build_stack(
         low=low,
         high=high,
         feature_digest=feature_digest(x),
-        filter_kind=filter_kind,
+        filter_kind=pair.kind,
     )
 
 
 def precompute_bundle(g: SparseGraph, x: np.ndarray, config: PropagationConfig) -> PropagationStack:
     """Build the enhanced filter pair for g and propagate x through it."""
-    pair = enhanced_filters(g, config.beta)
-    return build_stack(pair, x, config, filter_kind="enhanced")
+    return build_stack(enhanced_filters(g, config.beta), x, config)
 
 
 # --- artifacts ---------------------------------------------------------------

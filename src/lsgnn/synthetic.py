@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationError, InputError
-from .graph import FilterPair, SparseGraph, build_graph, complement_filter, self_loop_adj
+from .graph import SparseGraph, build_graph, self_loop_filters
 from .harness import RATIOS, _seed_list, make_splits
 from .localsim import naive_localsim
 from .model import (
@@ -87,8 +87,10 @@ class FsbmConfig:
                     raise InputError(f"{name} entries must lie in [0, 1], got {v}")
         if len(self.mu) != r:
             raise InputError(f"mu must have {r} entries")
-        if self.sigma < 0.0:
-            raise InputError(f"sigma must be >= 0, got {self.sigma}")
+        if not all(np.isfinite(self.mu)):
+            raise InputError(f"mu entries must be finite, got {self.mu}")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise InputError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.mode not in MODES:
             raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -426,13 +428,10 @@ def toy_study(
             accs["raw"].append(
                 linear_accuracy(raw_model, ds.x, ds.community, split.test)
             )
-            low = self_loop_adj(ds.graph)
-            pair = FilterPair(low=low, high=complement_filter(low))
             stack = build_stack(
-                pair,
+                self_loop_filters(ds.graph),
                 ds.x,
                 PropagationConfig(num_layers=1, gamma=0.5, beta=0.5, normalize=False),
-                filter_kind="self_loop",
             )
             inputs = ModelInputs.build(ds.graph, ds.x, stack, "neg_sq_scalar")
             for weight_mode in ("graph_level", "node_level"):

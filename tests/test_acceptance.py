@@ -52,8 +52,8 @@ from lsgnn.model import (
 from lsgnn.propagation import (
     PropagationConfig,
     build_stack,
-    irdc,
     load_bundle,
+    propagate_layers,
     save_bundle,
 )
 from lsgnn.synthetic import (
@@ -250,14 +250,15 @@ def test_criterion_5_filter_and_propagation_identities(tmp_path):
     s = sym_norm_adj(g)
     x = np.random.default_rng(6).normal(size=(60, 5))
     sx = s @ x
-    repeated = all(np.array_equal(h, sx) for h in irdc(s, x, 4, 0.0))
-    two = irdc(s, x, 2, 1.0)
+    repeated = all(np.array_equal(h, sx) for h in propagate_layers("irdc", s, x, 4, 0.0))
+    two = propagate_layers("irdc", s, x, 2, 1.0)
     flipped = np.array_equal(two[1], -(s @ sx))
 
     y = np.random.default_rng(7).normal(size=(60, 5))
-    mixed = irdc(s, 0.7 * x - 1.3 * y, 3, 0.5)
+    mixed = propagate_layers("irdc", s, 0.7 * x - 1.3 * y, 3, 0.5)
     lin_dev = 0.0
-    for hm, hx, hy in zip(mixed, irdc(s, x, 3, 0.5), irdc(s, y, 3, 0.5)):
+    plain = [propagate_layers("irdc", s, z, 3, 0.5) for z in (x, y)]
+    for hm, hx, hy in zip(mixed, *plain):
         combo = 0.7 * hx - 1.3 * hy
         denom = max(float(np.max(np.abs(combo))), 1e-12)
         lin_dev = max(lin_dev, float(np.max(np.abs(hm - combo))) / denom)

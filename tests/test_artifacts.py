@@ -43,7 +43,8 @@ def bundles(draw):
     layers = [draw(arrays(np.float64, shape, elements=any_float)) for _ in range(2 * config.num_layers)]
     k = config.num_layers
     digest = draw(st.binary(min_size=32, max_size=32))
-    return PropagationStack(config=config, low=layers[:k], high=layers[k:], feature_digest=digest)
+    return PropagationStack(config=config, low=layers[:k], high=layers[k:], feature_digest=digest,
+                            filter_kind="enhanced")
 
 
 @st.composite

@@ -356,6 +356,35 @@ def test_non_positive_degree_is_named(degree, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, field",
+    [(["theory", "--sigma", "nan", "--trials", "3", "--nodes", "200"], "sigma"),
+     (["theory", "--sigma", "inf", "--trials", "3", "--nodes", "200"], "sigma"),
+     (["gen-fsbm", "--sigma", "inf"], "sigma"),
+     (["gen-fsbm", "--mu", "nan,1"], "mu")],
+)
+def test_non_finite_generator_settings_exit_2(argv, field, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"error: {field} " in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["lr_range: [0.1]", "lr_range: [0.1, 0.01]", "weight_decay_range: [1.0, -1.0]",
+     "dropout_choices: []"],
+)
+def test_malformed_search_space_exits_2_naming_the_key(line, dataset_dir, tmp_path, capsys):
+    config = tmp_path / "space.yaml"
+    config.write_text(line + "\n")
+    out = tmp_path / "o"
+    assert main(["search", "--data", str(dataset_dir), "--budget", "1", "--splits", "1",
+                 "--config", str(config), "--out", str(out)]) == 2
+    assert f"error: {line.split(':')[0]} must" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "field, value",
     [("epochs", "0"), ("epochs", "-3"), ("lr", "-0.5"), ("lr", "0.0"),
      ("weight_decay", "-1.0"), ("patience", "-1")],

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lsgnn.errors import InputError
 from lsgnn.graph import (
     build_graph,
-    complement_filter,
     enhanced_filters,
     node_homophily,
     read_edge_list,
-    self_loop_adj,
+    self_loop_filters,
     sym_norm_adj,
     write_edge_list,
 )
@@ -80,10 +81,13 @@ def test_sym_norm_isolated_node_rows_zero():
     assert np.all(s[:, 2] == 0.0)
 
 
-def test_self_loop_adj(random_graph):
+def test_self_loop_filters(random_graph):
     g, edges = random_graph(n=10, p=0.3, seed=1)
     ref = dense_self_loop(dense_adjacency(10, edges))
-    assert np.array_equal(self_loop_adj(g).toarray(), ref)
+    pair = self_loop_filters(g)
+    assert pair.kind == "self_loop"
+    assert np.array_equal(pair.low.toarray(), ref)
+    assert np.array_equal(pair.high.toarray(), np.eye(10) - ref)
 
 
 def test_enhanced_filters_single_edge():
@@ -111,21 +115,16 @@ def test_enhanced_filters_beta_validation(path4):
         enhanced_filters(path4, 1.5)
 
 
-def test_complement_requires_stored_diagonal(path4):
-    # plain normalized adjacency has no diagonal entries to complement against
-    with pytest.raises(InputError):
-        complement_filter(sym_norm_adj(path4))
-
-
 def test_filter_products_match_numpy(random_graph):
     g, edges = random_graph(n=14, p=0.3, seed=9)
     pair = enhanced_filters(g, 0.5)
+    loops = self_loop_filters(g)
     filters = {
         "sym_norm_adj": sym_norm_adj(g),
-        "self_loop_adj": self_loop_adj(g),
         "enhanced low": pair.low,
         "enhanced high": pair.high,
-        "complement_filter": complement_filter(self_loop_adj(g)),
+        "self_loop low": loops.low,
+        "self_loop high": loops.high,
     }
     x = np.random.default_rng(0).normal(size=(14, 5))
     for name, s in filters.items():
@@ -133,6 +132,38 @@ def test_filter_products_match_numpy(random_graph):
         assert isinstance(s, sp.csr_array), name
         assert s.has_canonical_format, name
         assert np.allclose(s @ x, s.toarray() @ x, atol=1e-13), name
+
+
+@st.composite
+def _graphs(draw):
+    """Random simple graphs of 1-12 nodes, with isolated nodes and empty
+    edge sets among them."""
+    n = draw(st.integers(1, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return build_graph(np.array(draw(st.lists(pairs, max_size=30)), dtype=np.int64), n)
+
+
+_NO_EDGES = np.zeros((0, 2), dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@example(g=build_graph(_NO_EDGES, 1), beta=0.5, kind="enhanced")
+@example(g=build_graph(_NO_EDGES, 1), beta=0.5, kind="self_loop")
+@example(g=build_graph(_NO_EDGES, 4), beta=0.1, kind="enhanced")
+@example(g=build_graph(np.array([[0, 1]]), 3), beta=0.9, kind="enhanced")
+@example(g=build_graph(np.array([[0, 1]]), 3), beta=0.9, kind="self_loop")
+@given(g=_graphs(), beta=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), kind=st.sampled_from(["enhanced", "self_loop"]))
+def test_filter_builders_share_one_pattern_and_sum_to_identity(g, beta, kind):
+    pair = enhanced_filters(g, beta) if kind == "enhanced" else self_loop_filters(g)
+    low, high, n = pair.low, pair.high, g.num_nodes
+    assert pair.kind == kind
+    assert np.array_equal(low.indptr, high.indptr) and np.array_equal(low.indices, high.indices)
+    assert low.has_canonical_format and high.has_canonical_format
+    rows = np.repeat(np.arange(n), np.diff(low.indptr))
+    diagonal = rows == low.indices
+    assert np.array_equal(rows[diagonal], np.arange(n))
+    assert np.all(low.data[diagonal] == (beta if kind == "enhanced" else 1.0))
+    assert np.array_equal((low + high).toarray(), np.eye(n))
 
 
 def test_node_homophily_star(star5):

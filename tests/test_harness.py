@@ -402,3 +402,9 @@ def test_write_report_and_manifest_are_reproducible(tmp_path):
 def test_format_float_round_trips():
     for v in (0.1, 1 / 3, 1e-300, -2.5e17, 0.0):
         assert float(format_float(v)) == v
+
+
+def test_search_space_defaults_construct():
+    space = SearchSpace()
+    assert space.lr_range == (1e-3, 1e-1)
+    assert SearchSpace(lr_range=(0.01, 0.01)).lr_range == (0.01, 0.01)

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from lsgnn.errors import DigestMismatchError, FormatError, InputError
-from lsgnn.graph import enhanced_filters, sym_norm_adj
+from lsgnn.graph import enhanced_filters, self_loop_filters, sym_norm_adj
 from lsgnn.propagation import (
     PropagationConfig,
     build_stack,
     feature_digest,
-    irdc,
     load_bundle,
     precompute_bundle,
-    residual_propagate,
+    propagate_layers,
     row_normalize,
     save_bundle,
 )
@@ -46,7 +45,7 @@ def test_irdc_matches_dense_recurrence(random_graph, gamma):
     g, edges = random_graph(n=12, p=0.3, seed=21)
     s = sym_norm_adj(g)
     x = make_features(12)
-    layers = irdc(s, x, 4, gamma)
+    layers = propagate_layers("irdc", s, x, 4, gamma)
     ref = dense_irdc(s.toarray(), x, 4, gamma)
     assert len(layers) == 4
     for got, want in zip(layers, ref):
@@ -57,7 +56,7 @@ def test_irdc_gamma_zero_repeats_first_layer(random_graph):
     g, _ = random_graph(n=10, p=0.3, seed=22)
     s = sym_norm_adj(g)
     x = make_features(10)
-    layers = irdc(s, x, 3, 0.0)
+    layers = propagate_layers("irdc", s, x, 3, 0.0)
     first = s @ x
     for layer in layers:
         assert np.array_equal(layer, first)
@@ -67,14 +66,14 @@ def test_irdc_gamma_one_two_layers_negated_square(random_graph):
     g, _ = random_graph(n=10, p=0.3, seed=23)
     s = sym_norm_adj(g)
     x = make_features(10)
-    layers = irdc(s, x, 2, 1.0)
+    layers = propagate_layers("irdc", s, x, 2, 1.0)
     assert np.array_equal(layers[1], -(s @ (s @ x)))
 
 
 def test_irdc_dimension_mismatch(random_graph):
     g, _ = random_graph(n=10, p=0.3, seed=24)
     with pytest.raises(InputError):
-        irdc(sym_norm_adj(g), make_features(11), 2, 0.5)
+        propagate_layers("irdc", sym_norm_adj(g), make_features(11), 2, 0.5)
 
 
 @pytest.mark.parametrize("variant", ["sgc", "initial_residual", "difference_residual"])
@@ -82,7 +81,7 @@ def test_residual_variants_match_dense_recurrences(random_graph, variant):
     g, _ = random_graph(n=11, p=0.3, seed=25)
     s = sym_norm_adj(g)
     x = make_features(11)
-    layers = residual_propagate(variant, s, x, 3)
+    layers = propagate_layers(variant, s, x, 3, 0.5)
     ref = dense_variant(variant, s.toarray(), x, 3)
     for got, want in zip(layers, ref):
         assert np.allclose(got, want, atol=1e-12)
@@ -92,7 +91,7 @@ def test_initial_residual_symbolic_expansion(random_graph):
     g, _ = random_graph(n=9, p=0.35, seed=26)
     sd = sym_norm_adj(g).toarray()
     x = make_features(9)
-    layers = residual_propagate("initial_residual", sym_norm_adj(g), x, 2)
+    layers = propagate_layers("initial_residual", sym_norm_adj(g), x, 2, 0.5)
     assert np.allclose(layers[1], x + sd @ x + sd @ (sd @ x), atol=1e-12)
 
 
@@ -100,14 +99,14 @@ def test_difference_residual_symbolic_expansion(random_graph):
     g, _ = random_graph(n=9, p=0.35, seed=27)
     sd = sym_norm_adj(g).toarray()
     x = make_features(9)
-    layers = residual_propagate("difference_residual", sym_norm_adj(g), x, 2)
+    layers = propagate_layers("difference_residual", sym_norm_adj(g), x, 2, 0.5)
     assert np.allclose(layers[1], sd @ (x - sd @ x), atol=1e-12)
 
 
 def test_residual_unknown_variant(random_graph):
     g, _ = random_graph(n=9, p=0.35, seed=28)
-    with pytest.raises(InputError):
-        residual_propagate("appnp", sym_norm_adj(g), make_features(9), 2)
+    with pytest.raises(InputError, match="variant must be one of"):
+        propagate_layers("appnp", sym_norm_adj(g), make_features(9), 2, 0.5)
 
 
 @pytest.mark.parametrize("variant", ["irdc", "sgc", "initial_residual", "difference_residual"])
@@ -257,15 +256,14 @@ def test_bundle_save_failure_keeps_previous_file(tmp_path, random_graph, monkeyp
 
 
 def test_save_bundle_refuses_ad_hoc_filter_stacks(tmp_path, random_graph):
-    from lsgnn.graph import FilterPair, complement_filter, self_loop_adj
-
+    # The stack is labelled by the pair that built it, so no caller can
+    # store a self-loop stack as an enhanced bundle by leaving out a label.
     g, _ = random_graph(n=8, p=0.4, seed=34)
-    low = self_loop_adj(g)
-    pair = FilterPair(low=low, high=complement_filter(low))
-    stack = build_stack(pair, make_features(8, d=1), PropagationConfig(num_layers=1),
-                        filter_kind="self_loop")
-    with pytest.raises(InputError):
+    stack = build_stack(self_loop_filters(g), make_features(8, d=1), PropagationConfig(num_layers=1))
+    assert stack.filter_kind == "self_loop"
+    with pytest.raises(InputError, match="filter_kind='self_loop'"):
         save_bundle(stack, tmp_path / "stack.lspb")
+    assert not (tmp_path / "stack.lspb").exists()
 
 
 def test_build_stack_shape_validation(random_graph):
