@@ -18,6 +18,7 @@ import yaml
 
 from .errors import InputError, LsgnnError
 from .harness import (
+    SEARCHED,
     ExperimentConfig,
     SearchSpace,
     dataset_stats,
@@ -49,15 +50,24 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise InputError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _seed(text: str) -> int:
-    """The `--seed` type: numpy seeds must be non-negative integers."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+def _int_at_least(low: int, expected: str):
+    """An argparse type accepting integers >= `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+# numpy seeds must be non-negative integers; counts must be at least one.
+_seed = _int_at_least(0, "a non-negative integer")
+_count = _int_at_least(1, "a positive integer")
 
 
 def _load_overrides(path) -> dict:
@@ -204,17 +214,7 @@ def _cmd_toy(args, out):
     for cell in grid:
         if len(cell) != 2:
             raise InputError(f"each --lambdas cell needs two values, got {cell}")
-    cells = toy_study(
-        grid,
-        seeds=range(args.seeds),
-        mode=args.mode,
-        hidden_dim=config.hidden_dim,
-        lr=config.lr,
-        weight_decay=config.weight_decay,
-        epochs=config.epochs,
-        patience=config.patience,
-        base_seed=args.seed,
-    )
+    cells = toy_study(grid, range(args.seeds), config, mode=args.mode, base_seed=args.seed)
     rows = [
         [cell.lambdas[0], cell.lambdas[1], s, cell.raw[i], cell.graph_level[i], cell.node_level[i]]
         for cell in cells
@@ -275,9 +275,12 @@ def _cmd_stats(args, out):
 
 def _cmd_sweep_depth(args, out):
     config, _ = _resolve_configs(_load_overrides(args.config))
+    k_list = _parse_ints(args.k_list)
+    if min(k_list) < 1:
+        raise InputError(f"--k-list entries must be >= 1, got {args.k_list!r}")
     bundle = load_dataset(args.data)
     splits = make_splits(bundle.num_nodes, base_seed=args.seed, count=args.splits)
-    sweep = depth_sweep(bundle, config, _parse_ints(args.k_list), splits, base_seed=args.seed)
+    sweep = depth_sweep(bundle, config, k_list, splits, base_seed=args.seed)
     rows = [
         [row.num_layers, arm, i, acc]
         for row in sweep
@@ -304,7 +307,7 @@ def _cmd_search(args, out):
     result = random_search(
         bundle, space, budget=args.budget, splits=splits, seed=args.seed, base=config
     )
-    columns = ["lr", "weight_decay", "dropout", "beta", "gamma", "sim_kind"]
+    columns = [name for _, name, _ in SEARCHED]
     rows = [
         [trial.index, int(trial.failed), trial.val_mean, trial.test_mean]
         + [trial.config[key] for key in columns]
@@ -349,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[configured], help="train over random splits and checkpoint the best")
     p.add_argument("--data", required=True)
-    p.add_argument("--splits", type=int, default=10)
+    p.add_argument("--splits", type=_count, default=10)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", parents=[configured], help="evaluate a checkpoint on a dataset")
@@ -359,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("toy", parents=[configured], help="raw vs graph-level vs node-level case study")
     p.add_argument("--lambdas", action="append", required=True, help="one cell per flag, e.g. 0.9,0.1")
-    p.add_argument("--seeds", type=int, default=5)
+    p.add_argument("--seeds", type=_count, default=5)
     p.add_argument("--mode", choices=MODES, default="bernoulli")
     p.set_defaults(func=_cmd_toy)
 
@@ -367,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", default="0.5,0.5")
     p.add_argument("--nodes", type=int, default=1000)
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_count, default=100)
     p.add_argument("--mode", choices=MODES, default="expectation_exact")
     p.set_defaults(func=_cmd_theory)
 
@@ -378,13 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-depth", parents=[configured], help="accuracy versus propagation depth")
     p.add_argument("--data", required=True)
     p.add_argument("--k-list", default="1,2,4,8")
-    p.add_argument("--splits", type=int, default=5)
+    p.add_argument("--splits", type=_count, default=5)
     p.set_defaults(func=_cmd_sweep_depth)
 
     p = sub.add_parser("search", parents=[configured], help="random hyperparameter search")
     p.add_argument("--data", required=True)
-    p.add_argument("--budget", type=int, default=200)
-    p.add_argument("--splits", type=int, default=10)
+    p.add_argument("--budget", type=_count, default=200)
+    p.add_argument("--splits", type=_count, default=10)
     p.set_defaults(func=_cmd_search)
 
     return parser

@@ -10,7 +10,8 @@ class InputError(LsgnnError):
 
 
 class FormatError(LsgnnError):
-    """A binary artifact is corrupt or was written by an incompatible version."""
+    """A binary artifact is corrupt or was written by an incompatible version,
+    or a dataset's features.csv or labels.txt is malformed."""
 
 
 class DigestMismatchError(FormatError):

@@ -111,7 +111,7 @@ def build_graph(edges: Iterable[Sequence[int]] | np.ndarray, num_nodes: int) -> 
         raise InputError(f"edges must be (m, 2) pairs, got shape {arr.shape}")
     if arr.size and (arr.min() < 0 or arr.max() >= num_nodes):
         bad = arr[(arr < 0).any(axis=1) | (arr >= num_nodes).any(axis=1)][0]
-        raise InputError(f"edge {tuple(bad)} references a node outside [0, {num_nodes})")
+        raise InputError(f"edge {tuple(bad.tolist())} references a node outside [0, {num_nodes})")
 
     loops = arr[:, 0] == arr[:, 1]
     loops_dropped = int(loops.sum())
@@ -238,19 +238,26 @@ def _loadtxt(path, dtype, delimiter=None, comments=None) -> np.ndarray | None:
             return None
 
 
-def read_edge_list(path) -> np.ndarray:
+def read_edge_list(path, num_nodes: int | None = None) -> np.ndarray:
     """Read whitespace-separated "i j" pairs; '#' starts a comment.
 
-    An undecodable byte becomes a lone surrogate, so it fails as a
-    non-integer node id with its file and line.
+    With `num_nodes`, a node id outside [0, num_nodes) fails with its file
+    and line.  An undecodable byte becomes a lone surrogate, so it fails as
+    a non-integer node id with its file and line.
     """
     edges = _loadtxt(path, np.int64, comments="#")
-    if edges is not None and edges.shape[1] == 2:
+    if edges is not None and edges.shape[1] == 2 and (
+        num_nodes is None or (edges.min() >= 0 and edges.max() < num_nodes)
+    ):
         return edges
-    return _read_edge_lines(path)
+    return _read_edge_lines(path, num_nodes)
 
 
-def _read_edge_lines(path) -> np.ndarray:
+def _read_edge_lines(path, num_nodes: int | None = None) -> np.ndarray:
+    if num_nodes is None:
+        low, high, bounds = _INT64.min, _INT64.max, "int64"
+    else:
+        low, high, bounds = 0, num_nodes - 1, f"[0, {num_nodes})"
     pairs = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -264,8 +271,8 @@ def _read_edge_lines(path) -> np.ndarray:
                 pair = (int(parts[0]), int(parts[1]))
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: non-integer node id in {text!r}") from exc
-            if not all(_INT64.min <= v <= _INT64.max for v in pair):
-                raise InputError(f"{path}:{lineno}: node id outside int64 in {text!r}")
+            if not all(low <= v <= high for v in pair):
+                raise InputError(f"{path}:{lineno}: node id outside {bounds} in {text!r}")
             pairs.append(pair)
     if not pairs:
         return np.zeros((0, 2), dtype=np.int64)

@@ -7,7 +7,6 @@ timings live in the returned objects and the manifest only.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -35,12 +34,12 @@ from .model import (
 from .propagation import (
     PropagationConfig,
     PropagationStack,
-    feature_digest,
     precompute_bundle,
 )
 
 __all__ = [
     "RATIOS",
+    "SEARCHED",
     "DatasetBundle",
     "SplitSpec",
     "ExperimentConfig",
@@ -55,7 +54,6 @@ __all__ = [
     "make_splits",
     "dataset_stats",
     "DatasetStats",
-    "graph_digest",
     "run_experiment",
     "depth_sweep",
     "random_search",
@@ -174,7 +172,7 @@ def load_dataset(directory) -> DatasetBundle:
     if not seen.all():
         raise FormatError(f"labels.txt: label ids are not dense in [0, C): missing {missing}")
 
-    edges = read_edge_list(paths["edges.txt"])
+    edges = read_edge_list(paths["edges.txt"], num_nodes=n)
     graph = build_graph(edges, num_nodes=n)
     return DatasetBundle(graph=graph, features=features, labels=labels)
 
@@ -242,21 +240,14 @@ class SplitSpec:
     test: np.ndarray
 
 
-def make_splits(
-    n: int,
-    ratios: tuple[float, float, float] = RATIOS,
-    base_seed=0,
-    count: int = 10,
-) -> list[SplitSpec]:
-    """Independent random splits; sizes are floor(ratio * n) for train and
-    val, with the remainder going to test."""
-    if sum(ratios) > 1.0 + 1e-12:
-        raise InputError(f"ratios must sum to <= 1, got {ratios}")
-    n_train = int(ratios[0] * n)
-    n_val = int(ratios[1] * n)
+def make_splits(n: int, base_seed=0, count: int = 10) -> list[SplitSpec]:
+    """Independent random splits in the proportions `RATIOS`; sizes are
+    floor(ratio * n) for train and val, with the remainder going to test."""
+    n_train = int(RATIOS[0] * n)
+    n_val = int(RATIOS[1] * n)
     n_test = n - n_train - n_val
     if min(n_train, n_val, n_test) < 1:
-        raise InputError(f"n={n} too small for nonempty splits with ratios {ratios}")
+        raise InputError(f"n={n} too small for nonempty splits with ratios {RATIOS}")
     out = []
     base = _seed_list(base_seed)
     for i in range(count):
@@ -297,37 +288,22 @@ def dataset_stats(bundle: DatasetBundle) -> DatasetStats:
 # --- propagation cache -----------------------------------------------------
 
 
-def graph_digest(g: SparseGraph) -> bytes:
-    h = hashlib.sha256()
-    h.update(np.int64(g.num_nodes).tobytes())
-    h.update(np.ascontiguousarray(g.row_offsets, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(g.col_indices, dtype=np.int64).tobytes())
-    return h.digest()
-
-
 class PropagationCache:
-    """In-process memo of propagation stacks keyed by (graph, features,
-    config), so runs that share a propagation compute it once."""
+    """In-process memo of the propagation stacks of one graph and feature
+    matrix, keyed by config, so runs that share a propagation compute it
+    once."""
 
-    def __init__(self):
-        self._memory: dict[str, PropagationStack] = {}
+    def __init__(self, graph: SparseGraph, x: np.ndarray):
+        self.graph = graph
+        self.x = x
+        self._memory: dict[PropagationConfig, PropagationStack] = {}
 
-    def _key(self, g: SparseGraph, x: np.ndarray, config: PropagationConfig) -> str:
-        h = hashlib.sha256()
-        h.update(graph_digest(g))
-        h.update(feature_digest(x))
-        h.update(repr(config).encode("utf-8"))
-        return h.hexdigest()
-
-    def get_or_compute(
-        self, g: SparseGraph, x: np.ndarray, config: PropagationConfig
-    ) -> tuple[PropagationStack, bool]:
+    def get_or_compute(self, config: PropagationConfig) -> tuple[PropagationStack, bool]:
         """Return (stack, cache_hit)."""
-        key = self._key(g, x, config)
-        if key in self._memory:
-            return self._memory[key], True
-        stack = precompute_bundle(g, x, config)
-        self._memory[key] = stack
+        if config in self._memory:
+            return self._memory[config], True
+        stack = precompute_bundle(self.graph, self.x, config)
+        self._memory[config] = stack
         return stack, False
 
 
@@ -405,30 +381,43 @@ class SearchSpace:
                 raise InputError(f"{f.name} must not be empty")
 
 
+# (SearchSpace key, ExperimentConfig field, value type) of every searched
+# setting, in draw order.  A `*_range` key is drawn log-uniformly, a
+# `*_choices` key uniformly from its list.
+SEARCHED = (
+    ("lr_range", "lr", float),
+    ("weight_decay_range", "weight_decay", float),
+    ("dropout_choices", "dropout", float),
+    ("beta_choices", "beta", float),
+    ("gamma_choices", "gamma", float),
+    ("sim_choices", "sim_kind", str),
+)
+
+
 def sample_config(
     space: SearchSpace, rng: np.random.Generator, base: ExperimentConfig
 ) -> ExperimentConfig:
     """One draw from the search space; draw order is fixed so a seeded
     generator yields the same trial sequence regardless of outcomes."""
+    drawn = {}
+    for key, name, kind in SEARCHED:
+        domain = getattr(space, key)
+        if key.endswith("_range"):
+            drawn[name] = kind(np.exp(rng.uniform(np.log(domain[0]), np.log(domain[1]))))
+        else:
+            drawn[name] = kind(rng.choice(domain))
+    return replace(base, **drawn)
 
-    def log_uniform(lo, hi):
-        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
-    lr = log_uniform(*space.lr_range)
-    weight_decay = log_uniform(*space.weight_decay_range)
-    dropout = float(rng.choice(space.dropout_choices))
-    beta = float(rng.choice(space.beta_choices))
-    gamma = float(rng.choice(space.gamma_choices))
-    sim_kind = str(rng.choice(space.sim_choices))
-    return replace(
-        base,
-        lr=lr,
-        weight_decay=weight_decay,
-        dropout=dropout,
-        beta=beta,
-        gamma=gamma,
-        sim_kind=sim_kind,
-    )
+def _check_space(space: SearchSpace, base: ExperimentConfig) -> None:
+    """Validate every value the space can draw, naming the key at fault."""
+    base.validate()
+    for key, name, kind in SEARCHED:
+        for value in getattr(space, key):
+            try:
+                replace(base, **{name: kind(value)}).validate()
+            except InputError as exc:
+                raise InputError(f"{key}: {exc}") from exc
 
 
 # --- experiments -----------------------------------------------------------
@@ -466,12 +455,14 @@ def run_experiment(
     """
     if not splits:
         raise InputError("at least one split is required")
+    if cache is not None and (cache.graph is not bundle.graph or cache.x is not bundle.features):
+        raise InputError("the propagation cache was made for another graph or feature matrix")
     started = time.perf_counter()
     prop_cfg = config.propagation()
     if cache is None:
         stack = precompute_bundle(bundle.graph, bundle.features, prop_cfg)
     else:
-        stack, _ = cache.get_or_compute(bundle.graph, bundle.features, prop_cfg)
+        stack, _ = cache.get_or_compute(prop_cfg)
     model_cfg = config.model(bundle.features.shape[1], bundle.num_classes)
     inputs = ModelInputs.build(bundle.graph, bundle.features, stack, model_cfg.sim_kind)
     test_accs = []
@@ -553,38 +544,38 @@ def random_search(
     base: ExperimentConfig | None = None,
 ) -> SearchResult:
     """Sample `budget` configs, pick the best mean validation accuracy, and
-    report that config's test metrics.  Trials whose training diverges are
+    report that config's test metrics.  Every value the space can draw is
+    validated before the first trial.  Trials whose training diverges are
     recorded as failed and skipped."""
     if budget < 1:
         raise InputError(f"budget must be >= 1, got {budget}")
     if base is None:
         base = ExperimentConfig()
-    cache = PropagationCache()
-    rng = np.random.default_rng(_seed_list(seed))
+    _check_space(space, base)
+    cache = PropagationCache(bundle.graph, bundle.features)
+    seeds = _seed_list(seed)
+    rng = np.random.default_rng(seeds)
     trials = []
-    best: tuple[float, int] | None = None
-    best_config = None
-    best_report = None
+    best: tuple[ExperimentConfig, MetricsReport] | None = None
     for index in range(budget):
         trial_cfg = sample_config(space, rng, base)
         try:
-            report = run_experiment(bundle, trial_cfg, splits, base_seed=_seed_list(seed) + [index], cache=cache)
+            report = run_experiment(bundle, trial_cfg, splits, base_seed=seeds + [index], cache=cache)
         except TrainingDivergedError:
-            trials.append(
-                TrialRecord(index=index, config=asdict(trial_cfg), val_mean=float("nan"), test_mean=float("nan"), failed=True)
-            )
-            continue
-        val_mean = report.val_mean
-        trials.append(
-            TrialRecord(index=index, config=asdict(trial_cfg), val_mean=val_mean, test_mean=report.mean, failed=False)
-        )
-        if best is None or val_mean > best[0]:
-            best = (val_mean, index)
-            best_config = trial_cfg
-            best_report = report
-    if best_config is None:
+            report = None
+        failed = report is None
+        trials.append(TrialRecord(
+            index=index,
+            config=asdict(trial_cfg),
+            val_mean=float("nan") if failed else report.val_mean,
+            test_mean=float("nan") if failed else report.mean,
+            failed=failed,
+        ))
+        if not failed and (best is None or report.val_mean > best[1].val_mean):
+            best = (trial_cfg, report)
+    if best is None:
         raise LsgnnError("every search trial diverged; nothing to report")
-    return SearchResult(best_config=best_config, best_report=best_report, trials=trials)
+    return SearchResult(best_config=best[0], best_report=best[1], trials=trials)
 
 
 # --- report / manifest files ----------------------------------------------

@@ -27,12 +27,11 @@ import numpy as np
 
 from .errors import GenerationError, InputError
 from .graph import SparseGraph, build_graph, self_loop_filters
-from .harness import RATIOS, _seed_list, make_splits
+from .harness import ExperimentConfig, _seed_list, make_splits
 from .localsim import naive_localsim
 from .model import (
     ModelConfig,
     ModelInputs,
-    TrainConfig,
     evaluate,
     linear_accuracy,
     train,
@@ -387,13 +386,9 @@ class ToyCell:
 def toy_study(
     lambda_grid,
     seeds,
+    config: ExperimentConfig,
     num_nodes: int = 1000,
     mode: str = "bernoulli",
-    hidden_dim: int = 16,
-    lr: float = 0.05,
-    weight_decay: float = 5e-4,
-    epochs: int = 200,
-    patience: int = 40,
     base_seed: int = 0,
 ) -> list[ToyCell]:
     """Compare three classifiers on two-subgraph datasets.
@@ -403,25 +398,21 @@ def toy_study(
     with per-node mixing driven by naive local similarity.  Both model
     arms use a single propagation hop over the self-loop adjacency A + I
     and its identity complement, with row normalization off (scalar
-    features reduce to bare signs under row normalization).
+    features reduce to bare signs under row normalization).  Every arm
+    trains with `config`'s training settings; the model arms take its
+    `hidden_dim`.
     """
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise InputError("toy study needs at least one seed")
     cells = []
     for ci, lambdas in enumerate(lambda_grid):
-        config = multi_subgraph_config(tuple(lambdas), num_nodes=num_nodes, mode=mode)
+        fsbm = multi_subgraph_config(tuple(lambdas), num_nodes=num_nodes, mode=mode)
         accs: dict[str, list[float]] = {"raw": [], "graph_level": [], "node_level": []}
         for s in seeds:
-            ds = generate_fsbm(config, seed=[base_seed, ci, s, 0])
-            split = make_splits(num_nodes, RATIOS, base_seed=[base_seed, ci, s, 1], count=1)[0]
-            tcfg = TrainConfig(
-                lr=lr,
-                weight_decay=weight_decay,
-                epochs=epochs,
-                patience=patience,
-                seed=(base_seed, ci, s, 2),
-            )
+            ds = generate_fsbm(fsbm, seed=[base_seed, ci, s, 0])
+            split = make_splits(num_nodes, base_seed=[base_seed, ci, s, 1], count=1)[0]
+            tcfg = config.training(seed=(base_seed, ci, s, 2))
             raw_model = train_linear(
                 ds.x, ds.community, 2, tcfg, split.train, split.val
             )
@@ -438,7 +429,7 @@ def toy_study(
                 mcfg = ModelConfig(
                     num_layers=1,
                     in_dim=1,
-                    hidden_dim=hidden_dim,
+                    hidden_dim=config.hidden_dim,
                     num_classes=2,
                     sim_kind="neg_sq_scalar",
                     localsim_mode="naive",

@@ -131,7 +131,8 @@ def test_criterion_2_cross_subgraph_gap_meets_bound():
 @pytest.fixture(scope="module")
 def toy_cells():
     started = time.perf_counter()
-    cells = toy_study([(0.9, 0.1), (0.5, 0.5)], seeds=range(5))
+    cells = toy_study([(0.9, 0.1), (0.5, 0.5)], seeds=range(5),
+                      config=ExperimentConfig(hidden_dim=16, lr=0.05))
     return cells, time.perf_counter() - started
 
 
@@ -387,8 +388,8 @@ def test_criterion_7b_repeated_smoothing_baseline_degrades(depth_data, depth_row
     for k in depths:
         per_split = []
         for i, split in enumerate(splits):
-            # toy_study's d=1 linear-head settings, seeded as run_experiment
-            # seeds split i
+            # the d=1 linear-head settings criteria 3a and 3b train with,
+            # seeded as run_experiment seeds split i
             tcfg = TrainConfig(lr=0.05, weight_decay=5e-4, epochs=200, patience=40,
                                seed=(0, i))
             head = train_linear(stack.low[k - 1], bundle.labels, 2, tcfg,

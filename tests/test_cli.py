@@ -190,12 +190,14 @@ def test_theory_smoke(tmp_path, capsys):
 
 def test_toy_without_seeds_exits_2(config_file, tmp_path, capsys):
     out = tmp_path / "toy"
-    assert main(["toy", "--lambdas", "1,1", "--seeds", "0",
-                 "--config", str(config_file), "--out", str(out)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["toy", "--lambdas", "1,1", "--seeds", "0",
+              "--config", str(config_file), "--out", str(out)])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert "at least one seed" in captured.err
+    assert "argument --seeds: expected a positive integer, got '0'" in captured.err
     assert "nan" not in captured.out
-    assert not (out / "report.csv").exists()
+    assert not out.exists()
 
 
 def test_theory_compares_against_the_generated_lambda(tmp_path, capsys):
@@ -330,6 +332,19 @@ def test_missing_dataset_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pair", ["0 120", "-1 3"])
+def test_out_of_range_node_id_names_the_edges_line(pair, dataset_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    edges = data / "edges.txt"
+    lineno = len(edges.read_text().splitlines()) + 1
+    edges.write_text(edges.read_text() + pair + "\n")
+    assert main(["stats", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"edges.txt:{lineno}: node id outside [0, 120) in {pair!r}" in err
+    assert "np." not in err
+
+
 def test_malformed_lambda_values_exit_2(tmp_path, capsys):
     assert main(["gen-fsbm", "--lambdas", "a,b", "--out", str(tmp_path / "o")]) == 2
     assert "comma-separated numbers" in capsys.readouterr().err
@@ -414,6 +429,54 @@ def test_seed_must_be_a_non_negative_integer(argv, tmp_path, monkeypatch, capsys
     assert exc.value.code == 2
     assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["train", "--data", "d", "--splits", "0"], "--splits"),
+        (["sweep-depth", "--data", "d", "--splits", "-1"], "--splits"),
+        (["search", "--data", "d", "--splits", "x"], "--splits"),
+        (["search", "--data", "d", "--budget", "0"], "--budget"),
+        (["theory", "--trials", "0"], "--trials"),
+    ],
+    ids=["train-splits", "sweep-depth-splits", "search-splits", "search-budget", "theory-trials"],
+)
+def test_counts_must_be_positive_integers(argv, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("k_list", ["0", "1,-2"])
+def test_depth_list_entries_must_be_positive(k_list, dataset_dir, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["sweep-depth", "--data", str(dataset_dir), "--k-list", k_list,
+                 "--out", str(out)]) == 2
+    assert f"error: --k-list entries must be >= 1, got {k_list!r}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("beta_choices: [0.5, 2.0]", "beta_choices: beta must lie in [0, 1], got 2.0"),
+     ("gamma_choices: [-1.0]", "gamma_choices: gamma must lie in [0, 1], got -1.0"),
+     ("dropout_choices: [1.5]", "dropout_choices: dropout must lie in [0, 1), got 1.5"),
+     ("sim_choices: [bogus]", "sim_choices: sim_kind must be one of")],
+    ids=["beta", "gamma", "dropout", "sim"],
+)
+def test_bad_search_choices_exit_2_naming_the_key(line, message, dataset_dir, tmp_path, capsys):
+    # --seed 0 draws beta 0.5 first: the check must not wait for a bad draw
+    config = tmp_path / "space.yaml"
+    config.write_text(line + "\n")
+    out = tmp_path / "o"
+    assert main(["search", "--data", str(dataset_dir), "--budget", "1", "--splits", "1",
+                 "--config", str(config), "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_malformed_values_exit_2_naming_the_value(dataset_dir, tmp_path, capsys):

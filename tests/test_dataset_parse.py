@@ -48,7 +48,7 @@ def parse(where):
 def parse_fast_only(where):
     """`parse`, failing if any file falls back to its line loop."""
 
-    def no_loop(path):
+    def no_loop(path, *_):
         raise AssertionError(f"{path} fell back to its line loop")
 
     with pytest.MonkeyPatch.context() as m:

@@ -47,9 +47,9 @@ def test_build_graph_sorted_csr_and_input_order_invariance():
 
 
 def test_build_graph_rejects_bad_ids():
-    with pytest.raises(InputError):
-        build_graph(np.array([[0, 5]]), 4)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^edge \(0, 5\) references a node outside \[0, 4\)$"):
+        build_graph(np.array([[1, 2], [0, 5]]), 4)
+    with pytest.raises(InputError, match=r"^edge \(-1, 0\) references"):
         build_graph(np.array([[-1, 0]]), 4)
 
 

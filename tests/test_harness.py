@@ -9,11 +9,11 @@ from lsgnn.harness import (
     DatasetBundle,
     ExperimentConfig,
     PropagationCache,
+    SEARCHED,
     SearchSpace,
     dataset_stats,
     depth_sweep,
     format_float,
-    graph_digest,
     load_dataset,
     make_splits,
     random_search,
@@ -64,8 +64,6 @@ def test_make_splits_determinism_and_errors():
     assert not np.array_equal(a[0].train, c[0].train)
     with pytest.raises(InputError):
         make_splits(3)
-    with pytest.raises(InputError):
-        make_splits(100, ratios=(0.6, 0.5, 0.1))
 
 
 def test_dataset_round_trip(tmp_path):
@@ -187,31 +185,19 @@ def test_dataset_stats_on_path_graph():
     assert stats.homophily == pytest.approx(0.75)
 
 
-def test_graph_digest_depends_only_on_structure():
-    edges = np.array([[0, 1], [1, 2], [0, 3]])
-    g1 = build_graph(edges, 4)
-    g2 = build_graph(edges[::-1], 4)
-    assert graph_digest(g1) == graph_digest(g2)
-    g3 = build_graph(np.array([[0, 1], [1, 2], [2, 3]]), 4)
-    assert graph_digest(g1) != graph_digest(g3)
-    g4 = build_graph(edges, 5)  # extra isolated node changes the digest
-    assert graph_digest(g1) != graph_digest(g4)
-
-
 def test_propagation_cache_memory():
     bundle = small_bundle(n=40)
     config = PropagationConfig(num_layers=2)
-    cache = PropagationCache()
-    stack, hit = cache.get_or_compute(bundle.graph, bundle.features, config)
+    cache = PropagationCache(bundle.graph, bundle.features)
+    stack, hit = cache.get_or_compute(config)
     assert not hit
-    again, hit2 = cache.get_or_compute(bundle.graph, bundle.features, config)
-    assert hit2 and again is stack
+    again, hit2 = cache.get_or_compute(PropagationConfig(num_layers=2))
+    assert hit2 and again is stack  # equal configs share one entry
 
-    _, other_hit = cache.get_or_compute(
-        bundle.graph, bundle.features, PropagationConfig(num_layers=3))
+    _, other_hit = cache.get_or_compute(PropagationConfig(num_layers=3))
     assert not other_hit
 
-    _, fresh_hit = PropagationCache().get_or_compute(bundle.graph, bundle.features, config)
+    _, fresh_hit = PropagationCache(bundle.graph, bundle.features).get_or_compute(config)
     assert not fresh_hit
 
 
@@ -242,12 +228,12 @@ def test_run_experiment_is_deterministic_and_uses_cache():
     hits = []
 
     class RecordingCache(PropagationCache):
-        def get_or_compute(self, g, x, prop_config):
-            stack, hit = super().get_or_compute(g, x, prop_config)
+        def get_or_compute(self, prop_config):
+            stack, hit = super().get_or_compute(prop_config)
             hits.append(hit)
             return stack, hit
 
-    cache = RecordingCache()
+    cache = RecordingCache(bundle.graph, bundle.features)
     r1 = run_experiment(bundle, config, splits, base_seed=3, cache=cache)
     r2 = run_experiment(bundle, config, splits, base_seed=3, cache=cache)
     assert r1.test_accuracies == r2.test_accuracies
@@ -261,6 +247,18 @@ def test_run_experiment_is_deterministic_and_uses_cache():
     assert hits == [False, True]
     with pytest.raises(InputError):
         run_experiment(bundle, config, [], base_seed=3)
+
+
+def test_run_experiment_rejects_a_cache_made_for_another_bundle():
+    bundle = small_bundle(n=40)
+    splits = make_splits(bundle.num_nodes, count=1)
+    config = quick_config(epochs=2)
+    twin = DatasetBundle(graph=bundle.graph, features=bundle.features.copy(), labels=bundle.labels)
+    for other in (twin, small_bundle(n=40)):
+        cache = PropagationCache(other.graph, other.features)
+        with pytest.raises(InputError, match="another graph or feature matrix"):
+            run_experiment(bundle, config, splits, cache=cache)
+        assert cache.get_or_compute(config.propagation())[1] is False  # nothing was stored
 
 
 def test_run_experiment_keeps_best_validation_split_parameters():
@@ -297,6 +295,53 @@ def test_sample_config_domains_and_prefix_stability():
         assert cfg.sim_kind in space.sim_choices
         assert cfg.num_layers == base.num_layers  # untouched fields pass through
     assert len({cfg.lr for cfg in five}) == 5
+
+
+# The first five draws for seed 7, recorded before the draws moved into one
+# loop over SEARCHED: (lr, weight_decay, dropout, beta, gamma, sim_kind).
+PINNED_DRAWS = {
+    "default": (SearchSpace(), [
+        (0.017790613846114547, 0.030624499862870226, 0.7, 0.9, 1.0, "cosine"),
+        (0.003984121459627714, 0.023322077112800505, 0.9, 0.1, 0.5, "euclidean"),
+        (0.03927704963152219, 0.00021861238596493078, 0.8, 0.3, 0.5, "cosine"),
+        (0.003233993742943504, 0.00016802795020803843, 0.6, 0.7, 0.7, "euclidean"),
+        (0.09794912639021726, 0.009189874828259498, 0.8, 0.7, 0.5, "euclidean"),
+    ]),
+    # YAML reads `beta_choices: [0, 1]` as ints; the draw is still a float.
+    "int-choices": (SearchSpace(beta_choices=(0, 1), dropout_choices=(0, 0.5),
+                                sim_choices=("euclidean",)), [
+        (0.017790613846114547, 0.030624499862870226, 0.5, 1.0, 1.0, "euclidean"),
+        (0.003984121459627714, 0.023322077112800505, 0.0, 1.0, 0.1, "euclidean"),
+        (0.043899223334275386, 0.009668233792520714, 0.0, 0.0, 0.9, "euclidean"),
+        (0.003604551411348232, 1.8808230488033045e-05, 0.0, 1.0, 0.5, "euclidean"),
+        (0.010211664032423177, 0.0005854458885145865, 0.5, 1.0, 0.9, "euclidean"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_DRAWS)
+def test_sample_config_draws_are_pinned(name):
+    space, want = PINNED_DRAWS[name]
+    rng = np.random.default_rng(7)
+    got = [sample_config(space, rng, ExperimentConfig()) for _ in range(5)]
+    searched = [field for _, field, _ in SEARCHED]
+    assert searched == ["lr", "weight_decay", "dropout", "beta", "gamma", "sim_kind"]
+    for cfg, row in zip(got, want, strict=True):
+        values = tuple(getattr(cfg, field) for field in searched)
+        assert values == row
+        assert [type(v) for v in values] == [float] * 5 + [str]
+
+
+def test_random_search_checks_every_choice_before_the_first_trial(monkeypatch):
+    bundle = small_bundle(n=40)
+    splits = make_splits(bundle.num_nodes, count=1)
+    calls = []
+    monkeypatch.setattr(harness, "run_experiment", lambda *a, **k: calls.append(1))
+    # seed 0 draws beta 0.5 first, so no trial of budget 1 would reach 2.0
+    space = SearchSpace(beta_choices=(0.5, 2.0))
+    with pytest.raises(InputError, match=r"^beta_choices: beta must lie in \[0, 1\], got 2\.0$"):
+        harness.random_search(bundle, space, budget=1, splits=splits, seed=0)
+    assert calls == []
 
 
 def test_random_search_picks_best_validation_trial():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lsgnn.errors import InputError
+from lsgnn.harness import ExperimentConfig
 from lsgnn.synthetic import (
     FsbmConfig,
     generate_fsbm,
@@ -227,7 +228,8 @@ def test_l1_gap_errors():
 
 
 def test_toy_study_perfect_homophily_cell():
-    cells = toy_study([(1.0, 1.0)], seeds=(0, 1), num_nodes=400)
+    config = ExperimentConfig(hidden_dim=16, lr=0.05)
+    cells = toy_study([(1.0, 1.0)], seeds=(0, 1), config=config, num_nodes=400)
     assert len(cells) == 1
     cell = cells[0]
     assert cell.lambdas == (1.0, 1.0)
@@ -238,6 +240,8 @@ def test_toy_study_perfect_homophily_cell():
     assert 0.7 <= means["raw"] <= 0.92
     assert means["graph_level"] >= 0.95
     assert means["node_level"] >= 0.95
-    again = toy_study([(1.0, 1.0)], seeds=(0, 1), num_nodes=400)
+    again = toy_study([(1.0, 1.0)], seeds=(0, 1), config=config, num_nodes=400)
     assert np.array_equal(cell.graph_level, again[0].graph_level)
     assert np.array_equal(cell.node_level, again[0].node_level)
+    with pytest.raises(InputError, match="at least one seed"):
+        toy_study([(1.0, 1.0)], seeds=(), config=config)
