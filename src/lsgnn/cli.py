@@ -195,6 +195,11 @@ def _cmd_eval(args, out):
             f"checkpoint {args.checkpoint} expects {model_cfg.in_dim} features per node, "
             f"but dataset {args.data} has {width}"
         )
+    if bundle.num_classes > model_cfg.num_classes:
+        raise InputError(
+            f"checkpoint {args.checkpoint} predicts {model_cfg.num_classes} classes, "
+            f"but dataset {args.data} has {bundle.num_classes}"
+        )
     stack = precompute_bundle(bundle.graph, bundle.features, prop_cfg)
     inputs = ModelInputs.build(bundle.graph, bundle.features, stack, model_cfg.sim_kind)
     mask = np.ones(bundle.num_nodes, dtype=bool)

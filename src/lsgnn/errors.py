@@ -6,12 +6,14 @@ class LsgnnError(Exception):
 
 
 class InputError(LsgnnError):
-    """Malformed user input: bad edge lists, node ids, shapes, or config values."""
+    """Bad user input: config values, flags, paths, array shapes or node ids
+    passed in code, or a dataset that does not fit a checkpoint."""
 
 
 class FormatError(LsgnnError):
-    """A binary artifact is corrupt or was written by an incompatible version,
-    or a dataset's features.csv or labels.txt is malformed."""
+    """A file is malformed: a dataset's edges.txt, features.csv or
+    labels.txt, or a binary artifact that is corrupt or was written by an
+    incompatible version."""
 
 
 class DigestMismatchError(FormatError):

@@ -7,6 +7,8 @@ the same order on every run.
 
 from __future__ import annotations
 
+import re
+import reprlib
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -14,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InputError
+from .errors import FormatError, InputError
 
 __all__ = [
     "SparseGraph",
@@ -219,64 +221,76 @@ def node_homophily(g: SparseGraph, labels: np.ndarray) -> HomophilyReport:
 
 _INT64 = np.iinfo(np.int64)
 
+# The tokens np.loadtxt parses as int64 or float64 (ASCII digits, no digit
+# grouping, surrounding whitespace stripped), how to convert each, and the
+# rule an error names.  The line loop accepts exactly these tokens, so a file
+# parses the same whichever path reads it.
+_TOKENS = {
+    np.int64: (re.compile(r"[+-]?[0-9]+"), int, "an integer"),
+    np.float64: (re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf(?:inity)?|nan)",
+                            re.I), float, "a finite number"),
+}
 
-def _loadtxt(path, dtype, delimiter=None, comments=None) -> np.ndarray | None:
-    """Parse a whole text file with one `np.loadtxt` call into a 2-D array.
 
-    Returns None when numpy rejects the file or warns (an empty file
-    warns).  numpy accepts no token that `int()` or `float()` rejects and
-    parses the ones both accept to the same value, so a caller may use an
-    array of the shape its line loop would build as is.  On None or any
-    other shape it re-reads with the loop, which names the bad line.
+def _read_table(path, kind, width=None, delimiter=None, comments=None,
+                low=_INT64.min, high=_INT64.max, what="value") -> np.ndarray:
+    """Read a text table of `kind` (np.int64 or np.float64) values as a 2-D
+    array, `width` values a line (the first line's count when None).
+
+    Floats must be finite and ints lie in [low, high]; blank lines are
+    skipped and `comments` starts a comment.  The whole file is parsed by
+    one `np.loadtxt` call.  When numpy rejects it or warns (an empty file
+    warns), or a check fails, `_read_lines` re-reads it to name the line.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-                return np.loadtxt(fh, dtype=dtype, delimiter=delimiter, comments=comments, ndmin=2)
+                table = np.loadtxt(fh, dtype=kind, delimiter=delimiter, comments=comments, ndmin=2)
         except (ValueError, Warning):
-            return None
+            table = None
+    if table is not None and table.size and width in (None, table.shape[1]) and (
+        np.isfinite(table).all() if kind is np.float64 else low <= table.min() and table.max() <= high
+    ):
+        return table
+    return _read_lines(path, kind, width, delimiter, comments, low, high, what)
+
+
+def _read_lines(path, kind, width, delimiter, comments, low, high, what) -> np.ndarray:
+    """`_read_table`'s line loop: the same table, or a FormatError naming
+    the path, line, offending text and the rule it breaks.  An undecodable
+    byte becomes a lone surrogate, which no token matches."""
+    pattern, number, rule = _TOKENS[kind]
+    bounds = "int64" if (low, high) == (_INT64.min, _INT64.max) else f"[{low}, {high + 1})"
+    rows = []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = (line.split(comments, 1)[0] if comments else line).strip()
+            if not text:
+                continue
+            tokens = [token.strip() for token in text.split(delimiter)]
+            width = width or len(tokens)
+            if len(tokens) != width:
+                raise FormatError(f"{path}:{lineno}: expected {width} value{'s' * (width != 1)}, "
+                                  f"got {len(tokens)} in {reprlib.repr(text)}")
+            for token in tokens:
+                if not pattern.fullmatch(token) or number is float and not np.isfinite(float(token)):
+                    raise FormatError(f"{path}:{lineno}: {what} {token!r} is not {rule}")
+            row = [number(token) for token in tokens]
+            if number is int and not all(low <= value <= high for value in row):
+                raise FormatError(f"{path}:{lineno}: {what} outside {bounds} in {reprlib.repr(text)}")
+            rows.append(row)
+    return np.array(rows, dtype=kind).reshape(len(rows), width or 0)
 
 
 def read_edge_list(path, num_nodes: int | None = None) -> np.ndarray:
     """Read whitespace-separated "i j" pairs; '#' starts a comment.
 
     With `num_nodes`, a node id outside [0, num_nodes) fails with its file
-    and line.  An undecodable byte becomes a lone surrogate, so it fails as
-    a non-integer node id with its file and line.
+    and line; without, one outside int64 does.
     """
-    edges = _loadtxt(path, np.int64, comments="#")
-    if edges is not None and edges.shape[1] == 2 and (
-        num_nodes is None or (edges.min() >= 0 and edges.max() < num_nodes)
-    ):
-        return edges
-    return _read_edge_lines(path, num_nodes)
-
-
-def _read_edge_lines(path, num_nodes: int | None = None) -> np.ndarray:
-    if num_nodes is None:
-        low, high, bounds = _INT64.min, _INT64.max, "int64"
-    else:
-        low, high, bounds = 0, num_nodes - 1, f"[0, {num_nodes})"
-    pairs = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise InputError(f"{path}:{lineno}: expected two node ids, got {text!r}")
-            try:
-                pair = (int(parts[0]), int(parts[1]))
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: non-integer node id in {text!r}") from exc
-            if not all(low <= v <= high for v in pair):
-                raise InputError(f"{path}:{lineno}: node id outside {bounds} in {text!r}")
-            pairs.append(pair)
-    if not pairs:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.asarray(pairs, dtype=np.int64)
+    bounds = {} if num_nodes is None else {"low": 0, "high": num_nodes - 1}
+    return _read_table(path, np.int64, 2, comments="#", what="node id", **bounds)
 
 
 def write_edge_list(path, g: SparseGraph) -> None:

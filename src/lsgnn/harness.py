@@ -16,9 +16,9 @@ import numpy as np
 
 from . import __version__
 from .errors import FormatError, InputError, LsgnnError, TrainingDivergedError
+from . import graph as _graph
 from .graph import (
     SparseGraph,
-    _loadtxt,
     build_graph,
     node_homophily,
     read_edge_list,
@@ -135,29 +135,22 @@ def load_dataset(directory) -> DatasetBundle:
     """Read a canonical dataset directory and validate its consistency.
 
     Labels must be dense in [0, C): every class id below the maximum must
-    occur at least once.  Each file is parsed whole by `np.loadtxt`; its
-    line loop runs only when that parse fails or a check rejects the
-    result, and it raises the error with the file and line at fault.
+    occur at least once.  A malformed file raises FormatError naming its
+    path, and its line where one line is at fault.
     """
-    paths = {
-        name: os.path.join(directory, name)
-        for name in ("edges.txt", "features.csv", "labels.txt")
-    }
-    for name, path in paths.items():
+    paths = [os.path.join(directory, name) for name in ("edges.txt", "features.csv", "labels.txt")]
+    for path in paths:
         if not os.path.isfile(path):
-            raise InputError(f"dataset directory {directory} is missing {name}")
+            raise InputError(f"dataset directory {directory} is missing {os.path.basename(path)}")
+    edges_path, features_path, labels_path = paths
 
-    features = _loadtxt(paths["features.csv"], np.float64, delimiter=",")
-    if features is None or not np.isfinite(features).all():
-        features = _read_feature_lines(paths["features.csv"])
-    labels = _loadtxt(paths["labels.txt"], np.int64)
-    if labels is not None and labels.shape[1] == 1 and labels.min() >= 0:
-        labels = labels.reshape(-1)
-    else:
-        labels = _read_label_lines(paths["labels.txt"])
+    features = _graph._read_table(features_path, np.float64, delimiter=",")
+    labels = _graph._read_table(labels_path, np.int64, 1, low=0, what="label").reshape(-1)
     n = features.shape[0]
+    if n == 0:
+        raise FormatError(f"{features_path} contains no rows")
     if labels.shape[0] != n:
-        raise InputError(f"labels.txt has {labels.shape[0]} rows but features.csv has {n}")
+        raise FormatError(f"{labels_path} has {labels.shape[0]} rows but {features_path} has {n}")
     # Dense ids in [0, C) imply max < rows, so only ids below both are
     # counted and a huge id allocates nothing.
     top = int(labels.max())
@@ -166,66 +159,14 @@ def load_dataset(directory) -> DatasetBundle:
     missing = _first_ids(np.flatnonzero(~seen))
     if top >= n:
         raise FormatError(
-            f"labels.txt: label ids are not dense in [0, C): missing {missing} below the "
-            f"row count {n}, and label {top} is not below it"
+            f"{labels_path}: label ids are not dense in [0, C): missing {missing} below "
+            f"the row count {n}, and label {top} is not below it"
         )
     if not seen.all():
-        raise FormatError(f"labels.txt: label ids are not dense in [0, C): missing {missing}")
+        raise FormatError(f"{labels_path}: label ids are not dense in [0, C): missing {missing}")
 
-    edges = read_edge_list(paths["edges.txt"], num_nodes=n)
-    graph = build_graph(edges, num_nodes=n)
-    return DatasetBundle(graph=graph, features=features, labels=labels)
-
-
-def _read_feature_lines(path) -> np.ndarray:
-    # An undecodable byte becomes a lone surrogate, which no number parses,
-    # so it fails as a malformed value with its file and line.
-    rows: list[np.ndarray] = []
-    linenos: list[int] = []
-    width = None
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                values = np.array([float(v) for v in text.split(",")], dtype=np.float64)
-            except ValueError as exc:
-                raise FormatError(f"features.csv:{lineno}: non-numeric value") from exc
-            if width is None:
-                width = values.shape[0]
-            elif values.shape[0] != width:
-                raise FormatError(
-                    f"features.csv:{lineno}: expected {width} values, got {values.shape[0]}"
-                )
-            rows.append(values)
-            linenos.append(lineno)
-    if not rows:
-        raise FormatError("features.csv contains no rows")
-    features = np.vstack(rows)
-    if not np.isfinite(features).all():
-        bad_row = np.flatnonzero(~np.isfinite(features).all(axis=1))[0]
-        raise FormatError(f"features.csv:{linenos[bad_row]}: non-finite value")
-    return features
-
-
-def _read_label_lines(path) -> np.ndarray:
-    labels = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                label = int(text)
-            except ValueError as exc:
-                raise FormatError(f"labels.txt:{lineno}: non-integer label") from exc
-            if label < 0:
-                raise FormatError(f"labels.txt:{lineno}: negative label {label}")
-            if label > np.iinfo(np.int64).max:
-                raise FormatError(f"labels.txt:{lineno}: label {label} is outside int64")
-            labels.append(label)
-    return np.asarray(labels, dtype=np.int64)
+    edges = read_edge_list(edges_path, num_nodes=n)
+    return DatasetBundle(graph=build_graph(edges, num_nodes=n), features=features, labels=labels)
 
 
 # --- splits ----------------------------------------------------------------

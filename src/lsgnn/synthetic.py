@@ -131,8 +131,8 @@ def multi_subgraph_config(
     """
     if num_nodes <= 0:
         raise InputError(f"num_nodes must be positive, got {num_nodes}")
-    if not expected_degree > 0:
-        raise InputError(f"expected_degree (--degree) must be positive, got {expected_degree}")
+    if not 0 < expected_degree < np.inf:
+        raise InputError(f"expected_degree (--degree) must be finite and positive, got {expected_degree}")
     t = len(lambdas)
     total = 2.0 * t * expected_degree / num_nodes
     ps, qs = [], []

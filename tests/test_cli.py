@@ -135,6 +135,22 @@ def test_eval_propagates_with_the_checkpoint_config(dataset_dir, tuned_checkpoin
         assert line in manifest
 
 
+def test_eval_rejects_a_dataset_with_more_classes_than_the_checkpoint(dataset_dir, tuned_checkpoint,
+                                                                       tmp_path, capsys):
+    checkpoint, _ = tuned_checkpoint
+    bundle = load_dataset(dataset_dir)
+    labels = bundle.labels.copy()
+    labels[0] = 2
+    three = tmp_path / "three"
+    save_dataset(three, bundle.graph, bundle.features, labels)
+    out = tmp_path / "eval"
+    assert main(["eval", "--data", str(three), "--checkpoint", str(checkpoint),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {checkpoint} predicts 2 classes, but dataset {three} has 3" in err
+    assert list(out.iterdir()) == []
+
+
 def test_eval_rejects_a_config_key_the_checkpoint_contradicts(dataset_dir, tuned_checkpoint,
                                                               tmp_path, capsys):
     checkpoint, _ = tuned_checkpoint
@@ -363,7 +379,7 @@ def test_infeasible_generator_settings_exit_2(tmp_path, capsys):
         assert "num_nodes must be positive, got 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("degree", ["-1", "0", "nan"])
+@pytest.mark.parametrize("degree", ["-1", "0", "nan", "inf"])
 def test_non_positive_degree_is_named(degree, tmp_path, capsys):
     assert main(["gen-fsbm", "--degree", degree, "--nodes", "40",
                  "--out", str(tmp_path / "o")]) == 2

@@ -1,12 +1,17 @@
-"""The dataset loader's whole-file parse against its line loops.
+"""The dataset reader's whole-file parse against its line loop.
 
-`load_dataset` and `read_edge_list` parse each file with one `np.loadtxt`
-call and fall back to the per-line loop only to name a bad line.  These
-tests pin the two to the same arrays, bit for bit, and check that valid
-inputs (the generator's and the benchmark's among them) take the fast path.
+`graph._read_table` reads every dataset text file (features.csv and
+labels.txt for `load_dataset`, edges.txt for `read_edge_list`) with one
+`np.loadtxt` call and falls back to its line loop, `graph._read_lines`, only
+to name a bad line.  These tests pin the two to the same arrays, bit for
+bit, and to the same accepted tokens; check that valid inputs (the
+generator's and the benchmark's among them) take the fast path; and check
+that every malformed file fails naming its path, line and offending text.
 """
 
+import inspect
 import os
+import re
 import warnings
 
 import numpy as np
@@ -16,8 +21,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lsgnn.graph as graph
-import lsgnn.harness as harness
-from lsgnn.errors import FormatError, InputError
+from lsgnn.cli import main
+from lsgnn.errors import FormatError
 from lsgnn.graph import build_graph, read_edge_list
 from lsgnn.harness import load_dataset, save_dataset
 
@@ -25,17 +30,10 @@ BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 
 
 def write_files(where, features, labels, edges):
+    # surrogateescape turns "\udcff" back into the byte 0xff.
     where.mkdir(parents=True, exist_ok=True)
     for name, text in (("features.csv", features), ("labels.txt", labels), ("edges.txt", edges)):
-        (where / name).write_bytes(text.encode("utf-8"))
-
-
-def parse_by_loops(where):
-    return (
-        harness._read_feature_lines(where / "features.csv"),
-        harness._read_label_lines(where / "labels.txt"),
-        graph._read_edge_lines(where / "edges.txt"),
-    )
+        (where / name).write_bytes(text.encode("utf-8", "surrogateescape"))
 
 
 def parse(where):
@@ -45,16 +43,39 @@ def parse(where):
         return bundle.features, bundle.labels, read_edge_list(where / "edges.txt")
 
 
-def parse_fast_only(where):
-    """`parse`, failing if any file falls back to its line loop."""
+READ_TABLE = graph._read_table
 
-    def no_loop(path, *_):
-        raise AssertionError(f"{path} fell back to its line loop")
+
+def read_by_loop(*args, **kwargs):
+    """The line loop, given the arguments of a `graph._read_table` call."""
+    bound = inspect.signature(READ_TABLE).bind(*args, **kwargs)
+    bound.apply_defaults()
+    return graph._read_lines(*bound.args)
+
+
+def parse_by_loops(where):
+    """`parse` with every file read by the line loop."""
+    files = []
+
+    def loop_only(path, *args, **kwargs):
+        files.append(path)
+        return read_by_loop(path, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(harness, "_read_feature_lines", no_loop)
-        m.setattr(harness, "_read_label_lines", no_loop)
-        m.setattr(graph, "_read_edge_lines", no_loop)
+        m.setattr(graph, "_read_table", loop_only)
+        parsed = parse(where)
+    assert len(files) == 4  # features, labels, and edges.txt once per caller
+    return parsed
+
+
+def parse_fast_only(where):
+    """`parse`, failing if any file falls back to the line loop."""
+
+    def no_loop(path, *_):
+        raise AssertionError(f"{path} fell back to the line loop")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(graph, "_read_lines", no_loop)
         return parse(where)
 
 
@@ -97,23 +118,102 @@ def test_fast_path_matches_the_line_loops(name, tmp_path):
     assert_bitwise(parse(tmp_path), parse_by_loops(tmp_path))
 
 
-# Inputs np.loadtxt reads as a well-formed array of the wrong shape.
+# Inputs np.loadtxt reads as a well-formed array of the wrong width.
 REJECTED = {
-    "one label line of two ids": (("1.0\n2.0\n", "0 1\n", "0 1\n"), FormatError, "labels.txt:1"),
-    "every label line of two ids": (("1.0\n2.0\n", "0 1\n1 0\n", "0 1\n"), FormatError, "labels.txt:1"),
-    "every edge line of three ids": (("1.0\n2.0\n", "0\n1\n", "0 1 1\n1 0 0\n"), InputError,
-                                     r"edges\.txt:1: expected two node ids"),
-    "every edge line of one id": (("1.0\n2.0\n", "0\n1\n", "0\n1\n"), InputError,
-                                  r"edges\.txt:1: expected two node ids"),
+    "one label line of two ids": (("1.0\n2.0\n", "0 1\n", "0 1\n"), "labels.txt",
+                                  "expected 1 value, got 2 in '0 1'"),
+    "every label line of two ids": (("1.0\n2.0\n", "0 1\n1 0\n", "0 1\n"), "labels.txt",
+                                    "expected 1 value, got 2 in '0 1'"),
+    "every edge line of three ids": (("1.0\n2.0\n", "0\n1\n", "0 1 1\n1 0 0\n"), "edges.txt",
+                                     "expected 2 values, got 3 in '0 1 1'"),
+    "every edge line of one id": (("1.0\n2.0\n", "0\n1\n", "0\n1\n"), "edges.txt",
+                                  "expected 2 values, got 1 in '0'"),
 }
 
 
 @pytest.mark.parametrize("name", REJECTED)
 def test_shapes_the_loops_reject_still_raise(name, tmp_path):
-    texts, error, message = REJECTED[name]
+    texts, file, message = REJECTED[name]
     write_files(tmp_path, *texts)
-    with pytest.raises(error, match=message):
+    with pytest.raises(FormatError, match="^" + re.escape(f"{tmp_path / file}:1: {message}") + "$"):
         parse(tmp_path)
+
+
+# A valid two-node dataset, and for each kind of fault the text that
+# replaces one of its files, with the line and message the loop names.
+VALID = {"features.csv": "1.0,2.0\n3.0,4.0\n", "labels.txt": "0\n1\n", "edges.txt": "0 1\n"}
+MALFORMED = {
+    "bad token": {
+        "features.csv": ("1.0,2.0\n3.0,x\n", 2, "value 'x' is not a finite number"),
+        "labels.txt": ("0\none\n", 2, "label 'one' is not an integer"),
+        "edges.txt": ("0 1\n1 two\n", 2, "node id 'two' is not an integer"),
+    },
+    "digit grouping": {
+        "features.csv": ("1.0,2.0\n1_0.5,4.0\n", 2, "value '1_0.5' is not a finite number"),
+        "labels.txt": ("0\n0_1\n", 2, "label '0_1' is not an integer"),
+        "edges.txt": ("0 0_1\n", 1, "node id '0_1' is not an integer"),
+    },
+    "wrong width": {
+        "features.csv": ("1.0,2.0\n3.0\n", 2, "expected 2 values, got 1 in '3.0'"),
+        "labels.txt": ("0\n1 1\n", 2, "expected 1 value, got 2 in '1 1'"),
+        "edges.txt": ("0 1\n1 0 1\n", 2, "expected 2 values, got 3 in '1 0 1'"),
+    },
+    "out of range or non-finite": {
+        "features.csv": ("1.0,2.0\n3.0,-inf\n", 2, "value '-inf' is not a finite number"),
+        "labels.txt": ("0\n-1\n", 2, "label outside [0, 9223372036854775808) in '-1'"),
+        "edges.txt": ("0 1\n1 2\n", 2, "node id outside [0, 2) in '1 2'"),
+    },
+    "after blank, CRLF and comment lines": {
+        "features.csv": ("1.0,2.0\r\n\r\n  \r\n3.0,4.0e\r\n", 4, "value '4.0e' is not a finite number"),
+        "labels.txt": ("0\r\n\r\n \t\r\n1.0\r\n", 4, "label '1.0' is not an integer"),
+        "edges.txt": ("# header\r\n\r\n0 1  # inline\r\n1 0x1\r\n", 4, "node id '0x1' is not an integer"),
+    },
+    "undecodable byte": {
+        "features.csv": ("1.0,2.0\n3.0,\udcff\n", 2, "value '\\udcff' is not a finite number"),
+        "labels.txt": ("0\n\udcff1\n", 2, "label '\\udcff1' is not an integer"),
+        "edges.txt": ("0 1\n1 0\udcff\n", 2, "node id '0\\udcff' is not an integer"),
+    },
+}
+
+
+@pytest.mark.parametrize("file", list(VALID))
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_files_name_path_line_and_text(case, file, tmp_path, capsys):
+    text, line, message = MALFORMED[case][file]
+    where = tmp_path / "data"
+    write_files(where, *(text if name == file else VALID[name] for name in VALID))
+    expected = f"{where / file}:{line}: {message}"
+    with pytest.raises(FormatError) as info:
+        load_dataset(where)
+    assert str(info.value) == expected
+    assert main(["stats", "--data", str(where), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(token=st.text("0123456789+-.eEinfatyINFATY_x \t\u00a0\u0663\udcff", min_size=1, max_size=8)
+       .filter(str.strip))
+@example(token="1_0.5")
+@example(token="0_1")
+@example(token="+1")
+@example(token="1e400")
+@example(token="\u0663")
+def test_both_paths_accept_the_same_tokens(token, tmp_path_factory):
+    # A one-line file: whatever np.loadtxt and its checks accept, the loop
+    # accepts with the same bits, and it accepts nothing else.
+    path = tmp_path_factory.mktemp("token") / "table.txt"
+    path.write_bytes(f"{token}\n".encode("utf-8", "surrogateescape"))
+    for kind, rules in ((np.float64, {"delimiter": ","}), (np.int64, {"width": 1, "low": 0})):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(graph, "_read_lines", lambda *_: None)
+            fast = graph._read_table(path, kind, **rules)
+        try:
+            loop = read_by_loop(path, kind, **rules)
+        except FormatError:
+            loop = None
+        assert (fast is None) == (loop is None), (kind, fast, loop)
+        if fast is not None:
+            assert_bitwise([fast], [loop])
 
 
 @pytest.mark.parametrize("workload", ["train-wide", "precompute-eval", "synth-study"])

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lsgnn.errors import InputError
+from lsgnn.errors import FormatError, InputError
 from lsgnn.graph import (
     build_graph,
     enhanced_filters,
@@ -222,15 +224,16 @@ def test_read_edge_list_skips_comments_and_blank_lines(tmp_path):
 def test_read_edge_list_reports_offending_line(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_text("0 1\n1 two\n")
-    with pytest.raises(InputError, match=r"edges\.txt:2"):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: node id 'two' is not an integer$"):
         read_edge_list(path)
     path.write_text("0 1\n1\n")
-    with pytest.raises(InputError, match=r"edges\.txt:2"):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: expected 2 values, got 1 in '1'$"):
         read_edge_list(path)
 
 
 def test_read_edge_list_names_a_node_id_outside_int64(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_text("0 1\n1 99999999999999999999\n")
-    with pytest.raises(InputError, match=r"edges\.txt:2: node id outside int64"):
+    with pytest.raises(FormatError, match=(f"^{re.escape(str(path))}:2: node id outside int64 "
+                                           r"in '1 99999999999999999999'$")):
         read_edge_list(path)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,11 @@ def write_minimal(where, features_text="1.0,2.0\n3.0,4.0\n", labels_text="0\n1\n
     (where / "edges.txt").write_text(edges_text)
 
 
+def at(where, name, line=None):
+    """Regex prefix of a dataset error naming the file's full path (and line)."""
+    return "^" + re.escape(f"{where / name}" + ("" if line is None else f":{line}") + ": ")
+
+
 def test_load_dataset_error_paths(tmp_path):
     missing = tmp_path / "missing"
     write_minimal(missing)
@@ -97,56 +104,62 @@ def test_load_dataset_error_paths(tmp_path):
 
     ragged = tmp_path / "ragged"
     write_minimal(ragged, features_text="1.0,2.0\n3.0\n")
-    with pytest.raises(FormatError, match="features.csv:2"):
+    with pytest.raises(FormatError, match=at(ragged, "features.csv", 2) + "expected 2 values, got 1 in '3.0'$"):
         load_dataset(ragged)
 
     alpha = tmp_path / "alpha"
     write_minimal(alpha, features_text="1.0,x\n3.0,4.0\n")
-    with pytest.raises(FormatError, match="features.csv:1"):
+    with pytest.raises(FormatError, match=at(alpha, "features.csv", 1) + "value 'x' is not a finite number$"):
         load_dataset(alpha)
 
     badlabel = tmp_path / "badlabel"
     write_minimal(badlabel, labels_text="0\none\n")
-    with pytest.raises(FormatError, match="labels.txt:2"):
+    with pytest.raises(FormatError, match=at(badlabel, "labels.txt", 2) + "label 'one' is not an integer$"):
         load_dataset(badlabel)
 
     short = tmp_path / "short"
     write_minimal(short, labels_text="0\n")
-    with pytest.raises(InputError, match="1 rows"):
+    with pytest.raises(FormatError, match="^" + re.escape(
+            f"{short / 'labels.txt'} has 1 rows but {short / 'features.csv'} has 2")):
         load_dataset(short)
 
     sparse_ids = tmp_path / "sparse_ids"
     write_minimal(sparse_ids, labels_text="0\n2\n")
-    with pytest.raises(FormatError, match="missing \\[1\\]"):
+    with pytest.raises(FormatError, match=at(sparse_ids, "labels.txt")
+                       + r"label ids are not dense .*missing \[1\] below the row count 2"):
         load_dataset(sparse_ids)
 
     empty = tmp_path / "empty"
     write_minimal(empty, features_text="\n", labels_text="")
-    with pytest.raises(FormatError, match="no rows"):
+    with pytest.raises(FormatError, match="^" + re.escape(f"{empty / 'features.csv'} contains no rows")):
         load_dataset(empty)
 
     for i, bad in enumerate(("nan", "inf", "-inf", "1e400")):
         nonfinite = tmp_path / f"nonfinite{i}"
         write_minimal(nonfinite, features_text=f"1.0,2.0\n\n3.0,{bad}\n")
-        with pytest.raises(FormatError, match="features.csv:3: non-finite value"):
+        with pytest.raises(FormatError, match=at(nonfinite, "features.csv", 3)
+                           + f"value '{bad}' is not a finite number$"):
             load_dataset(nonfinite)
 
 
 def test_label_errors_name_labels_txt(tmp_path):
     negative = tmp_path / "negative"
     write_minimal(negative, labels_text="0\n\n-1\n")
-    with pytest.raises(FormatError, match="labels.txt:3: negative label -1"):
+    with pytest.raises(FormatError, match=at(negative, "labels.txt", 3)
+                       + re.escape("label outside [0, 9223372036854775808) in '-1'") + "$"):
         load_dataset(negative)
 
     gap = tmp_path / "gap"
     write_minimal(gap, labels_text="0\n2\n")
-    with pytest.raises(FormatError, match=r"labels.txt: label ids are not dense .*missing \[1\]"):
+    with pytest.raises(FormatError, match=at(gap, "labels.txt")
+                       + r"label ids are not dense .*missing \[1\] below the row count 2"):
         load_dataset(gap)
 
 
 def test_label_outside_int64_is_named(tmp_path):
     write_minimal(tmp_path, labels_text="0\n99999999999999999999\n")
-    with pytest.raises(FormatError, match="labels.txt:2: label 99999999999999999999 is outside int64"):
+    with pytest.raises(FormatError, match=at(tmp_path, "labels.txt", 2) + re.escape(
+            "label outside [0, 9223372036854775808) in '99999999999999999999'")):
         load_dataset(tmp_path)
 
 
@@ -167,9 +180,10 @@ def test_missing_label_ids_are_capped_at_ten(tmp_path, last):
         load_dataset(tmp_path)
     message = str(info.value)
     rest = 1998 - 10 if last == 1999 else 1999 - 10
-    assert message.startswith("labels.txt: label ids are not dense in [0, C): missing ")
+    prefix = f"{tmp_path / 'labels.txt'}: "
+    assert message.startswith(prefix + "label ids are not dense in [0, C): missing ")
     assert f"missing {list(range(1, 11))} and {rest} more" in message
-    assert len(message) < 200
+    assert len(message) - len(prefix) < 200
 
 
 def test_dataset_stats_on_path_graph():
