@@ -2,8 +2,9 @@
 
 Every command writes a `report.csv` (stable, byte-identical across reruns
 with the same arguments) and a `manifest.txt` (argv, resolved config,
-seeds, version) into its output directory.  A failing command prints
-`error: ...` and exits 2 without writing either file.
+seeds, every parsed flag, version) into its output directory.  A failing
+command prints `error: ...` and exits 2 without writing either file; a
+malformed flag value exits 2 before the output directory is made.
 """
 
 from __future__ import annotations
@@ -36,38 +37,31 @@ from .propagation import _fits_type, precompute_bundle, save_bundle
 from .synthetic import MODES, generate_fsbm, multi_subgraph_config, theory_check, toy_study
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"expected comma-separated numbers, got {text!r}") from exc
+def _typed(kind, expected: str, low=None, count=None, single=False):
+    """An argparse type: one `kind` value if `single`, else a comma-separated
+    tuple of them, exactly `count` long when given; each value must be at
+    least `low` when given.  Other text fails as `expected <expected>, got
+    '<text>'`, which argparse prints after the flag's name and exits 2."""
 
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _int_at_least(low: int, expected: str):
-    """An argparse type accepting integers >= `low`."""
-
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            values = tuple(map(kind, [text] if single else text.split(",")))
         except ValueError:
-            value = low - 1
-        if value < low:
+            values = ()
+        if not values or (count is not None and len(values) != count) or (
+                low is not None and min(values) < low):
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-        return value
+        return values[0] if single else values
 
     return parse
 
 
 # numpy seeds must be non-negative integers; counts must be at least one.
-_seed = _int_at_least(0, "a non-negative integer")
-_count = _int_at_least(1, "a positive integer")
+_seed = _typed(int, "a non-negative integer", low=0, single=True)
+_count = _typed(int, "a positive integer", low=1, single=True)
+_number = _typed(float, "a number", single=True)
+_numbers = _typed(float, "comma-separated numbers")
+_pair = _typed(float, "two comma-separated numbers", count=2)
 
 
 def _load_overrides(path) -> dict:
@@ -123,10 +117,10 @@ def _stats_table(stats) -> tuple[list[str], list[list]]:
 
 def _cmd_gen_fsbm(args, out):
     config = multi_subgraph_config(
-        _parse_floats(args.lambdas),
+        args.lambdas,
         num_nodes=args.nodes,
         expected_degree=args.degree,
-        mu=_parse_floats(args.mu),
+        mu=args.mu,
         sigma=args.sigma,
         mode=args.mode,
     )
@@ -134,7 +128,7 @@ def _cmd_gen_fsbm(args, out):
     save_dataset(out, ds.graph, ds.x, ds.community, subgraph_id=ds.subgraph_id)
     stats = dataset_stats(load_dataset(out))
     print(f"wrote dataset to {out} ({stats.num_nodes} nodes, {stats.num_edges} edges)")
-    return *_stats_table(stats), asdict(config), None
+    return *_stats_table(stats), asdict(config), {}
 
 
 def _cmd_precompute(args, out):
@@ -170,8 +164,7 @@ def _cmd_train(args, out):
         ["split", "test_accuracy", "val_accuracy"],
         rows,
         asdict(config),
-        {"data": args.data, "splits": args.splits, "checkpoint": checkpoint,
-         "seconds": f"{report.seconds:.3f}"},
+        {"checkpoint": checkpoint, "seconds": f"{report.seconds:.3f}"},
     )
 
 
@@ -205,21 +198,12 @@ def _cmd_eval(args, out):
     mask = np.ones(bundle.num_nodes, dtype=bool)
     accuracy = evaluate(params, model_cfg, inputs, bundle.labels, mask)
     print(f"accuracy over all nodes: {accuracy:.4f}")
-    return (
-        ["num_nodes", "accuracy"],
-        [[bundle.num_nodes, accuracy]],
-        stored,
-        {"data": args.data, "checkpoint": args.checkpoint},
-    )
+    return ["num_nodes", "accuracy"], [[bundle.num_nodes, accuracy]], stored, {}
 
 
 def _cmd_toy(args, out):
     config, _ = _resolve_configs(_load_overrides(args.config))
-    grid = [_parse_floats(cell) for cell in args.lambdas]
-    for cell in grid:
-        if len(cell) != 2:
-            raise InputError(f"each --lambdas cell needs two values, got {cell}")
-    cells = toy_study(grid, range(args.seeds), config, mode=args.mode, base_seed=args.seed)
+    cells = toy_study(args.lambdas, range(args.seeds), config, mode=args.mode, base_seed=args.seed)
     rows = [
         [cell.lambdas[0], cell.lambdas[1], s, cell.raw[i], cell.graph_level[i], cell.node_level[i]]
         for cell in cells
@@ -231,19 +215,11 @@ def _cmd_toy(args, out):
             f"lambdas={cell.lambdas}: raw={means['raw']:.4f} "
             f"graph_level={means['graph_level']:.4f} node_level={means['node_level']:.4f}"
         )
-    return (
-        ["lambda1", "lambda2", "seed", "raw", "graph_level", "node_level"],
-        rows,
-        asdict(config),
-        {"lambdas": ";".join(args.lambdas), "seeds": args.seeds, "mode": args.mode},
-    )
+    return ["lambda1", "lambda2", "seed", "raw", "graph_level", "node_level"], rows, asdict(config), {}
 
 
 def _cmd_theory(args, out):
-    lambdas = _parse_floats(args.lambdas)
-    if len(lambdas) != 2:
-        raise InputError(f"--lambdas needs two values, got {lambdas}")
-    config = multi_subgraph_config(lambdas, num_nodes=args.nodes, sigma=args.sigma, mode=args.mode)
+    config = multi_subgraph_config(args.lambdas, num_nodes=args.nodes, sigma=args.sigma, mode=args.mode)
     report = theory_check(config, trials=args.trials, base_seed=args.seed)
     rows = [
         ["expectation", tau, report.lambdas[tau], report.analytic[tau], report.empirical[tau],
@@ -261,12 +237,7 @@ def _cmd_theory(args, out):
         f"l1 gap: bound={report.gap_bound:.4f} empirical={report.gap_empirical:.4f} "
         f"stderr={report.gap_stderr:.4f} passed={report.gap_passed}"
     )
-    return (
-        ["kind", "subgraph", "lambda", "reference", "empirical", "stderr"],
-        rows,
-        asdict(config),
-        {"trials": args.trials},
-    )
+    return ["kind", "subgraph", "lambda", "reference", "empirical", "stderr"], rows, asdict(config), {}
 
 
 def _cmd_stats(args, out):
@@ -275,17 +246,14 @@ def _cmd_stats(args, out):
         f"nodes={stats.num_nodes} edges={stats.num_edges} classes={stats.num_classes} "
         f"features={stats.feature_dim} homophily={stats.homophily:.4f}"
     )
-    return *_stats_table(stats), {}, {"data": args.data}
+    return *_stats_table(stats), {}, {}
 
 
 def _cmd_sweep_depth(args, out):
     config, _ = _resolve_configs(_load_overrides(args.config))
-    k_list = _parse_ints(args.k_list)
-    if min(k_list) < 1:
-        raise InputError(f"--k-list entries must be >= 1, got {args.k_list!r}")
     bundle = load_dataset(args.data)
     splits = make_splits(bundle.num_nodes, base_seed=args.seed, count=args.splits)
-    sweep = depth_sweep(bundle, config, k_list, splits, base_seed=args.seed)
+    sweep = depth_sweep(bundle, config, args.k_list, splits, base_seed=args.seed)
     rows = [
         [row.num_layers, arm, i, acc]
         for row in sweep
@@ -297,12 +265,7 @@ def _cmd_sweep_depth(args, out):
             f"K={row.num_layers}: main={row.main.mean:.4f} "
             f"sgc_variant={row.sgc_variant.mean:.4f}"
         )
-    return (
-        ["num_layers", "arm", "split", "test_accuracy"],
-        rows,
-        asdict(config),
-        {"data": args.data, "k_list": args.k_list, "splits": args.splits},
-    )
+    return ["num_layers", "arm", "split", "test_accuracy"], rows, asdict(config), {}
 
 
 def _cmd_search(args, out):
@@ -324,12 +287,7 @@ def _cmd_search(args, out):
         f"best trial: val={result.best_report.val_mean:.4f} "
         f"test={result.best_report.mean:.4f} config={asdict(result.best_config)}"
     )
-    return (
-        ["trial", "failed", "val_mean", "test_mean", *columns],
-        rows,
-        asdict(config),
-        {"data": args.data, "budget": args.budget, "splits": args.splits},
-    )
+    return ["trial", "failed", "val_mean", "test_mean", *columns], rows, asdict(config), {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,11 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-fsbm", parents=[shared], help="generate a synthetic block-model dataset")
-    p.add_argument("--lambdas", default="0.5,0.5", help="per-subgraph homophily levels, comma-separated")
-    p.add_argument("--nodes", type=int, default=1000)
-    p.add_argument("--degree", type=float, default=10.0)
-    p.add_argument("--mu", default="1,-1", help="community feature means")
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--lambdas", type=_numbers, default=(0.5, 0.5),
+                   help="per-subgraph homophily levels, comma-separated")
+    p.add_argument("--nodes", type=_count, default=1000)
+    p.add_argument("--degree", type=_number, default=10.0)
+    p.add_argument("--mu", type=_pair, default=(1.0, -1.0), help="community feature means")
+    p.add_argument("--sigma", type=_number, default=1.0)
     p.add_argument("--mode", choices=MODES, default="bernoulli")
     p.set_defaults(func=_cmd_gen_fsbm)
 
@@ -366,15 +325,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("toy", parents=[configured], help="raw vs graph-level vs node-level case study")
-    p.add_argument("--lambdas", action="append", required=True, help="one cell per flag, e.g. 0.9,0.1")
+    p.add_argument("--lambdas", type=_pair, action="append", required=True,
+                   help="one cell per flag, e.g. 0.9,0.1")
     p.add_argument("--seeds", type=_count, default=5)
     p.add_argument("--mode", choices=MODES, default="bernoulli")
     p.set_defaults(func=_cmd_toy)
 
     p = sub.add_parser("theory", parents=[shared], help="Monte-Carlo checks of the local-similarity theory")
-    p.add_argument("--lambdas", default="0.5,0.5")
-    p.add_argument("--nodes", type=int, default=1000)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--lambdas", type=_pair, default=(0.5, 0.5))
+    p.add_argument("--nodes", type=_count, default=1000)
+    p.add_argument("--sigma", type=_number, default=1.0)
     p.add_argument("--trials", type=_count, default=100)
     p.add_argument("--mode", choices=MODES, default="expectation_exact")
     p.set_defaults(func=_cmd_theory)
@@ -385,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-depth", parents=[configured], help="accuracy versus propagation depth")
     p.add_argument("--data", required=True)
-    p.add_argument("--k-list", default="1,2,4,8")
+    p.add_argument("--k-list", type=_typed(int, "comma-separated integers >= 1", low=1),
+                   default=(1, 2, 4, 8))
     p.add_argument("--splits", type=_count, default=5)
     p.set_defaults(func=_cmd_sweep_depth)
 
@@ -400,9 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command.  Its handler `_cmd_<name>(args, out)` does its work
-    in `out` and returns the report's header and rows and the manifest's
-    config and notes; only this function creates `out`, writes both files
-    and chooses the exit code."""
+    in `out` and returns the report's header and rows, the manifest's config
+    and notes on what the run computed; the manifest also records every
+    parsed flag.  Only this function creates `out`, writes both files and
+    chooses the exit code."""
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
@@ -411,7 +373,9 @@ def main(argv=None) -> int:
         os.makedirs(out, exist_ok=True)
         header, rows, config, notes = args.func(args, out)
         write_report(os.path.join(out, "report.csv"), header, rows)
-        write_manifest(os.path.join(out, "manifest.txt"), ["lsgnn", *argv], config, args.seed, notes)
+        flags = {k: v for k, v in vars(args).items() if k not in ("func", "command", "seed")}
+        write_manifest(os.path.join(out, "manifest.txt"), ["lsgnn", *argv], config, args.seed,
+                       flags | notes)
     except (LsgnnError, OSError) as exc:
         # Every OSError here comes from a path the user named.
         print(f"error: {exc}", file=sys.stderr)

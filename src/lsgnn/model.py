@@ -556,11 +556,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # `not >` also rejects NaN.
-        if not self.lr > 0.0:
-            raise InputError(f"lr must be > 0, got {self.lr}")
-        if not self.weight_decay >= 0.0:
-            raise InputError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        # The chained comparisons also reject NaN.
+        if not 0.0 < self.lr < np.inf:
+            raise InputError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise InputError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.epochs < 1:
             raise InputError(f"epochs must be >= 1, got {self.epochs}")
         if self.patience < 0:

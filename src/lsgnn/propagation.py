@@ -2,8 +2,10 @@
 
 All propagation happens once, before training: each filter is applied
 layer by layer and the resulting dense matrices are stored (optionally
-row-normalized).  Training then never touches the graph again, which is
-what makes large-graph runs cheap.
+row-normalized).  Training then never propagates again, which is what
+makes large-graph runs cheap.  It still reads the graph: refined local
+similarity runs its edge MLP over every CSR entry of the selected rows
+each epoch.
 
 The default recurrence subtracts a decaying share of the running sum of
 earlier layers from the input before each hop, so deeper layers carry

@@ -1,3 +1,4 @@
+import argparse
 import os
 import shutil
 import subprocess
@@ -6,10 +7,12 @@ import sys
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lsgnn
 from lsgnn import synthetic
-from lsgnn.cli import main
+from lsgnn.cli import build_parser, main
 from lsgnn.harness import ExperimentConfig, dataset_stats, load_dataset, save_dataset
 from lsgnn.propagation import load_bundle
 
@@ -361,12 +364,21 @@ def test_out_of_range_node_id_names_the_edges_line(pair, dataset_dir, tmp_path, 
     assert "np." not in err
 
 
+def _usage_error(argv, capsys) -> str:
+    """Run `argv`, expect argparse's exit 2, and return what it printed."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 def test_malformed_lambda_values_exit_2(tmp_path, capsys):
-    assert main(["gen-fsbm", "--lambdas", "a,b", "--out", str(tmp_path / "o")]) == 2
-    assert "comma-separated numbers" in capsys.readouterr().err
-    assert main(["toy", "--lambdas", "1,1,1", "--seeds", "1",
-                 "--out", str(tmp_path / "o2")]) == 2
-    assert "two values" in capsys.readouterr().err
+    err = _usage_error(["gen-fsbm", "--lambdas", "a,b", "--out", str(tmp_path / "o")], capsys)
+    assert "argument --lambdas: expected comma-separated numbers, got 'a,b'" in err
+    err = _usage_error(["toy", "--lambdas", "1,1,1", "--seeds", "1",
+                        "--out", str(tmp_path / "o2")], capsys)
+    assert "argument --lambdas: expected two comma-separated numbers, got '1,1,1'" in err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "o2").exists()
 
 
 def test_infeasible_generator_settings_exit_2(tmp_path, capsys):
@@ -375,8 +387,9 @@ def test_infeasible_generator_settings_exit_2(tmp_path, capsys):
     assert code == 2
     assert "infeasible" in capsys.readouterr().err
     for command in ("gen-fsbm", "theory"):
-        assert main([command, "--nodes", "0", "--out", str(tmp_path / "o")]) == 2
-        assert "num_nodes must be positive, got 0" in capsys.readouterr().err
+        err = _usage_error([command, "--nodes", "0", "--out", str(tmp_path / command)], capsys)
+        assert "argument --nodes: expected a positive integer, got '0'" in err
+        assert not (tmp_path / command).exists()
 
 
 @pytest.mark.parametrize("degree", ["-1", "0", "nan", "inf"])
@@ -417,8 +430,8 @@ def test_malformed_search_space_exits_2_naming_the_key(line, dataset_dir, tmp_pa
 
 @pytest.mark.parametrize(
     "field, value",
-    [("epochs", "0"), ("epochs", "-3"), ("lr", "-0.5"), ("lr", "0.0"),
-     ("weight_decay", "-1.0"), ("patience", "-1")],
+    [("epochs", "0"), ("epochs", "-3"), ("lr", "-0.5"), ("lr", "0.0"), ("lr", ".inf"),
+     ("weight_decay", "-1.0"), ("weight_decay", ".inf"), ("patience", "-1")],
 )
 def test_training_settings_are_validated(field, value, dataset_dir, tmp_path, capsys):
     config = tmp_path / "config.yaml"
@@ -470,10 +483,10 @@ def test_counts_must_be_positive_integers(argv, flag, tmp_path, monkeypatch, cap
 @pytest.mark.parametrize("k_list", ["0", "1,-2"])
 def test_depth_list_entries_must_be_positive(k_list, dataset_dir, tmp_path, capsys):
     out = tmp_path / "o"
-    assert main(["sweep-depth", "--data", str(dataset_dir), "--k-list", k_list,
-                 "--out", str(out)]) == 2
-    assert f"error: --k-list entries must be >= 1, got {k_list!r}" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    err = _usage_error(["sweep-depth", "--data", str(dataset_dir), "--k-list", k_list,
+                        "--out", str(out)], capsys)
+    assert f"argument --k-list: expected comma-separated integers >= 1, got {k_list!r}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -496,16 +509,17 @@ def test_bad_search_choices_exit_2_naming_the_key(line, message, dataset_dir, tm
 
 
 def test_malformed_values_exit_2_naming_the_value(dataset_dir, tmp_path, capsys):
-    assert main(["sweep-depth", "--data", str(dataset_dir), "--k-list", "1,x",
-                 "--out", str(tmp_path / "o1")]) == 2
-    assert "'1,x'" in capsys.readouterr().err
+    err = _usage_error(["sweep-depth", "--data", str(dataset_dir), "--k-list", "1,x",
+                        "--out", str(tmp_path / "o1")], capsys)
+    assert "argument --k-list: expected comma-separated integers >= 1, got '1,x'" in err
     listed = tmp_path / "list.yaml"
     listed.write_text("- lr: 0.1\n")
     assert main(["precompute", "--data", str(dataset_dir), "--config", str(listed),
                  "--out", str(tmp_path / "o2")]) == 2
     assert f"config file {listed} must contain a flat key-value mapping" in capsys.readouterr().err
-    assert main(["theory", "--lambdas", "0.5", "--out", str(tmp_path / "o3")]) == 2
-    assert "--lambdas needs two values, got (0.5,)" in capsys.readouterr().err
+    err = _usage_error(["theory", "--lambdas", "0.5", "--out", str(tmp_path / "o3")], capsys)
+    assert "argument --lambdas: expected two comma-separated numbers, got '0.5'" in err
+    assert not (tmp_path / "o1").exists() and not (tmp_path / "o3").exists()
 
 
 @pytest.mark.parametrize(
@@ -571,3 +585,119 @@ def test_cli_module_imports_first_in_a_fresh_interpreter():
         done = subprocess.run([sys.executable, "-m", "lsgnn.cli", *args], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
+
+
+_NUMBERS = "comma-separated numbers"
+_PAIR = "two comma-separated numbers"
+_DEPTHS = "comma-separated integers >= 1"
+_POSITIVE = "a positive integer"
+
+
+@pytest.mark.parametrize(
+    "command, flag, raw, expected",
+    [
+        ("gen-fsbm", "--lambdas", "0.9,x", _NUMBERS),
+        ("gen-fsbm", "--lambdas", "", _NUMBERS),
+        ("gen-fsbm", "--lambdas", "0.9,,0.1", _NUMBERS),
+        ("gen-fsbm", "--mu", "1,x", _PAIR),
+        ("gen-fsbm", "--mu", "", _PAIR),
+        ("gen-fsbm", "--mu", "1", _PAIR),
+        ("gen-fsbm", "--mu", "1,-1,0", _PAIR),
+        ("gen-fsbm", "--nodes", "x", _POSITIVE),
+        ("gen-fsbm", "--nodes", "", _POSITIVE),
+        ("gen-fsbm", "--nodes", "0", _POSITIVE),
+        ("gen-fsbm", "--nodes", "10,20", _POSITIVE),
+        ("gen-fsbm", "--degree", "x", "a number"),
+        ("gen-fsbm", "--sigma", "", "a number"),
+        ("gen-fsbm", "--seed", "", "a non-negative integer"),
+        ("toy", "--lambdas", "0.9,x", _PAIR),
+        ("toy", "--lambdas", "", _PAIR),
+        ("toy", "--lambdas", "0.9", _PAIR),
+        ("toy", "--lambdas", "0.9,0.1,0.5", _PAIR),
+        ("toy", "--seeds", "0", _POSITIVE),
+        ("toy", "--seeds", "", _POSITIVE),
+        ("theory", "--lambdas", "0.5,x", _PAIR),
+        ("theory", "--lambdas", "", _PAIR),
+        ("theory", "--lambdas", "0.5", _PAIR),
+        ("theory", "--nodes", "1.5", _POSITIVE),
+        ("theory", "--nodes", "-4", _POSITIVE),
+        ("theory", "--trials", "", _POSITIVE),
+        ("theory", "--sigma", "x", "a number"),
+        ("sweep-depth", "--k-list", "1,x", _DEPTHS),
+        ("sweep-depth", "--k-list", "", _DEPTHS),
+        ("sweep-depth", "--k-list", "0", _DEPTHS),
+        ("sweep-depth", "--k-list", "2,-1", _DEPTHS),
+        ("sweep-depth", "--k-list", "1.5", _DEPTHS),
+        ("sweep-depth", "--splits", "0", _POSITIVE),
+    ],
+)
+def test_malformed_flag_values_are_usage_errors(command, flag, raw, expected, tmp_path,
+                                                 monkeypatch, capsys):
+    # Every other flag is valid, so only `flag` can be at fault.
+    base = {"toy": ["--lambdas", "0.9,0.1"], "sweep-depth": ["--data", "d"]}.get(command, [])
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "o"
+    for tail in ([], ["--out", str(out)]):
+        err = _usage_error([command, *base, f"{flag}={raw}", *tail], capsys)
+        assert f"argument {flag}: expected {expected}, got {raw!r}" in err
+    assert not (tmp_path / "runs").exists()
+    assert not out.exists()
+
+
+_floats = st.floats(allow_nan=False)
+_float_text = st.lists(_floats, min_size=1, max_size=6).map(lambda xs: ",".join(map(repr, xs)))
+_pair_text = st.lists(_floats, min_size=2, max_size=2).map(lambda xs: ",".join(map(str, xs)))
+_depth_text = st.lists(st.integers(1, 10**6), min_size=1, max_size=6).map(
+    lambda ks: ",".join(map(str, ks)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_float_text, _pair_text, _depth_text)
+def test_typed_flags_parse_exactly_as_the_handlers_did(floats, pair, depths):
+    # Handlers used to run tuple(float(v) for v in text.split(",")) (or int)
+    # on the raw text; the typed flags must hand them exactly those values.
+    parser = build_parser()
+    args = parser.parse_args(["gen-fsbm", f"--lambdas={floats}", f"--mu={pair}"])
+    assert args.lambdas == tuple(float(v) for v in floats.split(","))
+    assert args.mu == tuple(float(v) for v in pair.split(","))
+    args = parser.parse_args(["toy", f"--lambdas={pair}", f"--lambdas={pair}"])
+    assert args.lambdas == [tuple(float(v) for v in pair.split(","))] * 2
+    args = parser.parse_args(["theory", f"--lambdas={pair}"])
+    assert args.lambdas == tuple(float(v) for v in pair.split(","))
+    args = parser.parse_args(["sweep-depth", "--data", "d", f"--k-list={depths}"])
+    assert args.k_list == tuple(int(v) for v in depths.split(","))
+
+
+def _subparsers():
+    parser = build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_typed_flag_defaults_are_already_parsed():
+    # Each default is declared as the value its flag's type gives for the
+    # same text, so a handler never sees a string it would have to parse.
+    commands = _subparsers()
+    assert sorted(commands) == ["eval", "gen-fsbm", "precompute", "search", "stats",
+                                "sweep-depth", "theory", "toy", "train"]
+    typed = 0
+    for name, sub in commands.items():
+        for action in sub._actions:
+            if isinstance(action.default, str) and action.default != argparse.SUPPRESS:
+                assert action.choices, (name, action.dest)  # a word, not a value to parse
+            if action.type is None or action.default is None:
+                continue
+            typed += 1
+            default = action.default
+            assert not isinstance(default, str), (name, action.dest)
+            text = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+            assert action.type(text) == default, (name, action.dest)
+    assert typed >= 20
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers()))
+def test_every_command_prints_help(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert f"usage: lsgnn {command}" in capsys.readouterr().out

@@ -56,6 +56,9 @@ def test_multi_subgraph_config_edge_rates_and_errors():
         multi_subgraph_config((1.2, 0.5), num_nodes=1000, expected_degree=10.0)
     with pytest.raises(InputError):
         multi_subgraph_config((1.0, 0.5), num_nodes=20, expected_degree=10.0)  # p would be 2
+    for nodes in (0, -5):
+        with pytest.raises(InputError, match=f"num_nodes must be positive, got {nodes}"):
+            multi_subgraph_config((0.5, 0.5), num_nodes=nodes)
 
 
 def test_multi_subgraph_config_keeps_expected_degree():
