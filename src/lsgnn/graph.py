@@ -119,21 +119,17 @@ def build_graph(edges: Iterable[Sequence[int]] | np.ndarray, num_nodes: int) -> 
     loops_dropped = int(loops.sum())
     arr = arr[~loops]
 
-    # Canonical orientation i < j, then dedup.
-    lo = np.minimum(arr[:, 0], arr[:, 1])
-    hi = np.maximum(arr[:, 0], arr[:, 1])
-    keys = lo * num_nodes + hi
-    unique_keys = np.unique(keys)
-    duplicates_dropped = int(keys.shape[0] - unique_keys.shape[0])
-    lo = unique_keys // num_nodes
-    hi = unique_keys % num_nodes
-
-    # Symmetrize and sort entries by (row, col); unique keys make this exact.
-    rows = np.concatenate([lo, hi])
-    cols = np.concatenate([hi, lo])
-    order = np.argsort(rows * num_nodes + cols, kind="stable")
-    rows = rows[order]
-    cols = cols[order]
+    # The CSR comes from one sort of the keys row * n + col of both
+    # orientations: repeats are then adjacent, and the unique keys are the
+    # directed entries in (row, col) order, two per undirected edge.
+    i, j = arr[:, 0], arr[:, 1]
+    keys = np.sort(np.concatenate([i * num_nodes + j, j * num_nodes + i]))
+    first = np.ones(keys.shape[0], dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    duplicates_dropped = (first.shape[0] - keys.shape[0]) // 2
+    rows = keys // num_nodes
+    cols = keys % num_nodes
 
     degrees = np.bincount(rows, minlength=num_nodes).astype(np.int64)
     row_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
@@ -141,7 +137,7 @@ def build_graph(edges: Iterable[Sequence[int]] | np.ndarray, num_nodes: int) -> 
     return SparseGraph(
         num_nodes=num_nodes,
         row_offsets=row_offsets,
-        col_indices=cols.astype(np.int64),
+        col_indices=cols,
         degrees=degrees,
         loops_dropped=loops_dropped,
         duplicates_dropped=duplicates_dropped,

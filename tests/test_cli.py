@@ -400,6 +400,16 @@ def test_non_positive_degree_is_named(degree, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, value",
+    [(["toy", "--lambdas", "1.5,0.1", "--seeds", "1"], "1.5"),
+     (["theory", "--lambdas", "nan,0.5", "--trials", "2", "--nodes", "200"], "nan")],
+)
+def test_out_of_range_lambda_names_the_flag(argv, value, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert f"error: lambdas (--lambdas) must lie in [0, 1], got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv, field",
     [(["theory", "--sigma", "nan", "--trials", "3", "--nodes", "200"], "sigma"),
      (["theory", "--sigma", "inf", "--trials", "3", "--nodes", "200"], "sigma"),

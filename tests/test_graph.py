@@ -48,6 +48,57 @@ def test_build_graph_sorted_csr_and_input_order_invariance():
         assert np.array_equal(nbrs, np.sort(nbrs))
 
 
+def _unique_argsort_oracle(edges, n):
+    """Reference CSR by np.unique over canonical (lo, hi) keys and a stable
+    argsort of the symmetrized entries: (row_offsets, col_indices, degrees,
+    loops_dropped, duplicates_dropped)."""
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    loops = arr[:, 0] == arr[:, 1]
+    arr = arr[~loops]
+    lo = np.minimum(arr[:, 0], arr[:, 1])
+    hi = np.maximum(arr[:, 0], arr[:, 1])
+    keys = lo * n + hi
+    unique_keys = np.unique(keys)
+    lo, hi = unique_keys // n, unique_keys % n
+    rows = np.concatenate([lo, hi])
+    cols = np.concatenate([hi, lo])
+    order = np.argsort(rows * n + cols, kind="stable")
+    degrees = np.bincount(rows, minlength=n).astype(np.int64)
+    row_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=row_offsets[1:])
+    return (row_offsets, cols[order].astype(np.int64), degrees, int(loops.sum()),
+            int(keys.shape[0] - unique_keys.shape[0]))
+
+
+@st.composite
+def _edge_lists(draw):
+    """1-12 nodes and up to 40 pairs, self loops allowed, with some pairs
+    repeated as drawn or reversed."""
+    n = draw(st.integers(1, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30))
+    repeats = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=10)) if pairs else []
+    pairs += [(j, i) if flip else (i, j) for (i, j), flip in repeats]
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2), n
+
+
+@settings(max_examples=300, deadline=None)
+@example(case=(np.zeros((0, 2), dtype=np.int64), 1))
+@example(case=(np.zeros((0, 2), dtype=np.int64), 5))
+@example(case=(np.array([[0, 0], [0, 0]]), 1))
+@example(case=(np.array([[2, 0], [0, 2], [2, 0], [1, 1], [0, 2]]), 6))
+@given(case=_edge_lists())
+def test_build_graph_matches_unique_argsort_oracle(case):
+    edges, n = case
+    g = build_graph(edges, n)
+    row_offsets, col_indices, degrees, loops, duplicates = _unique_argsort_oracle(edges, n)
+    for name, got, want in (("row_offsets", g.row_offsets, row_offsets),
+                            ("col_indices", g.col_indices, col_indices),
+                            ("degrees", g.degrees, degrees)):
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert (g.loops_dropped, g.duplicates_dropped) == (loops, duplicates)
+    assert type(g.duplicates_dropped) is int and g.num_nodes == n
+
+
 def test_build_graph_rejects_bad_ids():
     with pytest.raises(InputError, match=r"^edge \(0, 5\) references a node outside \[0, 4\)$"):
         build_graph(np.array([[1, 2], [0, 5]]), 4)

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lsgnn.errors import InputError
 from lsgnn.harness import ExperimentConfig
+from lsgnn.localsim import naive_localsim
 from lsgnn.synthetic import (
     FsbmConfig,
+    _mean_abs_difference,
     generate_fsbm,
     multi_subgraph_config,
     theory_check,
@@ -228,6 +232,37 @@ def test_l1_gap_errors():
         theory_check(pair, trials=0)
     one = theory_check(pair, trials=1)
     assert one.gap_stderr == 0.0 and np.array_equal(one.stderr, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("sigma, mode", [(1.0, "bernoulli"), (1.0, "expectation_exact"),
+                                         (0.0, "bernoulli"), (0.0, "expectation_exact")])
+def test_mean_abs_difference_equals_all_pairs_mean(sigma, mode):
+    # sigma = 0 makes phi take few distinct values, so most pairs are ties
+    config = multi_subgraph_config((0.9, 0.1), num_nodes=400, sigma=sigma, mode=mode)
+    for seed in range(4):
+        ds = generate_fsbm(config, seed=[seed])
+        phi = naive_localsim(ds.graph, ds.x, "neg_sq_scalar")
+        a, b = phi[ds.subgraph_id == 0], phi[ds.subgraph_id == 1]
+        want = np.abs(a[:, None] - b[None, :]).mean()
+        assert _mean_abs_difference(a, b) == pytest.approx(want, rel=1e-12, abs=0.0)
+    rng = np.random.default_rng(0)
+    for n0, n1 in ((1, 1), (1, 7), (9, 1), (33, 20)):
+        a, b = rng.normal(size=n0), rng.integers(-2, 3, size=n1).astype(np.float64)
+        want = np.abs(a[:, None] - b[None, :]).mean()
+        assert _mean_abs_difference(a, b) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert _mean_abs_difference(np.full(5, 2.0), np.full(3, 2.0)) == 0.0
+
+
+def test_theory_check_gap_builds_no_pairwise_array():
+    # 2000 x 2000 cross-subgraph pairs would take 32 MB in float64
+    config = multi_subgraph_config((0.9, 0.1), num_nodes=4000, mode="expectation_exact")
+    tracemalloc.start()
+    try:
+        theory_check(config, trials=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_toy_study_perfect_homophily_cell():
