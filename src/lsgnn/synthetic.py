@@ -1,9 +1,10 @@
 """Synthetic featured block models with controllable per-subgraph homophily.
 
-A generated graph is a disjoint union of subgraphs.  Each subgraph draws
-intra-community edges at rate p and inter-community edges at rate q, so
-its homophily level is lam = p / (p + q).  Every node carries a scalar
-feature equal to its community mean plus Gaussian noise.
+A generated graph is a disjoint union of subgraphs, each holding two
+communities of equal size.  A subgraph is described by its homophily level
+lam: with the graph's expected degree fixed, it draws intra-community edges
+at rate p = lam * (p + q) and inter-community edges at rate q.  Every node
+carries a scalar feature equal to its community mean plus Gaussian noise.
 
 Two sampling modes ship: `bernoulli` draws each pair independently;
 `expectation_exact` gives every node exactly its expected intra- and
@@ -21,7 +22,7 @@ Monte-Carlo draws: each trial's graph is generated once and feeds both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,15 +30,8 @@ from .errors import GenerationError, InputError
 from .graph import SparseGraph, build_graph, self_loop_filters
 from .harness import ExperimentConfig, _seed_list, make_splits
 from .localsim import naive_localsim
-from .model import (
-    ModelConfig,
-    ModelInputs,
-    evaluate,
-    linear_accuracy,
-    train,
-    train_linear,
-)
-from .propagation import PropagationConfig, build_stack
+from .model import ModelInputs, evaluate, linear_accuracy, train, train_linear
+from .propagation import build_stack
 
 __all__ = [
     "MODES",
@@ -56,55 +50,74 @@ MODES = ("bernoulli", "expectation_exact")
 
 @dataclass(frozen=True)
 class FsbmConfig:
-    """Generator settings: sizes, per-subgraph edge rates, feature model."""
+    """Generator settings: one homophily level per subgraph, the graph's
+    size and expected degree, and the two communities' feature model.
 
+    Each of the t = len(lambdas) subgraphs holds two communities of
+    num_nodes / (2t) nodes.  Its edge rates follow from its lambda: with
+    total = 2t * expected_degree / num_nodes, p = lam * total and
+    q = total - p, so every node expects `expected_degree` edges for any t.
+    """
+
+    lambdas: tuple[float, ...]
     num_nodes: int
-    num_communities: int
-    num_subgraphs: int
-    p: tuple[float, ...]
-    q: tuple[float, ...]
-    mu: tuple[float, ...]
+    expected_degree: float
+    mu: tuple[float, float]
     sigma: float
     mode: str = "bernoulli"
 
     def __post_init__(self):
-        r, t = self.num_communities, self.num_subgraphs
-        if r < 2:
-            raise InputError(f"need at least 2 communities, got {r}")
-        if t < 1:
-            raise InputError(f"need at least 1 subgraph, got {t}")
-        if self.num_nodes <= 0 or self.num_nodes % (r * t) != 0:
+        if not self.lambdas:
+            raise InputError("lambdas (--lambdas) must hold at least one value")
+        for lam in self.lambdas:
+            if not 0.0 <= lam <= 1.0:
+                raise InputError(f"lambdas (--lambdas) must lie in [0, 1], got {lam}")
+        block = 2 * self.num_subgraphs
+        if self.num_nodes <= 0 or self.num_nodes % block != 0:
             raise InputError(
-                f"num_nodes must be a positive multiple of communities*subgraphs "
-                f"({r * t}), got {self.num_nodes}"
+                f"num_nodes (--nodes) must be a positive multiple of 2 communities x "
+                f"{self.num_subgraphs} subgraphs = {block}, got {self.num_nodes}"
             )
-        if len(self.p) != t or len(self.q) != t:
-            raise InputError(f"p and q must each have {t} entries")
-        for name, values in (("p", self.p), ("q", self.q)):
-            for v in values:
-                if not 0.0 <= v <= 1.0:
-                    raise InputError(f"{name} entries must lie in [0, 1], got {v}")
-        if len(self.mu) != r:
-            raise InputError(f"mu must have {r} entries")
-        if not all(np.isfinite(self.mu)):
-            raise InputError(f"mu entries must be finite, got {self.mu}")
+        if not 0.0 < self.expected_degree < np.inf:
+            raise InputError(
+                f"expected_degree (--degree) must be finite and positive, got {self.expected_degree}"
+            )
+        for p, q in zip(self.p, self.q):
+            if p > 1.0 or q > 1.0:
+                raise InputError(
+                    f"expected degree {self.expected_degree:g} is infeasible on {self.num_nodes} "
+                    f"nodes (--nodes): edge rates p={p:g}, q={q:g} must both be at most 1"
+                )
+        if len(self.mu) != 2 or not all(np.isfinite(self.mu)):
+            raise InputError(f"mu (--mu) must be two finite numbers, got {self.mu}")
         if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise InputError(f"sigma must be finite and >= 0, got {self.sigma}")
+            raise InputError(f"sigma (--sigma) must be finite and >= 0, got {self.sigma}")
         if self.mode not in MODES:
-            raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise InputError(f"mode (--mode) must be one of {MODES}, got {self.mode!r}")
+
+    @property
+    def num_subgraphs(self) -> int:
+        return len(self.lambdas)
 
     @property
     def community_size(self) -> int:
         """Nodes per community within one subgraph."""
-        return self.num_nodes // (self.num_communities * self.num_subgraphs)
+        return self.num_nodes // (2 * self.num_subgraphs)
 
-    def lambdas(self) -> tuple[float, ...]:
-        out = []
-        for p, q in zip(self.p, self.q):
-            if p + q == 0.0:
-                raise InputError("lambda undefined for a subgraph with p = q = 0")
-            out.append(p / (p + q))
-        return tuple(out)
+    @property
+    def p(self) -> tuple[float, ...]:
+        """Intra-community edge rate of each subgraph, lam * total."""
+        return tuple(lam * self._total_rate for lam in self.lambdas)
+
+    @property
+    def q(self) -> tuple[float, ...]:
+        """Inter-community edge rate of each subgraph, total - p."""
+        return tuple(self._total_rate - p for p in self.p)
+
+    @property
+    def _total_rate(self) -> float:
+        """p + q of every subgraph."""
+        return 2.0 * self.num_subgraphs * self.expected_degree / self.num_nodes
 
 
 @dataclass(eq=False)
@@ -123,40 +136,8 @@ def multi_subgraph_config(
     sigma: float = 1.0,
     mode: str = "bernoulli",
 ) -> FsbmConfig:
-    """2-community config with one homophily level per subgraph.
-
-    Generalizes the p + q constraint to 2t subgraph communities: each
-    community holds n / (2t) nodes, so p + q = 2t * expected_degree / n
-    keeps the expected degree at the target for any subgraph count.
-    """
-    if num_nodes <= 0:
-        raise InputError(f"num_nodes must be positive, got {num_nodes}")
-    if not 0 < expected_degree < np.inf:
-        raise InputError(f"expected_degree (--degree) must be finite and positive, got {expected_degree}")
-    t = len(lambdas)
-    total = 2.0 * t * expected_degree / num_nodes
-    ps, qs = [], []
-    for lam in lambdas:
-        if not 0.0 <= lam <= 1.0:
-            raise InputError(f"lambdas (--lambdas) must lie in [0, 1], got {lam}")
-        p = lam * total
-        q = total - p
-        if p > 1.0 or q > 1.0:
-            raise InputError(
-                f"expected degree {expected_degree} infeasible: p={p:g}, q={q:g}"
-            )
-        ps.append(p)
-        qs.append(q)
-    return FsbmConfig(
-        num_nodes=num_nodes,
-        num_communities=2,
-        num_subgraphs=t,
-        p=tuple(ps),
-        q=tuple(qs),
-        mu=tuple(mu),
-        sigma=sigma,
-        mode=mode,
-    )
+    """An `FsbmConfig` from any sequences of lambdas and mu, with the commands' defaults."""
+    return FsbmConfig(tuple(lambdas), num_nodes, expected_degree, tuple(mu), sigma, mode)
 
 
 # --- exact-degree generation ----------------------------------------------
@@ -221,10 +202,9 @@ def _exact_edges(m: int, d: int, rng, bipartite: bool) -> np.ndarray:
     return np.argwhere(adj)
 
 
-def _bernoulli_subgraph(m: int, r: int, p: float, q: float, rng) -> np.ndarray:
-    size = m * r
-    comm = np.repeat(np.arange(r), m)
-    iu, ju = np.triu_indices(size, k=1)
+def _bernoulli_subgraph(m: int, p: float, q: float, rng) -> np.ndarray:
+    comm = np.repeat(np.arange(2), m)
+    iu, ju = np.triu_indices(2 * m, k=1)
     prob = np.where(comm[iu] == comm[ju], p, q)
     keep = rng.random(iu.shape[0]) < prob
     return np.column_stack([iu[keep], ju[keep]]).astype(np.int64)
@@ -236,9 +216,7 @@ def _exact_degrees(m: int, p: float, q: float) -> tuple[int, int]:
     return int(np.round(p * (m - 1))), int(np.round(q * m))
 
 
-def _exact_subgraph(m: int, r: int, p: float, q: float, rng) -> np.ndarray:
-    if r != 2:
-        raise InputError("expectation_exact mode supports exactly 2 communities")
+def _exact_subgraph(m: int, p: float, q: float, rng) -> np.ndarray:
     d_in, d_out = _exact_degrees(m, p, q)
     return np.vstack([
         _exact_edges(m, d_in, rng, bipartite=False),
@@ -254,14 +232,13 @@ def generate_fsbm(config: FsbmConfig, seed=0) -> SyntheticDataset:
     order) is fixed, so a seed pins the whole dataset.
     """
     rng = np.random.default_rng(seed)
-    r, t = config.num_communities, config.num_subgraphs
-    m = config.community_size
-    block = m * r
-    community = np.tile(np.repeat(np.arange(r), m), t)
-    subgraph_id = np.repeat(np.arange(t), block)
+    t, m = config.num_subgraphs, config.community_size
+    community = np.tile(np.repeat(np.arange(2), m), t)
+    subgraph_id = np.repeat(np.arange(t), 2 * m)
     subgraph = _bernoulli_subgraph if config.mode == "bernoulli" else _exact_subgraph
     edges = np.vstack([
-        subgraph(m, r, config.p[tau], config.q[tau], rng) + tau * block for tau in range(t)
+        subgraph(m, p, q, rng) + tau * 2 * m
+        for tau, (p, q) in enumerate(zip(config.p, config.q))
     ])
     graph = build_graph(edges, config.num_nodes)
     mu = np.asarray(config.mu, dtype=np.float64)
@@ -322,19 +299,17 @@ def _mean_abs_difference(a: np.ndarray, b: np.ndarray) -> float:
 
 def _generated_lambdas(config: FsbmConfig) -> np.ndarray:
     """Each subgraph's homophily as the generator realizes it: p / (p + q)
-    in bernoulli mode, d_in / (d_in + d_out) of the rounded degrees in
-    expectation_exact mode."""
-    if config.mode == "bernoulli":
-        return np.asarray(config.lambdas())
+    of the edge rates in bernoulli mode, d_in / (d_in + d_out) of the
+    rounded degrees in expectation_exact mode."""
+    m = config.community_size
     lambdas = []
     for p, q in zip(config.p, config.q):
-        d_in, d_out = _exact_degrees(config.community_size, p, q)
-        if d_in + d_out == 0:
+        same, cross = (p, q) if config.mode == "bernoulli" else _exact_degrees(m, p, q)
+        if same + cross == 0:
             raise InputError(
-                f"lambda undefined: p={p:g}, q={q:g} round to no edges per node "
-                f"at community size {config.community_size}"
+                f"lambda undefined: p={p:g}, q={q:g} give no edges per node at community size {m}"
             )
-        lambdas.append(d_in / (d_in + d_out))
+        lambdas.append(same / (same + cross))
     return np.asarray(lambdas)
 
 
@@ -347,12 +322,14 @@ def theory_check(config: FsbmConfig, trials: int, base_seed=0) -> TheoryReport:
     without forming the pairs (only its summation order differs from the
     all-pairs mean).  Uses the scalar-feature similarity
     -(x_i - x_j)^2 and the naive per-node mean, the setting in which both
-    closed forms are derived: 2 communities in 2 subgraphs.  Both closed
+    closed forms are derived: 2 subgraphs of 2 communities.  Both closed
     forms use the homophily the generator realizes, which in
     expectation_exact mode follows the rounded degrees.
     """
-    if config.num_communities != 2 or config.num_subgraphs != 2:
-        raise InputError("the closed forms are stated for the 2-community/2-subgraph layout")
+    if config.num_subgraphs != 2:
+        raise InputError(
+            f"the closed forms are stated for 2 subgraphs (two lambdas), got {config.num_subgraphs}"
+        )
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
     lambdas = _generated_lambdas(config)
@@ -417,53 +394,39 @@ def toy_study(
     with per-node mixing driven by naive local similarity.  Both model
     arms use a single propagation hop over the self-loop adjacency A + I
     and its identity complement, with row normalization off (scalar
-    features reduce to bare signs under row normalization).  Every arm
-    trains with `config`'s training settings; the model arms take its
-    `hidden_dim`.
+    features reduce to bare signs under row normalization), the scalar
+    similarity -(x_i - x_j)^2, naive local similarity and no dropout.  Every
+    other setting comes from `config`: all arms train with its training
+    settings, and the model arms take the rest of its model settings
+    (`hidden_dim`, `alpha_hidden`, ...).
     """
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise InputError("toy study needs at least one seed")
+    arm = replace(config, num_layers=1, variant="irdc", normalize=False,
+                  sim_kind="neg_sq_scalar", localsim_mode="naive", dropout=0.0)
+    propagation = arm.propagation()
     cells = []
     for ci, lambdas in enumerate(lambda_grid):
-        fsbm = multi_subgraph_config(tuple(lambdas), num_nodes=num_nodes, mode=mode)
+        fsbm = multi_subgraph_config(lambdas, num_nodes=num_nodes, mode=mode)
         accs: dict[str, list[float]] = {"raw": [], "graph_level": [], "node_level": []}
         for s in seeds:
             ds = generate_fsbm(fsbm, seed=[base_seed, ci, s, 0])
             split = make_splits(num_nodes, base_seed=[base_seed, ci, s, 1], count=1)[0]
             tcfg = config.training(seed=(base_seed, ci, s, 2))
-            raw_model = train_linear(
-                ds.x, ds.community, 2, tcfg, split.train, split.val
-            )
-            accs["raw"].append(
-                linear_accuracy(raw_model, ds.x, ds.community, split.test)
-            )
-            stack = build_stack(
-                self_loop_filters(ds.graph),
-                ds.x,
-                PropagationConfig(num_layers=1, gamma=0.5, beta=0.5, normalize=False),
-            )
-            inputs = ModelInputs.build(ds.graph, ds.x, stack, "neg_sq_scalar")
+            raw_model = train_linear(ds.x, ds.community, 2, tcfg, split.train, split.val)
+            accs["raw"].append(linear_accuracy(raw_model, ds.x, ds.community, split.test))
+            stack = build_stack(self_loop_filters(ds.graph), ds.x, propagation)
+            inputs = ModelInputs.build(ds.graph, ds.x, stack, arm.sim_kind)
             for weight_mode in ("graph_level", "node_level"):
-                mcfg = ModelConfig(
-                    num_layers=1,
-                    in_dim=1,
-                    hidden_dim=config.hidden_dim,
-                    num_classes=2,
-                    sim_kind="neg_sq_scalar",
-                    localsim_mode="naive",
-                    weight_mode=weight_mode,
-                    dropout=0.0,
-                )
-                result = train(
-                    mcfg, tcfg, inputs, ds.community, split.train, split.val
-                )
+                mcfg = replace(arm, weight_mode=weight_mode).model(in_dim=1, num_classes=2)
+                result = train(mcfg, tcfg, inputs, ds.community, split.train, split.val)
                 accs[weight_mode].append(
                     evaluate(result.params, mcfg, inputs, ds.community, split.test)
                 )
         cells.append(
             ToyCell(
-                lambdas=tuple(lambdas),
+                lambdas=fsbm.lambdas,
                 seeds=seeds,
                 raw=np.array(accs["raw"]),
                 graph_level=np.array(accs["graph_level"]),

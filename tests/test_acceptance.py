@@ -151,7 +151,7 @@ def test_criterion_3a_node_level_margin_on_mixed_cell(toy_cells):
         ds = generate_fsbm(config, seed=seed)
         a = dense_adjacency(ds.graph.num_nodes, ds.graph.edge_array())
         full, self_only = loop_one_hop_bayes(a, ds.x, config.mu, config.sigma,
-                                             config.lambdas())
+                                             config.lambdas)
         neighbor_term = max(neighbor_term, float(np.max(np.abs(full - self_only))))
         oracle_accs.append(float(np.mean((full < 0) == (ds.community == 1))))
     gap = abs(config.mu[0] - config.mu[1]) / (2.0 * config.sigma)

@@ -424,6 +424,28 @@ def test_non_finite_generator_settings_exit_2(argv, field, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [(["gen-fsbm", "--nodes", "999", "--lambdas", "0.9,0.1"],
+      "num_nodes (--nodes) must be a positive multiple of 2 communities x 2 subgraphs = 4, "
+      "got 999"),
+     (["theory", "--nodes", "6", "--trials", "2"],
+      "num_nodes (--nodes) must be a positive multiple of 2 communities x 2 subgraphs = 4, "
+      "got 6"),
+     (["gen-fsbm", "--mu", "1,nan"], "mu (--mu) must be two finite numbers, got (1.0, nan)"),
+     (["gen-fsbm", "--sigma", "-1"], "sigma (--sigma) must be finite and >= 0, got -1.0"),
+     (["theory", "--nodes", "8", "--lambdas", "0.9,0.1", "--trials", "2"],
+      "expected degree 10 is infeasible on 8 nodes (--nodes): edge rates p=4.5, q=0.5 "
+      "must both be at most 1")],
+    ids=["gen-fsbm-nodes", "theory-nodes", "mu", "sigma", "theory-degree"],
+)
+def test_generator_errors_name_the_flag(argv, message, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "line",
     ["lr_range: [0.1]", "lr_range: [0.1, 0.01]", "weight_decay_range: [1.0, -1.0]",
      "dropout_choices: []"],

@@ -1,13 +1,19 @@
+import hashlib
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lsgnn import synthetic
 from lsgnn.errors import InputError
 from lsgnn.harness import ExperimentConfig
 from lsgnn.localsim import naive_localsim
+from lsgnn.model import ModelConfig
 from lsgnn.synthetic import (
     FsbmConfig,
+    _generated_lambdas,
     _mean_abs_difference,
     generate_fsbm,
     multi_subgraph_config,
@@ -17,36 +23,36 @@ from lsgnn.synthetic import (
 
 
 def test_config_validation():
-    ok = dict(num_nodes=8, num_communities=2, num_subgraphs=2,
-              p=(0.5, 0.5), q=(0.1, 0.1), mu=(1.0, -1.0), sigma=1.0)
+    ok = dict(lambdas=(0.6, 0.2), num_nodes=8, expected_degree=0.5, mu=(1.0, -1.0), sigma=1.0)
     FsbmConfig(**ok)
-    with pytest.raises(InputError):
-        FsbmConfig(**{**ok, "num_communities": 1})
-    with pytest.raises(InputError):
-        FsbmConfig(**{**ok, "num_subgraphs": 0})
-    with pytest.raises(InputError):
-        FsbmConfig(**{**ok, "num_nodes": 10})  # not a multiple of r*t
-    with pytest.raises(InputError):
-        FsbmConfig(**{**ok, "p": (0.5,)})
-    with pytest.raises(InputError):
-        FsbmConfig(**{**ok, "q": (0.1, 1.2)})
-    with pytest.raises(InputError):
-        FsbmConfig(**{**ok, "mu": (1.0, -1.0, 0.0)})
-    with pytest.raises(InputError):
-        FsbmConfig(**{**ok, "sigma": -0.5})
-    with pytest.raises(InputError):
-        FsbmConfig(**{**ok, "mode": "poisson"})
+    for key, value, message in [
+        ("lambdas", (), "lambdas (--lambdas) must hold at least one value"),
+        ("lambdas", (0.5, 1.2), "lambdas (--lambdas) must lie in [0, 1], got 1.2"),
+        ("num_nodes", 10, "num_nodes (--nodes) must be a positive multiple of 2 communities x "
+                          "2 subgraphs = 4, got 10"),
+        ("num_nodes", 0, "num_nodes (--nodes) must be a positive multiple"),
+        ("expected_degree", 0.0, "expected_degree (--degree) must be finite and positive"),
+        ("expected_degree", 3.0, "expected degree 3 is infeasible on 8 nodes (--nodes)"),
+        ("mu", (1.0, -1.0, 0.0), "mu (--mu) must be two finite numbers"),
+        ("mu", (1.0, float("nan")), "mu (--mu) must be two finite numbers, got (1.0, nan)"),
+        ("sigma", -0.5, "sigma (--sigma) must be finite and >= 0, got -0.5"),
+        ("mode", "poisson", "mode (--mode) must be one of"),
+    ]:
+        with pytest.raises(InputError, match=re.escape(message)):
+            FsbmConfig(**{**ok, key: value})
 
 
 def test_lambdas_property():
-    config = FsbmConfig(num_nodes=8, num_communities=2, num_subgraphs=2,
-                        p=(0.06, 0.01), q=(0.04, 0.04), mu=(1.0, -1.0), sigma=1.0)
-    assert config.lambdas() == pytest.approx((0.6, 0.2))
-    assert config.community_size == 2
-    empty = FsbmConfig(num_nodes=8, num_communities=2, num_subgraphs=2,
-                       p=(0.06, 0.0), q=(0.04, 0.0), mu=(1.0, -1.0), sigma=1.0)
-    with pytest.raises(InputError):
-        empty.lambdas()  # second subgraph has p = q = 0
+    config = FsbmConfig(lambdas=(0.9, 0.1), num_nodes=1000, expected_degree=10.0,
+                        mu=(1.0, -1.0), sigma=1.0)
+    assert config.num_subgraphs == 2 and config.community_size == 250
+    # bernoulli mode realizes p / (p + q) of the derived rates, which here
+    # differs from the nominal lambda in the last bit
+    realized = [p / (p + q) for p, q in zip(config.p, config.q)]
+    assert realized != list(config.lambdas)
+    assert _generated_lambdas(config).tolist() == realized
+    exact = replace(config, mode="expectation_exact")
+    assert _generated_lambdas(exact).tolist() == [0.9, 0.1]  # 9 / (9 + 1), 1 / (1 + 9)
 
 
 def test_multi_subgraph_config_edge_rates_and_errors():
@@ -61,7 +67,9 @@ def test_multi_subgraph_config_edge_rates_and_errors():
     with pytest.raises(InputError):
         multi_subgraph_config((1.0, 0.5), num_nodes=20, expected_degree=10.0)  # p would be 2
     for nodes in (0, -5):
-        with pytest.raises(InputError, match=f"num_nodes must be positive, got {nodes}"):
+        message = (f"num_nodes (--nodes) must be a positive multiple of 2 communities x "
+                   f"2 subgraphs = 4, got {nodes}")
+        with pytest.raises(InputError, match=re.escape(message)):
             multi_subgraph_config((0.5, 0.5), num_nodes=nodes)
 
 
@@ -70,8 +78,9 @@ def test_multi_subgraph_config_keeps_expected_degree():
                                    expected_degree=10.0)
     total = 2.0 * 3 * 10.0 / 1200
     for tau, lam in enumerate((0.2, 0.5, 0.8)):
-        assert config.p[tau] == pytest.approx(lam * total)
-        assert config.q[tau] == pytest.approx((1 - lam) * total)
+        assert config.p[tau] == lam * total
+        assert config.q[tau] == total - lam * total
+    assert config.lambdas == (0.2, 0.5, 0.8)
     assert config.num_subgraphs == 3
     assert config.community_size == 200
     with pytest.raises(InputError):
@@ -133,9 +142,9 @@ def test_expectation_exact_hits_every_degree():
 
 def test_expectation_exact_dense_regime_uses_complement():
     # d_in = round(0.8*9) = 7 > (m-1)/2 forces the complement construction
-    config = FsbmConfig(num_nodes=20, num_communities=2, num_subgraphs=1,
-                        p=(0.8,), q=(0.2,), mu=(1.0, -1.0), sigma=1.0,
-                        mode="expectation_exact")
+    # p + q = 2 * 10 / 20 = 1, so p = 0.8 and q = 0.2
+    config = FsbmConfig(lambdas=(0.8,), num_nodes=20, expected_degree=10.0,
+                        mu=(1.0, -1.0), sigma=1.0, mode="expectation_exact")
     ds = generate_fsbm(config, seed=4)
     assert np.all(ds.graph.degrees == 7 + 2)
     edges = ds.graph.edge_array()
@@ -145,9 +154,8 @@ def test_expectation_exact_dense_regime_uses_complement():
 
 def test_expectation_exact_dense_cross_pairing_uses_complement():
     # d_out = round(0.8*10) = 8 > 10/2 forces the bipartite complement
-    config = FsbmConfig(num_nodes=20, num_communities=2, num_subgraphs=1,
-                        p=(0.2,), q=(0.8,), mu=(1.0, -1.0), sigma=1.0,
-                        mode="expectation_exact")
+    config = FsbmConfig(lambdas=(0.2,), num_nodes=20, expected_degree=10.0,
+                        mu=(1.0, -1.0), sigma=1.0, mode="expectation_exact")
     ds = generate_fsbm(config, seed=6)
     edges = ds.graph.edge_array()
     assert ds.graph.loops_dropped == 0 and ds.graph.duplicates_dropped == 0
@@ -162,21 +170,13 @@ def test_expectation_exact_dense_cross_pairing_uses_complement():
 
 def test_expectation_exact_odd_stub_total_drops_one_edge():
     # m=5, d_in=3: an odd stub sum leaves one node per community a degree short
-    config = FsbmConfig(num_nodes=10, num_communities=2, num_subgraphs=1,
-                        p=(0.75,), q=(0.0,), mu=(1.0, -1.0), sigma=1.0,
-                        mode="expectation_exact")
+    # p + q = 2 * 3.75 / 10 = 0.75, all of it intra-community
+    config = FsbmConfig(lambdas=(1.0,), num_nodes=10, expected_degree=3.75,
+                        mu=(1.0, -1.0), sigma=1.0, mode="expectation_exact")
     ds = generate_fsbm(config, seed=5)
     for comm in (0, 1):
         degs = np.sort(ds.graph.degrees[ds.community == comm])
         assert degs.tolist() == [2, 3, 3, 3, 3]
-
-
-def test_expectation_exact_rejects_three_communities():
-    config = FsbmConfig(num_nodes=12, num_communities=3, num_subgraphs=1,
-                        p=(0.5,), q=(0.1,), mu=(1.0, 0.0, -1.0), sigma=1.0,
-                        mode="expectation_exact")
-    with pytest.raises(InputError):
-        generate_fsbm(config, seed=0)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0])
@@ -196,17 +196,16 @@ def test_theory_check_errors():
     config = multi_subgraph_config((0.2, 0.8))
     with pytest.raises(InputError):
         theory_check(config, trials=0)
-    three = FsbmConfig(num_nodes=12, num_communities=3, num_subgraphs=1,
-                       p=(0.5,), q=(0.1,), mu=(1.0, 0.0, -1.0), sigma=1.0)
-    with pytest.raises(InputError):
+    three = multi_subgraph_config((0.2, 0.5, 0.8), num_nodes=600)
+    with pytest.raises(InputError, match="stated for 2 subgraphs"):
         theory_check(three, trials=2)
 
 
 def test_theory_check_rejects_degrees_that_round_to_zero():
-    # 10 nodes per community: 0.01 * 9 and 0.01 * 10 both round to 0 edges
-    config = FsbmConfig(num_nodes=40, num_communities=2, num_subgraphs=2,
-                        p=(0.5, 0.01), q=(0.5, 0.01), mu=(1.0, -1.0), sigma=1.0,
-                        mode="expectation_exact")
+    # 10 nodes per community, p = q = 2 * 2 * 0.2 / 40 / 2 = 0.01: 0.01 * 9
+    # and 0.01 * 10 both round to 0 edges
+    config = FsbmConfig(lambdas=(0.5, 0.5), num_nodes=40, expected_degree=0.2,
+                        mu=(1.0, -1.0), sigma=1.0, mode="expectation_exact")
     with pytest.raises(InputError, match="lambda undefined"):
         theory_check(config, trials=1)
 
@@ -283,3 +282,63 @@ def test_toy_study_perfect_homophily_cell():
     assert np.array_equal(cell.node_level, again[0].node_level)
     with pytest.raises(InputError, match="at least one seed"):
         toy_study([(1.0, 1.0)], seeds=(), config=config)
+
+
+
+def test_toy_study_model_arms_take_config_settings_it_does_not_pin(monkeypatch):
+    seen = []
+    real = synthetic.train
+
+    def recording(mcfg, *args):
+        seen.append(mcfg)
+        return real(mcfg, *args)
+
+    monkeypatch.setattr(synthetic, "train", recording)
+    config = ExperimentConfig(num_layers=7, hidden_dim=4, sim_kind="euclidean", ls_hidden=5,
+                              alpha_hidden=3, dropout=0.5, epochs=2)
+    toy_study([(0.9, 0.1)], seeds=(0,), config=config, num_nodes=40)
+    pinned = dict(num_layers=1, in_dim=1, num_classes=2, sim_kind="neg_sq_scalar",
+                  localsim_mode="naive", dropout=0.0)
+    assert seen == [
+        ModelConfig(**pinned, hidden_dim=4, ls_hidden=5, alpha_hidden=3, weight_mode=mode)
+        for mode in ("graph_level", "node_level")
+    ]
+
+# sha256 prefixes of (row_offsets, col_indices, x, community, subgraph_id),
+# each hashed with its dtype and shape.  The cases are the benchmark's inputs
+# at seed 0 (its input cache is keyed by workload, not by generator code),
+# one expectation_exact draw of `lsgnn theory` and one `toy` cell draw.
+_PINNED = {
+    "bench n=2000": (
+        dict(lambdas=(0.9, 0.1), num_nodes=2000), [0],
+        ["5569a1280143bcf1", "2de47251b1f1ad71", "468164f9d219ed5a", "5b0c17b9dd7c27c3",
+         "aa338f42974caa93"]),
+    "bench n=12000": (
+        dict(lambdas=(0.9, 0.1) * 4, num_nodes=12000), [0],
+        ["61284d42e36ffd43", "479707fffce3e64d", "f92ba4ae9e3594c4", "d4b4c62e419a1894",
+         "cb245cde4f5a8a00"]),
+    "bench prep n=2000": (
+        dict(lambdas=(0.9, 0.1) * 4, num_nodes=2000), [1_000_003],
+        ["e3af0416464675a9", "07e7dddccaef4f0c", "34ae4d944744ab2c", "7ee79d780def48d1",
+         "3fa8453942f61a7a"]),
+    "theory expectation_exact": (
+        dict(lambdas=(0.9, 0.1), num_nodes=1000, mode="expectation_exact"), [0, 0],
+        ["94c533bc0429db97", "3b707868dec4f930", "e94a7c615484d44e", "af1a35c1a98aba5d",
+         "c69cd101271fc6b0"]),
+    "toy cell": (
+        dict(lambdas=(0.9, 0.1), num_nodes=1000), [0, 0, 0, 0],
+        ["56f1b87375f22e06", "bddc478a35da8c12", "9803fe3e7f29fa69", "af1a35c1a98aba5d",
+         "c69cd101271fc6b0"]),
+}
+
+
+@pytest.mark.parametrize("case", _PINNED)
+def test_generator_output_is_pinned(case):
+    settings, seed, want = _PINNED[case]
+    ds = generate_fsbm(multi_subgraph_config(**settings), seed=seed)
+    arrays = (ds.graph.row_offsets, ds.graph.col_indices, ds.x, ds.community, ds.subgraph_id)
+    got = [
+        hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()[:16]
+        for a in arrays
+    ]
+    assert got == want
