@@ -170,18 +170,30 @@ def _filter_pair(g: SparseGraph, kind: str, diag: np.ndarray, off: np.ndarray) -
     """Low filter diag*I + off and its identity complement I - low.
 
     `off` holds one value per directed adjacency entry, `diag` one per
-    node.  The A + I pattern is sorted once and both filters share its
-    index arrays; the diagonal is stored even where a value is 0.0, so
-    low + high equals the identity exactly.
+    node.  Both filters share the index arrays of the A + I pattern; the
+    diagonal is stored even where a value is 0.0, so low + high equals the
+    identity exactly.
+
+    The adjacency is already sorted by (row, col), so every entry's place
+    in A + I is known: row i starts i entries later than in A, and its
+    diagonal follows its neighbours below i.  An adjacency entry moves by
+    its row, plus one if it lies above the diagonal.
     """
     n = g.num_nodes
-    rows = np.concatenate([g.entry_rows(), np.arange(n, dtype=np.int64)])
-    cols = np.concatenate([g.col_indices, np.arange(n, dtype=np.int64)])
-    order = np.argsort(rows * n + cols, kind="stable")
-    row_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(g.degrees + 1, out=row_offsets[1:])
-    low = _csr(n, row_offsets, cols[order], np.concatenate([off, diag])[order])
-    high = _csr(n, low.indptr, low.indices, np.concatenate([-off, 1.0 - diag])[order])
+    nodes = np.arange(n, dtype=np.int64)
+    rows = g.entry_rows()
+    above = g.col_indices > rows
+    off_at = np.arange(g.num_entries, dtype=np.int64) + rows + above
+    diag_at = g.row_offsets[1:] + nodes - np.bincount(rows[above], minlength=n)
+    row_offsets = g.row_offsets + np.arange(n + 1, dtype=np.int64)
+    cols = np.empty(g.num_entries + n, dtype=np.int64)
+    cols[off_at], cols[diag_at] = g.col_indices, nodes
+    low_values = np.empty(cols.shape[0], dtype=np.float64)
+    low_values[off_at], low_values[diag_at] = off, diag
+    high_values = np.empty(cols.shape[0], dtype=np.float64)
+    high_values[off_at], high_values[diag_at] = -off, 1.0 - diag
+    low = _csr(n, row_offsets, cols, low_values)
+    high = _csr(n, low.indptr, low.indices, high_values)
     return FilterPair(low=low, high=high, kind=kind)
 
 

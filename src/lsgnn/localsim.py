@@ -22,8 +22,9 @@ __all__ = [
 
 SIM_KINDS = ("cosine", "euclidean", "neg_sq_scalar")
 
-# Entries processed per chunk when walking the edge set; bounds peak memory
-# at roughly chunk * d floats regardless of graph size.
+# Floats per gathered operand when walking the edge set: a chunk holds
+# _CHUNK // d entries (at least one), so each of its temporaries has at most
+# this many floats whatever the graph size and the feature width d.
 _CHUNK = 262144
 
 
@@ -36,19 +37,22 @@ def similarity(x: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
     """
     if x.shape != y.shape or x.ndim != 2:
         raise InputError(f"expected matching (m, d) arrays, got {x.shape} and {y.shape}")
+    _check_kind(kind, x.shape[1])
     if kind == "cosine":
         return _cosine((x * y).sum(axis=1), _norms(x), _norms(y))
     if kind == "euclidean":
         diff = x - y
         return -np.sqrt((diff * diff).sum(axis=1))
-    if kind == "neg_sq_scalar":
-        if x.shape[1] != 1:
-            raise InputError(
-                f"neg_sq_scalar requires 1-dimensional features, got d={x.shape[1]}"
-            )
-        diff = (x[:, 0] - y[:, 0])
-        return -(diff * diff)
-    raise InputError(f"similarity kind must be one of {SIM_KINDS}, got {kind!r}")
+    diff = (x[:, 0] - y[:, 0])
+    return -(diff * diff)
+
+
+def _check_kind(kind: str, d: int) -> None:
+    """Reject an unknown kind, and neg_sq_scalar on features wider than 1."""
+    if kind not in SIM_KINDS:
+        raise InputError(f"similarity kind must be one of {SIM_KINDS}, got {kind!r}")
+    if kind == "neg_sq_scalar" and d != 1:
+        raise InputError(f"neg_sq_scalar requires 1-dimensional features, got d={d}")
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -67,21 +71,24 @@ def _cosine(dots: np.ndarray, nx: np.ndarray, ny: np.ndarray) -> np.ndarray:
 def edge_sim_values(g: SparseGraph, x: np.ndarray, kind: str) -> np.ndarray:
     """Similarity for every directed adjacency entry, in CSR entry order.
 
-    Processes the edge set in fixed-size chunks so memory stays bounded on
-    large graphs; chunking cannot change the result because each entry is
-    computed independently.  Cosine takes each node's norm once and
-    multiplies the gathered rows in place; the values are bitwise those of
-    `similarity`.
+    Walks the edge set in chunks of `_CHUNK` gathered floats, so the
+    temporaries keep one size on any graph; chunking cannot change the
+    result because each entry is computed independently.  The kind is
+    checked before any chunk, so an edgeless graph rejects it too.  Cosine
+    takes each node's norm once and multiplies the gathered rows in place;
+    the values are bitwise those of `similarity`.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != g.num_nodes:
         raise InputError(f"features must be ({g.num_nodes}, d), got shape {x.shape}")
+    _check_kind(kind, x.shape[1])
     rows = g.entry_rows()
     cols = g.col_indices
     norms = _norms(x) if kind == "cosine" else None
     out = np.empty(g.num_entries, dtype=np.float64)
-    for start in range(0, g.num_entries, _CHUNK):
-        stop = min(start + _CHUNK, g.num_entries)
+    chunk = max(1, _CHUNK // max(1, x.shape[1]))
+    for start in range(0, g.num_entries, chunk):
+        stop = min(start + chunk, g.num_entries)
         r, c = rows[start:stop], cols[start:stop]
         if norms is None:
             out[start:stop] = similarity(x[r], x[c], kind)

@@ -30,7 +30,9 @@ node axis.  It is a slice for consecutive rows (every row, or one
 inference block), so those arrays are views of the inputs rather than
 copies.  Inference (`predict_proba`, `evaluate`) runs in fixed blocks of
 `_BLOCK_ROWS` selected rows with dropout off and keeps only each block's
-probabilities, so no backward cache outlives its block.
+probabilities.  Its forward pass builds no backward cache: it computes α,
+then each channel's map in turn, adds that map's projection to the logits
+and drops it, so a block holds one (rows, z) map, not 2K+1.
 
 Gradients are derived by hand and verified against central finite
 differences in the test suite; there is no autograd dependency.
@@ -217,10 +219,6 @@ class ModelInputs:
         )
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 @dataclass(eq=False)
 class _Rows:
     """The part of `ModelInputs` that a pass over selected nodes reads.
@@ -320,21 +318,57 @@ def _block_columns(w_blocks: np.ndarray) -> np.ndarray:
     return w_blocks.transpose(1, 0, 2).reshape(w_blocks.shape[1], -1)
 
 
+def _fusion_weights(
+    params: Params, config: ModelConfig, rows: _Rows, cache: dict | None
+) -> np.ndarray:
+    """α for the selected rows, shape (rows, 3K).  With a `cache`, the
+    arrays backward needs are stored in it; without one, none outlives the
+    call."""
+    k = config.num_layers
+    n = rows.bases[0].shape[0]
+    if config.weight_mode == "graph_level":
+        return np.broadcast_to(params["graph_alpha"], (n, 3 * k))
+    if config.localsim_mode == "naive":
+        phi = rows.phi_naive
+    else:
+        # ReLU in place: backward reads its mask as r1 > 0.
+        r1 = rows.edge_feats @ params["ls_w1"]
+        r1 += params["ls_b1"]
+        np.maximum(r1, 0.0, out=r1)
+        s = r1 @ params["ls_w2"][:, 0] + params["ls_b2"][0]
+        sums = np.bincount(rows.entry_slots, weights=s, minlength=n)
+        phi = sums * rows.inv_degrees
+        if cache is not None:
+            cache.update(ls_r1=r1)
+    psi = np.column_stack([phi, phi * phi])
+    q1 = psi @ params["al_w1"]
+    q1 += params["al_b1"]
+    np.maximum(q1, 0.0, out=q1)
+    if cache is not None:
+        cache.update(phi=phi, psi=psi, al_q1=q1)
+    return q1 @ params["al_w2"] + params["al_b2"]
+
+
 def _forward(
     params: Params,
     config: ModelConfig,
     rows: _Rows,
     dropout_rng: np.random.Generator | None,
+    backward: bool = False,
 ) -> dict:
-    """Forward pass over the selected rows; returns a cache with every
-    array backward needs.
+    """Forward pass over the selected rows; returns a cache holding the
+    log-probabilities and, when `backward`, every array backward needs.
 
+    α comes first.  Each channel's map is then computed and added to the
+    logits in channel order; it and its projection are kept only for
+    backward, so an inference pass holds one (rows, z) map at a time.
     Dropout draws happen in channel order, so a seeded generator
     reproduces runs exactly.
     """
     k, z = config.num_layers, config.hidden_dim
     n = rows.bases[0].shape[0]
     cache: dict = {}
+    alpha = _fusion_weights(params, config, rows, cache if backward else None)
 
     # Inverted dropout, in place.  Each channel's draw fills one buffer for
     # every node and its keep mask is then indexed to the selected rows, so
@@ -342,45 +376,24 @@ def _forward(
     dropout = dropout_rng is not None and config.dropout > 0.0
     if dropout:
         draw = np.empty((rows.num_nodes, z), dtype=np.float64)
-    hidden = []
-    for name, basis in zip(_channel_names(k), rows.bases):
+    # Fusion in logit space (module docstring).
+    c = config.num_classes
+    w_blocks = params["w_out"].reshape(k + 1, z, c)
+    logits = np.zeros((n, c), dtype=np.float64)
+    channels = []
+    terms = zip(_channel_names(k), rows.bases, _fusion_terms(k, alpha))
+    for name, basis, (blocks, weights, _) in terms:
         h = basis @ params[name]
         np.maximum(h, 0.0, out=h)
         if dropout:
             dropout_rng.random(out=draw)
             h *= (draw >= config.dropout)[rows.index]
             h *= 1.0 / (1.0 - config.dropout)
-        hidden.append(h)
-    cache["dropout"] = dropout
-
-    if config.weight_mode == "graph_level":
-        alpha = np.broadcast_to(params["graph_alpha"], (n, 3 * k))
-    else:
-        if config.localsim_mode == "naive":
-            phi = rows.phi_naive
-        else:
-            a1 = rows.edge_feats @ params["ls_w1"] + params["ls_b1"]
-            r1 = _relu(a1)
-            s = r1 @ params["ls_w2"][:, 0] + params["ls_b2"][0]
-            sums = np.bincount(rows.entry_slots, weights=s, minlength=n)
-            phi = sums * rows.inv_degrees
-            cache.update(ls_a1=a1, ls_r1=r1)
-        psi = np.column_stack([phi, phi * phi])
-        b1 = psi @ params["al_w1"] + params["al_b1"]
-        q1 = _relu(b1)
-        alpha = q1 @ params["al_w2"] + params["al_b2"]
-        cache.update(phi=phi, psi=psi, al_b1=b1, al_q1=q1)
-
-    # Fusion in logit space (module docstring).
-    c = config.num_classes
-    w_blocks = params["w_out"].reshape(k + 1, z, c)
-    logits = np.zeros((n, c), dtype=np.float64)
-    fusion = []
-    for h, (blocks, weights, cols) in zip(hidden, _fusion_terms(k, alpha)):
         proj = (h @ _block_columns(w_blocks[blocks])).reshape(n, weights.shape[1], c)
         logits += (weights[:, :, None] * proj).sum(axis=1)
-        fusion.append((blocks, weights, cols, proj))
-    cache.update(hidden=hidden, fusion=fusion, log_probs=_log_softmax(logits))
+        if backward:
+            channels.append((h, proj))
+    cache.update(alpha=alpha, channels=channels, dropout=dropout, log_probs=_log_softmax(logits))
     return cache
 
 
@@ -436,6 +449,13 @@ def _accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
     return float((pred == labels).mean())
 
 
+def _require_nodes(train_mask: np.ndarray, val_mask: np.ndarray) -> None:
+    """Refuse, before any epoch, a training mask that selects no nodes."""
+    for name, mask in (("train", train_mask), ("validation", val_mask)):
+        if not np.any(mask):
+            raise InputError(f"{name} mask selects no nodes")
+
+
 def loss_and_gradients(
     params: Params,
     config: ModelConfig,
@@ -456,7 +476,7 @@ def loss_and_gradients(
     k, z = config.num_layers, config.hidden_dim
     rows = _select_rows(inputs, _row_index(config, inputs, mask))
     labels = labels[rows.index]
-    cache = _forward(params, config, rows, dropout_rng)
+    cache = _forward(params, config, rows, dropout_rng, backward=True)
     m_count = labels.size
     ce, dlogits = _cross_entropy(cache["log_probs"], labels)
     loss = ce + 0.5 * weight_decay * _squared_norm(params)
@@ -467,8 +487,8 @@ def loss_and_gradients(
     w_blocks = params["w_out"].reshape(k + 1, z, c)
     dw_out = np.zeros_like(w_blocks)
     dalpha = np.empty((m_count, 3 * k), dtype=np.float64)
-    terms = zip(_channel_names(k), rows.bases, cache["hidden"], cache["fusion"])
-    for ch, (name, basis, h, (blocks, weights, cols, proj)) in enumerate(terms):
+    terms = zip(_channel_names(k), rows.bases, cache["channels"], _fusion_terms(k, cache["alpha"]))
+    for ch, (name, basis, (h, proj), (blocks, weights, cols)) in enumerate(terms):
         dweights = (proj * dlogits[:, None, :]).sum(axis=2)
         # The identity channel's weight in block 0 is the constant 1.
         dalpha[:, cols] = dweights[:, 1:] if ch == 0 else dweights
@@ -490,7 +510,7 @@ def loss_and_gradients(
         grads["al_w2"] = q1.T @ dalpha
         grads["al_b2"] = dalpha.sum(axis=0)
         dq1 = dalpha @ params["al_w2"].T
-        db1 = dq1 * (cache["al_b1"] > 0.0)
+        db1 = dq1 * (q1 > 0.0)
         grads["al_w1"] = cache["psi"].T @ db1
         grads["al_b1"] = db1.sum(axis=0)
         dpsi = db1 @ params["al_w1"].T
@@ -503,7 +523,7 @@ def loss_and_gradients(
             grads["ls_w2"] = (r1.T @ ds)[:, None]
             grads["ls_b2"] = ds.sum(keepdims=True)
             dr1 = ds[:, None] * params["ls_w2"][:, 0][None, :]
-            da1 = dr1 * (cache["ls_a1"] > 0.0)
+            da1 = dr1 * (r1 > 0.0)
             grads["ls_w1"] = rows.edge_feats.T @ da1
             grads["ls_b1"] = da1.sum(axis=0)
 
@@ -622,8 +642,10 @@ def train(
     Returns the parameters from the best validation epoch, not the last
     one.  Training halts once `patience` epochs pass without a new best.
     A non-finite loss raises TrainingDivergedError immediately.  Dropout
-    masks come from the seeded generator, after the initial draws.
+    masks come from the seeded generator, after the initial draws.  An
+    empty train or validation mask raises InputError naming it.
     """
+    _require_nodes(train_mask, val_mask)
     rng = np.random.default_rng(train_config.seed)
     params = init_parameters(config, rng)
     dropout_rng = rng if config.dropout > 0.0 else None
@@ -716,6 +738,7 @@ def train_linear(
     and deep-filter baselines, with the same Adam + early-stopping loop as
     the full model; returns best-validation parameters."""
     features = np.ascontiguousarray(features, dtype=np.float64)
+    _require_nodes(train_mask, val_mask)
     d = features.shape[1]
     rng = np.random.default_rng(train_config.seed)
     bound = 1.0 / np.sqrt(d)
@@ -724,8 +747,6 @@ def train_linear(
         "b": rng.uniform(-bound, bound, size=(num_classes,)),
     }
     rows = np.flatnonzero(train_mask)
-    if rows.size == 0:
-        raise InputError("train mask selects no nodes")
     x_train, y_train = features[rows], labels[rows]
     x_val, y_val = features[val_mask], labels[val_mask]
     wd = train_config.weight_decay

@@ -2,10 +2,10 @@
 
 All propagation happens once, before training: each filter is applied
 layer by layer and the resulting dense matrices are stored (optionally
-row-normalized).  Training then never propagates again, which is what
-makes large-graph runs cheap.  It still reads the graph: refined local
-similarity runs its edge MLP over every CSR entry of the selected rows
-each epoch.
+row-normalized, in place, so no layer is held twice).  Training then never
+propagates again, which is what makes large-graph runs cheap.  It still
+reads the graph: refined local similarity runs its edge MLP over every CSR
+entry of the selected rows each epoch.
 
 The default recurrence subtracts a decaying share of the running sum of
 earlier layers from the input before each hop, so deeper layers carry
@@ -125,7 +125,10 @@ def propagate_layers(
     running = h.copy() if variant == "irdc" else None
     for _ in range(1, num_layers):
         if variant == "irdc":
-            h = s @ ((1.0 - gamma) * x - gamma * running)
+            # (1 - gamma) * x - gamma * running, with one temporary fewer.
+            step = gamma * running
+            np.subtract((1.0 - gamma) * x, step, out=step)
+            h = s @ step
             running += h
         elif variant == "sgc":
             h = s @ h
@@ -137,11 +140,15 @@ def propagate_layers(
     return layers
 
 
-def row_normalize(m: np.ndarray) -> np.ndarray:
-    """Scale each row to unit L2 norm; all-zero rows are left unchanged."""
+def row_normalize(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Scale each row to unit L2 norm; all-zero rows are left unchanged.
+
+    The result goes to a new array, or to `out` when given; `out=m`
+    normalizes in place, with one (n, d) temporary for the squared entries.
+    """
     norms = np.sqrt((m * m).sum(axis=1))
     safe = np.where(norms > 0.0, norms, 1.0)
-    return m / safe[:, None]
+    return np.divide(m, safe[:, None], out=out)
 
 
 def feature_digest(x: np.ndarray) -> bytes:
@@ -149,19 +156,29 @@ def feature_digest(x: np.ndarray) -> bytes:
     x = np.ascontiguousarray(x, dtype=np.float64)
     h = hashlib.sha256()
     h.update(struct.pack("<QQ", x.shape[0], x.shape[1]))
-    h.update(x.tobytes(order="C"))
+    # The C-contiguous buffer itself, hashed without a bytes copy.
+    h.update(memoryview(x))
     return h.digest()
 
 
 def build_stack(pair: FilterPair, x: np.ndarray, config: PropagationConfig) -> PropagationStack:
     """Run the configured recurrence over both filters of a pair; the
-    stack's `filter_kind` is the pair's `kind`."""
+    stack's `filter_kind` is the pair's `kind`.
+
+    With `config.normalize`, each band's layers are row-normalized in place
+    (one `row_normalize` call per layer) as soon as its recurrence has
+    finished, so no layer is ever held twice: the peak is the stack plus
+    about two layers of temporaries.
+    """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    low = propagate_layers(config.variant, pair.low, x, config.num_layers, config.gamma)
-    high = propagate_layers(config.variant, pair.high, x, config.num_layers, config.gamma)
-    if config.normalize:
-        low = [row_normalize(h) for h in low]
-        high = [row_normalize(h) for h in high]
+    bands = []
+    for s in (pair.low, pair.high):
+        layers = propagate_layers(config.variant, s, x, config.num_layers, config.gamma)
+        if config.normalize:
+            for h in layers:
+                row_normalize(h, out=h)
+        bands.append(layers)
+    low, high = bands
     return PropagationStack(
         config=config,
         low=low,

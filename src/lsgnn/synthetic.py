@@ -202,12 +202,41 @@ def _exact_edges(m: int, d: int, rng, bipartite: bool) -> np.ndarray:
     return np.argwhere(adj)
 
 
+# Uniforms drawn at a time by `_bernoulli_subgraph`; its temporaries hold
+# this many pairs whatever the subgraph size.
+_PAIR_BLOCK = 1 << 16
+
+
 def _bernoulli_subgraph(m: int, p: float, q: float, rng) -> np.ndarray:
-    comm = np.repeat(np.arange(2), m)
-    iu, ju = np.triu_indices(2 * m, k=1)
-    prob = np.where(comm[iu] == comm[ju], p, q)
-    keep = rng.random(iu.shape[0]) < prob
-    return np.column_stack([iu[keep], ju[keep]]).astype(np.int64)
+    """Edges (i, j), i < j, over 2m nodes, nodes i < m in community 0: each
+    pair joins when its uniform falls below p (same community) or q.
+
+    One uniform per pair, in row-major upper-triangle order, drawn in
+    blocks of `_PAIR_BLOCK` consecutive pairs; a block may end inside a
+    row.  The blocks continue one stream, so the edges do not depend on the
+    block size.  Row i's pairs form a run of intra pairs followed by a run
+    of cross pairs (none for i >= m), so a block's rates are those runs
+    clipped to it, and only the kept pairs are turned into (i, j).
+    """
+    nodes = np.arange(2 * m, dtype=np.int64)
+    lengths = 2 * m - 1 - nodes
+    starts = np.zeros(2 * m + 1, dtype=np.int64)
+    np.cumsum(lengths, out=starts[1:])
+    intra = np.where(nodes < m, m - 1 - nodes, lengths)
+    run_ends = np.column_stack([starts[:-1] + intra, starts[1:]]).ravel()
+    run_rates = np.tile(np.array([p, q]), 2 * m)
+    total = int(starts[-1])
+    kept = [np.empty(0, dtype=np.int64)]
+    for s in range(0, total, _PAIR_BLOCK):
+        e = min(s + _PAIR_BLOCK, total)
+        first = np.searchsorted(run_ends, s, side="right")
+        last = np.searchsorted(run_ends, e - 1, side="right")
+        ends = np.minimum(run_ends[first : last + 1], e)
+        rates = np.repeat(run_rates[first : last + 1], np.diff(ends, prepend=s))
+        kept.append(np.flatnonzero(rng.random(e - s) < rates) + s)
+    pos = np.concatenate(kept)
+    rows = np.searchsorted(starts, pos, side="right") - 1
+    return np.column_stack([rows, pos - starts[rows] + rows + 1])
 
 
 def _exact_degrees(m: int, p: float, q: float) -> tuple[int, int]:

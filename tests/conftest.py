@@ -1,6 +1,7 @@
 import builtins
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,18 @@ def random_edges(n, p, seed):
     mask = rng.random((n, n)) < p
     i, j = np.nonzero(np.triu(mask, k=1))
     return np.column_stack([i, j])
+
+
+def traced_peak(fn, *args):
+    """`fn(*args)` and the most memory, in bytes, it held at once (its
+    result included); arrays made before the call do not count."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture

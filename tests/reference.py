@@ -89,6 +89,31 @@ def dense_row_normalize(m):
     return out
 
 
+def argsort_filter_pair(g, diag, off):
+    """The A + I pattern of a filter pair by one stable argsort of its
+    (row, col) keys: (indptr, indices, low values, high values), with the
+    low filter diag*I + off and the high filter I - low."""
+    n = g.num_nodes
+    rows = np.concatenate([g.entry_rows(), np.arange(n, dtype=np.int64)])
+    cols = np.concatenate([g.col_indices, np.arange(n, dtype=np.int64)])
+    order = np.argsort(rows * n + cols, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(g.degrees + 1, out=indptr[1:])
+    low = np.concatenate([off, diag])[order]
+    high = np.concatenate([-off, 1.0 - diag])[order]
+    return indptr, cols[order], low, high
+
+
+def triu_bernoulli_subgraph(m, p, q, rng):
+    """Two-community Bernoulli edges over 2m nodes from one draw of a
+    uniform per upper-triangle pair, with every pair's index held at once."""
+    comm = np.repeat(np.arange(2), m)
+    iu, ju = np.triu_indices(2 * m, k=1)
+    prob = np.where(comm[iu] == comm[ju], p, q)
+    keep = rng.random(iu.shape[0]) < prob
+    return np.column_stack([iu[keep], ju[keep]]).astype(np.int64)
+
+
 def loop_sim(xi, xj, kind):
     if kind == "cosine":
         ni = np.linalg.norm(xi)

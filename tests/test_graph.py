@@ -18,6 +18,7 @@ from lsgnn.graph import (
 )
 
 from reference import (
+    argsort_filter_pair,
     dense_adjacency,
     dense_enhanced,
     dense_node_homophily,
@@ -217,6 +218,31 @@ def test_filter_builders_share_one_pattern_and_sum_to_identity(g, beta, kind):
     assert np.array_equal(rows[diagonal], np.arange(n))
     assert np.all(low.data[diagonal] == (beta if kind == "enhanced" else 1.0))
     assert np.array_equal((low + high).toarray(), np.eye(n))
+
+
+# Hub 0's neighbours all lie above the diagonal, hub 5's all below it;
+# node 6 is isolated.
+_STARS = build_graph(np.array([[0, 1], [0, 2], [0, 3], [5, 1], [5, 2], [5, 4]]), 7)
+
+
+@settings(max_examples=150, deadline=None)
+@example(g=_STARS, beta=0.5)
+@example(g=build_graph(_NO_EDGES, 3), beta=0.2)
+@example(g=build_graph(np.array([[0, 1], [2, 3], [1, 4]]), 8), beta=1.0)
+@given(g=_graphs(), beta=st.sampled_from([0.0, 0.3, 1.0]))
+def test_filter_pattern_is_bitwise_the_argsort_construction(g, beta):
+    n = g.num_nodes
+    built = {
+        "enhanced": (enhanced_filters(g, beta), np.full(n, beta), sym_norm_adj(g).data),
+        "self_loop": (self_loop_filters(g), np.ones(n), np.ones(g.num_entries)),
+    }
+    for kind, (pair, diag, off) in built.items():
+        indptr, indices, low, high = argsort_filter_pair(g, diag, off)
+        for got, want in [(pair.low.indptr, indptr), (pair.low.indices, indices),
+                          (pair.high.indptr, indptr), (pair.high.indices, indices),
+                          (pair.low.data, low), (pair.high.data, high)]:
+            assert got.dtype == want.dtype, kind
+            assert got.tobytes() == want.tobytes(), kind
 
 
 def test_node_homophily_star(star5):

@@ -11,6 +11,7 @@ from lsgnn.localsim import (
     similarity,
 )
 
+from conftest import traced_peak
 from reference import dense_adjacency, loop_localsim
 
 
@@ -58,6 +59,31 @@ def test_neg_sq_scalar_requires_one_dim(triangle):
 def test_unknown_kind_rejected(triangle):
     with pytest.raises(InputError):
         naive_localsim(triangle, np.ones((3, 1)), "manhattan")
+
+
+@pytest.mark.parametrize("fn", [edge_sim_values, naive_localsim])
+def test_kind_is_checked_on_an_edgeless_graph(fn):
+    g = build_graph(np.zeros((0, 2), dtype=np.int64), 3)
+    with pytest.raises(InputError, match="kind must be one of"):
+        fn(g, np.ones((3, 1)), "bogus")
+    with pytest.raises(InputError, match="neg_sq_scalar requires 1-dimensional features, got d=2"):
+        fn(g, np.ones((3, 2)), "neg_sq_scalar")
+
+
+@pytest.mark.parametrize("d", [16, 64])
+def test_edge_values_gather_a_fixed_chunk_whatever_the_edge_count(d):
+    # Per entry, only the result and its row id (16 bytes) grow with E; the
+    # gathered (chunk, d) rows must not (they would add 16 * d bytes).
+    n = 4000
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(n, d))
+    peaks, entries = [], []
+    for num_edges in (25_000, 100_000):
+        g = build_graph(rng.integers(0, n, size=(num_edges, 2)), n)
+        entries.append(g.num_entries)
+        peaks.append(traced_peak(edge_sim_values, g, x, "cosine")[1])
+    growth = peaks[1] - peaks[0]
+    assert growth < 24 * (entries[1] - entries[0]), (peaks, entries)
 
 
 @pytest.mark.parametrize("kind", ["cosine", "euclidean"])

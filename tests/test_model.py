@@ -32,7 +32,14 @@ from lsgnn.model import (
 )
 from lsgnn.propagation import PropagationConfig, build_stack
 
-from conftest import edit_header, fail_artifact_write, join_artifact, random_edges, split_artifact
+from conftest import (
+    edit_header,
+    fail_artifact_write,
+    join_artifact,
+    random_edges,
+    split_artifact,
+    traced_peak,
+)
 from reference import central_fd, dense_adjacency, loop_forward, max_rel_error
 
 
@@ -594,6 +601,23 @@ def test_predict_proba_memory_does_not_grow_with_rows():
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
+@pytest.mark.parametrize("localsim_mode,weight_mode", ROW_MODES)
+def test_inference_holds_one_channel_map_per_block(localsim_mode, weight_mode):
+    # Keeping every channel's map until fusion would hold 2K+1 = 17 of them.
+    k, z, n = 8, 64, 2 * model_module._BLOCK_ROWS
+    rng = np.random.default_rng(k)
+    g = build_graph(rng.integers(0, n, size=(n, 2)), n)
+    x = rng.normal(size=(n, 4))
+    stack = build_stack(enhanced_filters(g, 0.5), x, PropagationConfig(num_layers=k))
+    config = ModelConfig(num_layers=k, in_dim=4, hidden_dim=z, num_classes=3,
+                         localsim_mode=localsim_mode, weight_mode=weight_mode)
+    inputs = ModelInputs.build(g, x, stack, config.sim_kind)
+    params = init_parameters(config, np.random.default_rng(0))
+    block_map = model_module._BLOCK_ROWS * z * 8
+    _, peak = traced_peak(predict_proba, params, config, inputs)
+    assert peak < 4 * block_map, peak / block_map
+
+
 def test_adam_first_step_is_signed_learning_rate():
     model = {"w": np.array([[2.0, -3.0]]), "b": np.array([0.5, 0.0])}
     grads = {"w": np.array([[0.3, -40.0]]), "b": np.array([-2.0, 0.0])}
@@ -633,3 +657,18 @@ def test_linear_head_rejects_empty_validation_mask():
         train_linear(x, y, 2, tcfg, tr, none)
     with pytest.raises(InputError, match="mask selects no nodes"):
         linear_accuracy({"w": np.zeros((2, 2)), "b": np.zeros(2)}, x, y, none)
+
+
+@pytest.mark.parametrize("empty", ["train", "validation"])
+def test_training_refuses_an_empty_mask_before_any_epoch(empty, monkeypatch):
+    _, _, config, inputs, labels = make_instance(n=30, seed=28)
+    masks = {"train": np.arange(30) < 15, "validation": np.arange(30) >= 15}
+    masks[empty] = np.zeros(30, dtype=bool)
+    calls = []
+    monkeypatch.setattr(model_module, "_fit", lambda *args: calls.append(args))
+    with pytest.raises(InputError, match=f"^{empty} mask selects no nodes$"):
+        train(config, TrainConfig(epochs=5), inputs, labels, masks["train"], masks["validation"])
+    x = np.random.default_rng(28).normal(size=(30, 2))
+    with pytest.raises(InputError, match=f"^{empty} mask selects no nodes$"):
+        train_linear(x, labels, 3, TrainConfig(epochs=5), masks["train"], masks["validation"])
+    assert calls == []

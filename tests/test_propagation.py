@@ -16,7 +16,7 @@ from lsgnn.propagation import (
     save_bundle,
 )
 
-from conftest import edit_header, fail_artifact_write, join_artifact, split_artifact
+from conftest import edit_header, fail_artifact_write, join_artifact, split_artifact, traced_peak
 from reference import (
     dense_adjacency,
     dense_irdc,
@@ -136,6 +136,28 @@ def test_row_normalize_unit_rows_and_zero_guard():
     assert np.allclose(np.linalg.norm(out[2]), 1.0)
     # input untouched
     assert m[0, 0] == 3.0
+
+
+def test_row_normalize_out_is_bitwise_the_new_array():
+    m = np.random.default_rng(3).normal(size=(50, 7))
+    m[[4, 9]] = 0.0
+    want = row_normalize(m)
+    assert row_normalize(m, out=m) is m
+    assert m.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["irdc", "sgc", "difference_residual"])
+def test_build_stack_holds_no_second_copy_of_the_stack(random_graph, variant):
+    # 2K layers are returned; normalizing each in place leaves room for a
+    # few temporaries, where normalized copies would add K more layers.
+    k, n, d = 8, 3000, 16
+    g, _ = random_graph(n=n, p=0.002, seed=31)
+    pair = enhanced_filters(g, 0.5)
+    x = make_features(n, d)
+    stack, peak = traced_peak(build_stack, pair, x, PropagationConfig(num_layers=k, variant=variant))
+    layer = x.nbytes
+    assert len(stack.low) == len(stack.high) == k
+    assert peak < (2 * k + 3) * layer, peak / layer
 
 
 def test_stack_normalization_applies_to_stored_copies_only(random_graph):

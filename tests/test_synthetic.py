@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsgnn import synthetic
 from lsgnn.errors import InputError
@@ -20,6 +22,9 @@ from lsgnn.synthetic import (
     theory_check,
     toy_study,
 )
+
+from conftest import traced_peak
+from reference import triu_bernoulli_subgraph
 
 
 def test_config_validation():
@@ -125,6 +130,36 @@ def test_bernoulli_pure_homophily_has_no_cross_edges():
     edges = ds.graph.edge_array()
     assert edges.shape[0] > 0
     assert np.all(ds.community[edges[:, 0]] == ds.community[edges[:, 1]])
+
+
+_RATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 60), p=_RATES, q=_RATES, block=st.sampled_from([1, 2, 5, 13, None]),
+       seed=st.integers(0, 2**32 - 1))
+def test_bernoulli_subgraph_is_bitwise_one_draw_over_all_pairs(m, p, q, block, seed):
+    # Small blocks end inside rows, and inside a row's intra or cross run.
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(synthetic, "_PAIR_BLOCK", block)
+        rng = np.random.default_rng(seed)
+        got = synthetic._bernoulli_subgraph(m, p, q, rng)
+    twin = np.random.default_rng(seed)
+    want = triu_bernoulli_subgraph(m, p, q, twin)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert rng.random() == twin.random()
+
+
+def test_bernoulli_subgraph_memory_does_not_follow_the_pairs():
+    # 8000 nodes have 32 million pairs: a (pairs,) index array alone takes
+    # 256 MB.
+    config = multi_subgraph_config((0.9,), num_nodes=8000)
+    (p,), (q,) = config.p, config.q
+    edges, peak = traced_peak(synthetic._bernoulli_subgraph, 4000, p, q, np.random.default_rng(0))
+    assert edges.shape[0] == pytest.approx(40_000, rel=0.05)
+    assert peak < 64 << 20
 
 
 def test_expectation_exact_hits_every_degree():
