@@ -31,8 +31,19 @@ inference block), so those arrays are views of the inputs rather than
 copies.  Inference (`predict_proba`, `evaluate`) runs in fixed blocks of
 `_BLOCK_ROWS` selected rows with dropout off and keeps only each block's
 probabilities.  Its forward pass builds no backward cache: it computes α,
-then each channel's map in turn, adds that map's projection to the logits
-and drops it, so a block holds one (rows, z) map, not 2K+1.
+then gathers each channel's input rows and computes its map in turn, adds
+that map's projection to the logits and drops both, so a block holds one
+(rows, z) map, not 2K+1.
+
+While `train` runs, its selection is kept on the `ModelInputs`: a copy
+of the train mask, the selected rows gathered once, and the work arrays
+every epoch's `loss_and_gradients` writes into (2K+1 channel maps, one
+backward map, the (n, z) dropout buffer and the refined local-similarity
+activations).  That is about (2K+1)·m·(d + z) floats for m selected rows,
+plus the dropout buffer, so steady-state epochs allocate no row-sized
+arrays.  `train` releases the selection when it returns or raises; a
+`loss_and_gradients` call outside a training gathers its rows for that
+call only and keeps nothing.
 
 Gradients are derived by hand and verified against central finite
 differences in the test suite; there is no autograd dependency.
@@ -40,9 +51,10 @@ differences in the test suite; there is no autograd dependency.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import reprlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -176,7 +188,8 @@ def _squared_norm(params: Params) -> float:
 @dataclass(eq=False)
 class ModelInputs:
     """Everything the forward pass reads: raw features, propagated layers,
-    and per-edge similarity features cached once up front."""
+    and per-edge similarity features cached once up front.  A running
+    training's selection (module docstring) is kept here too."""
 
     graph: SparseGraph
     x: np.ndarray
@@ -185,6 +198,7 @@ class ModelInputs:
     edge_feats: np.ndarray
     phi_naive: np.ndarray
     inv_degrees: np.ndarray
+    _selection: _Selection | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def build(
@@ -227,16 +241,26 @@ class _Rows:
     rows and its own CSR entries (the precompute-then-MLP regime of SGC and
     SIGN), so a pass over these rows gives the selected rows of a full
     pass.  `index` selects the rows on the node axis, in ascending order;
-    when it is a slice the arrays are views.
+    when it is a slice the arrays are views.  Channel inputs are read
+    through `basis`: `bases` holds either the selected rows already
+    gathered or every row, with `basis_rows` gathering them on each read.
     """
 
     index: slice | np.ndarray
     num_nodes: int
-    bases: list[np.ndarray]  # each channel's input rows, in channel order
+    bases: list[np.ndarray]  # each channel's input, in channel order
+    basis_rows: slice | np.ndarray
     phi_naive: np.ndarray
     edge_feats: np.ndarray
     entry_slots: np.ndarray
     inv_degrees: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.phi_naive.shape[0]
+
+    def basis(self, ch: int) -> np.ndarray:
+        return self.bases[ch][self.basis_rows]
 
 
 def _row_index(
@@ -257,8 +281,10 @@ def _row_index(
     return slice(None) if mask.all() else np.flatnonzero(mask)
 
 
-def _select_rows(inputs: ModelInputs, index: slice | np.ndarray) -> _Rows:
-    """Gather the rows `index` selects (ascending); a slice copies nothing."""
+def _select_rows(inputs: ModelInputs, index: slice | np.ndarray, gather: bool) -> _Rows:
+    """The rows `index` selects (ascending); a slice copies nothing.  With
+    `gather`, every channel's input rows are copied now; without, each
+    `basis` read gathers one channel's rows."""
     graph = inputs.graph
     n = graph.num_nodes
     degrees = graph.degrees[index]
@@ -271,16 +297,65 @@ def _select_rows(inputs: ModelInputs, index: slice | np.ndarray) -> _Rows:
         # slot i's entries are row_offsets[index[i]] onwards.
         firsts = graph.row_offsets[index] - (np.cumsum(degrees) - degrees)
         entries = firsts[entry_slots] + np.arange(entry_slots.size)
-    stack = inputs.stack
+    bases = [inputs.x, *inputs.stack.low, *inputs.stack.high]
+    if gather:
+        bases, basis_rows = [a[index] for a in bases], slice(None)
+    else:
+        basis_rows = index
     return _Rows(
         index=index,
         num_nodes=n,
-        bases=[a[index] for a in (inputs.x, *stack.low, *stack.high)],
+        bases=bases,
+        basis_rows=basis_rows,
         phi_naive=inputs.phi_naive[index],
         edge_feats=inputs.edge_feats[entries],
         entry_slots=entry_slots,
         inv_degrees=inputs.inv_degrees[index],
     )
+
+
+@dataclass(eq=False)
+class _Selection:
+    """A training mask's rows, gathered once, and the work arrays that
+    every pass over them writes into, by name."""
+
+    mask: np.ndarray
+    rows: _Rows
+    work: dict[str, np.ndarray] = field(default_factory=dict)
+
+
+def _selection(config: ModelConfig, inputs: ModelInputs, mask: np.ndarray) -> _Selection:
+    """The selection kept on `inputs` when its mask has the same contents
+    as `mask`; otherwise a new one, which is not kept."""
+    index = _row_index(config, inputs, mask)
+    kept = inputs._selection
+    if kept is not None and np.array_equal(kept.mask, mask):
+        return kept
+    rows = _select_rows(inputs, index, gather=True)
+    return _Selection(mask=np.array(mask, dtype=bool), rows=rows)
+
+
+@contextlib.contextmanager
+def _kept_selection(config: ModelConfig, inputs: ModelInputs, mask: np.ndarray):
+    """Keep `mask`'s selection on `inputs` for the passes inside the block;
+    it is released on exit, also when the block raises."""
+    inputs._selection = None  # free any old rows before gathering new ones
+    inputs._selection = _selection(config, inputs, mask)
+    try:
+        yield
+    finally:
+        inputs._selection = None
+
+
+def _buffer(work: dict[str, np.ndarray] | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """`work[name]`, reallocated only when its shape changes; a new array
+    when there is no `work`.  Its contents are undefined."""
+    if work is None:
+        return np.empty(shape)
+    a = work.get(name)
+    if a is None or a.shape != shape:
+        a = work[name] = np.empty(shape)
+    return a
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -319,20 +394,25 @@ def _block_columns(w_blocks: np.ndarray) -> np.ndarray:
 
 
 def _fusion_weights(
-    params: Params, config: ModelConfig, rows: _Rows, cache: dict | None
+    params: Params,
+    config: ModelConfig,
+    rows: _Rows,
+    cache: dict | None,
+    work: dict[str, np.ndarray] | None,
 ) -> np.ndarray:
     """α for the selected rows, shape (rows, 3K).  With a `cache`, the
     arrays backward needs are stored in it; without one, none outlives the
-    call."""
+    call.  The refined local-similarity activations go into `work`."""
     k = config.num_layers
-    n = rows.bases[0].shape[0]
+    n = rows.size
     if config.weight_mode == "graph_level":
         return np.broadcast_to(params["graph_alpha"], (n, 3 * k))
     if config.localsim_mode == "naive":
         phi = rows.phi_naive
     else:
         # ReLU in place: backward reads its mask as r1 > 0.
-        r1 = rows.edge_feats @ params["ls_w1"]
+        r1 = _buffer(work, "ls_r1", (rows.edge_feats.shape[0], config.ls_hidden))
+        np.matmul(rows.edge_feats, params["ls_w1"], out=r1)
         r1 += params["ls_b1"]
         np.maximum(r1, 0.0, out=r1)
         s = r1 @ params["ls_w2"][:, 0] + params["ls_b2"][0]
@@ -354,36 +434,38 @@ def _forward(
     config: ModelConfig,
     rows: _Rows,
     dropout_rng: np.random.Generator | None,
-    backward: bool = False,
+    work: dict[str, np.ndarray] | None = None,
 ) -> dict:
     """Forward pass over the selected rows; returns a cache holding the
-    log-probabilities and, when `backward`, every array backward needs.
+    log-probabilities and, for a training pass (one given `work`, its
+    selection's work arrays), every array backward needs.
 
     α comes first.  Each channel's map is then computed and added to the
-    logits in channel order; it and its projection are kept only for
-    backward, so an inference pass holds one (rows, z) map at a time.
-    Dropout draws happen in channel order, so a seeded generator
-    reproduces runs exactly.
+    logits in channel order.  A training pass writes the map into its own
+    work array and keeps it and its projection for backward; an inference
+    pass holds one (rows, z) map at a time.  Dropout draws happen in
+    channel order, so a seeded generator reproduces runs exactly.
     """
     k, z = config.num_layers, config.hidden_dim
-    n = rows.bases[0].shape[0]
+    n = rows.size
+    backward = work is not None
     cache: dict = {}
-    alpha = _fusion_weights(params, config, rows, cache if backward else None)
+    alpha = _fusion_weights(params, config, rows, cache if backward else None, work)
 
     # Inverted dropout, in place.  Each channel's draw fills one buffer for
     # every node and its keep mask is then indexed to the selected rows, so
     # the generator's stream does not depend on which rows a pass computes.
     dropout = dropout_rng is not None and config.dropout > 0.0
     if dropout:
-        draw = np.empty((rows.num_nodes, z), dtype=np.float64)
+        draw = _buffer(work, "draw", (rows.num_nodes, z))
     # Fusion in logit space (module docstring).
     c = config.num_classes
     w_blocks = params["w_out"].reshape(k + 1, z, c)
     logits = np.zeros((n, c), dtype=np.float64)
     channels = []
-    terms = zip(_channel_names(k), rows.bases, _fusion_terms(k, alpha))
-    for name, basis, (blocks, weights, _) in terms:
-        h = basis @ params[name]
+    terms = zip(_channel_names(k), _fusion_terms(k, alpha))
+    for ch, (name, (blocks, weights, _)) in enumerate(terms):
+        h = np.matmul(rows.basis(ch), params[name], out=_buffer(work, f"map_{ch}", (n, z)))
         np.maximum(h, 0.0, out=h)
         if dropout:
             dropout_rng.random(out=draw)
@@ -414,7 +496,7 @@ def _proba(
     for s in range(0, n, _BLOCK_ROWS):
         e = min(s + _BLOCK_ROWS, n)
         block = slice(s, e) if isinstance(index, slice) else index[s:e]
-        rows = _select_rows(inputs, block)
+        rows = _select_rows(inputs, block, gather=False)
         np.exp(_forward(params, config, rows, dropout_rng=None)["log_probs"], out=probs[s:e])
     return probs
 
@@ -471,12 +553,15 @@ def loss_and_gradients(
     The L2 term is weight_decay / 2 times the squared norm of all
     parameters, biases and mixing weights included.  An empty mask leaves
     only the decay term, with zero data gradient.  Only the masked rows are
-    computed; dropout still draws a mask for every node.
+    computed; dropout still draws a mask for every node.  Inside `train`,
+    a mask equal to the train mask reuses the training's selection (module
+    docstring); any other call gathers its rows and keeps nothing.
     """
     k, z = config.num_layers, config.hidden_dim
-    rows = _select_rows(inputs, _row_index(config, inputs, mask))
+    selection = _selection(config, inputs, mask)
+    rows, work = selection.rows, selection.work
     labels = labels[rows.index]
-    cache = _forward(params, config, rows, dropout_rng, backward=True)
+    cache = _forward(params, config, rows, dropout_rng, work)
     m_count = labels.size
     ce, dlogits = _cross_entropy(cache["log_probs"], labels)
     loss = ce + 0.5 * weight_decay * _squared_norm(params)
@@ -487,20 +572,21 @@ def loss_and_gradients(
     w_blocks = params["w_out"].reshape(k + 1, z, c)
     dw_out = np.zeros_like(w_blocks)
     dalpha = np.empty((m_count, 3 * k), dtype=np.float64)
-    terms = zip(_channel_names(k), rows.bases, cache["channels"], _fusion_terms(k, cache["alpha"]))
-    for ch, (name, basis, (h, proj), (blocks, weights, cols)) in enumerate(terms):
+    dh = _buffer(work, "dh", (m_count, z))
+    terms = zip(_channel_names(k), cache["channels"], _fusion_terms(k, cache["alpha"]))
+    for ch, (name, (h, proj), (blocks, weights, cols)) in enumerate(terms):
         dweights = (proj * dlogits[:, None, :]).sum(axis=2)
         # The identity channel's weight in block 0 is the constant 1.
         dalpha[:, cols] = dweights[:, 1:] if ch == 0 else dweights
         dproj = (weights[:, :, None] * dlogits[:, None, :]).reshape(m_count, weights.shape[1] * c)
         dw_out[blocks] += (h.T @ dproj).reshape(z, -1, c).transpose(1, 0, 2)
-        dh = dproj @ _block_columns(w_blocks[blocks]).T
+        np.matmul(dproj, _block_columns(w_blocks[blocks]).T, out=dh)
         if cache["dropout"]:
             dh *= 1.0 / (1.0 - config.dropout)
         # Dropout zeroed h where it dropped, so h > 0 is the product of the
         # keep mask and the ReLU's mask.
         dh *= h > 0.0
-        grads[name] = basis.T @ dh
+        grads[name] = rows.basis(ch).T @ dh
     grads["w_out"] = dw_out.reshape(params["w_out"].shape)
 
     if config.weight_mode == "graph_level":
@@ -522,8 +608,10 @@ def loss_and_gradients(
             r1 = cache["ls_r1"]
             grads["ls_w2"] = (r1.T @ ds)[:, None]
             grads["ls_b2"] = ds.sum(keepdims=True)
-            dr1 = ds[:, None] * params["ls_w2"][:, 0][None, :]
-            da1 = dr1 * (r1 > 0.0)
+            # da1 overwrites r1, whose last read is its ReLU mask.
+            active = r1 > 0.0
+            da1 = np.multiply(ds[:, None], params["ls_w2"][:, 0][None, :], out=r1)
+            da1 *= active
             grads["ls_w1"] = rows.edge_feats.T @ da1
             grads["ls_b1"] = da1.sum(axis=0)
 
@@ -643,26 +731,29 @@ def train(
     one.  Training halts once `patience` epochs pass without a new best.
     A non-finite loss raises TrainingDivergedError immediately.  Dropout
     masks come from the seeded generator, after the initial draws.  An
-    empty train or validation mask raises InputError naming it.
+    empty train or validation mask raises InputError naming it.  The
+    train rows are gathered once and kept on `inputs`, with the epochs'
+    work arrays, until it returns or raises.
     """
     _require_nodes(train_mask, val_mask)
     rng = np.random.default_rng(train_config.seed)
     params = init_parameters(config, rng)
     dropout_rng = rng if config.dropout > 0.0 else None
-    return _fit(
-        params,
-        train_config,
-        lambda p: loss_and_gradients(
-            p,
-            config,
-            inputs,
-            labels,
-            train_mask,
-            weight_decay=train_config.weight_decay,
-            dropout_rng=dropout_rng,
-        ),
-        lambda p: evaluate(p, config, inputs, labels, val_mask),
-    )
+    with _kept_selection(config, inputs, train_mask):
+        return _fit(
+            params,
+            train_config,
+            lambda p: loss_and_gradients(
+                p,
+                config,
+                inputs,
+                labels,
+                train_mask,
+                weight_decay=train_config.weight_decay,
+                dropout_rng=dropout_rng,
+            ),
+            lambda p: evaluate(p, config, inputs, labels, val_mask),
+        )
 
 
 # --- checkpoint serialization ---------------------------------------------

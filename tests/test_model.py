@@ -618,6 +618,143 @@ def test_inference_holds_one_channel_map_per_block(localsim_mode, weight_mode):
     assert peak < 4 * block_map, peak / block_map
 
 
+def wide_instance(n, d, k, z, seed, **config):
+    """Inputs large enough that row-sized arrays dominate a traced peak."""
+    rng = np.random.default_rng(seed)
+    g = build_graph(rng.integers(0, n, size=(5 * n // 2, 2)), n)
+    x = rng.normal(size=(n, d))
+    stack = build_stack(enhanced_filters(g, 0.5), x, PropagationConfig(num_layers=k))
+    config = ModelConfig(num_layers=k, in_dim=d, hidden_dim=z, num_classes=3, **config)
+    inputs = ModelInputs.build(g, x, stack, config.sim_kind)
+    params = init_parameters(config, np.random.default_rng(seed))
+    return config, inputs, params, rng.integers(0, 3, size=n)
+
+
+def test_masked_evaluate_gathers_one_channel_at_a_time():
+    # Gathering all 2K+1 = 17 channels' rows per block held about 35 maps.
+    n, z = 4096, 64
+    config, inputs, params, labels = wide_instance(n, d=64, k=8, z=z, seed=29)
+    mask = np.arange(n) % 2 == 0
+    block_map = model_module._BLOCK_ROWS * z * 8
+    _, peak = traced_peak(evaluate, params, config, inputs, labels, mask)
+    assert peak < 8 * block_map, peak / block_map
+
+
+def test_a_repeated_pass_allocates_nothing_row_sized():
+    # Regathering the rows and filling fresh maps on every call held about 26.
+    n, z = 2000, 64
+    config, inputs, params, labels = wide_instance(n, d=64, k=4, z=z, seed=30, dropout=0.5)
+    assert config.localsim_mode == "refined"
+    mask = np.arange(n) % 2 == 0
+    rng = np.random.default_rng(0)
+    with model_module._kept_selection(config, inputs, mask):
+        loss_and_gradients(params, config, inputs, labels, mask, 5e-4, rng)
+        _, peak = traced_peak(loss_and_gradients, params, config, inputs, labels, mask.copy(),
+                              5e-4, rng)
+    row_map = mask.sum() * z * 8
+    assert peak < 5 * row_map, peak / row_map
+
+
+def fresh(inputs):
+    """The same inputs with no training selection kept on them."""
+    return ModelInputs.build(inputs.graph, inputs.x, inputs.stack, inputs.sim_kind)
+
+
+def assert_same_pass(config, params, labels, mask, kept, seed=5):
+    """A pass over `kept`, which holds a training's selection, is bitwise
+    one over fresh inputs."""
+    assert kept._selection is not None
+    got, want = (
+        loss_and_gradients(params, config, inputs, labels, mask, 1e-3, np.random.default_rng(seed))
+        for inputs in (kept, fresh(kept))
+    )
+    assert got[0] == want[0]
+    assert list(got[1]) == list(want[1])
+    for name, g in got[1].items():
+        assert g.tobytes() == want[1][name].tobytes(), name
+
+
+def test_a_mask_mutated_in_place_is_gathered_again():
+    g, _, config, inputs, labels = make_instance(n=30, seed=31, localsim_mode="refined",
+                                                 dropout=0.5)
+    params = init_parameters(config, np.random.default_rng(31))
+    mask = sparse_mask(g, 30)
+    with model_module._kept_selection(config, inputs, mask):
+        assert_same_pass(config, params, labels, mask, inputs)
+        mask[1] = True
+        assert_same_pass(config, params, labels, mask, inputs)
+        mask[:] = True
+        assert_same_pass(config, params, labels, mask, inputs)
+
+
+@pytest.mark.parametrize("change", [
+    {"hidden_dim": 7}, {"localsim_mode": "naive"}, {"localsim_mode": "refined", "ls_hidden": 3},
+    {"dropout": 0.0}, {"weight_mode": "graph_level"},
+])
+def test_a_kept_selection_serves_another_config(change):
+    g, _, config, inputs, labels = make_instance(n=30, seed=32, localsim_mode="refined",
+                                                 dropout=0.5)
+    mask = sparse_mask(g, 30)
+    other = replace(config, **change)
+    with model_module._kept_selection(config, inputs, mask):
+        assert_same_pass(config, init_parameters(config, np.random.default_rng(32)), labels,
+                         mask, inputs)
+        assert_same_pass(other, init_parameters(other, np.random.default_rng(33)), labels,
+                         mask, inputs)
+        assert_same_pass(config, init_parameters(config, np.random.default_rng(34)), labels,
+                         mask, inputs)
+
+
+def test_an_empty_mask_beside_a_kept_selection_is_decay_only():
+    g, _, config, inputs, labels = make_instance(n=30, seed=35, localsim_mode="refined",
+                                                 dropout=0.5)
+    params = init_parameters(config, np.random.default_rng(35))
+    mask = sparse_mask(g, 30)
+    empty = np.zeros(30, dtype=bool)
+    with model_module._kept_selection(config, inputs, mask):
+        assert_same_pass(config, params, labels, mask, inputs)
+        assert_same_pass(config, params, labels, empty, inputs)
+        loss, grads = loss_and_gradients(params, config, inputs, labels, empty, weight_decay=1e-3)
+    assert loss == pytest.approx(0.5e-3 * sum((a * a).sum() for a in params.values()))
+    for name, grad in grads.items():
+        assert np.allclose(grad, 1e-3 * params[name], atol=1e-15)
+
+
+def test_a_kept_selection_still_checks_the_similarity_kind():
+    g, _, config, inputs, labels = make_instance(n=30, seed=36)
+    params = init_parameters(config, np.random.default_rng(36))
+    mask = sparse_mask(g, 30)
+    with model_module._kept_selection(config, inputs, mask):
+        loss_and_gradients(params, config, inputs, labels, mask)
+        with pytest.raises(InputError, match="sim_kind"):
+            loss_and_gradients(params, replace(config, sim_kind="euclidean"), inputs, labels,
+                               mask)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_selection_is_kept_only_while_training(monkeypatch):
+    _, _, config, inputs, labels = make_instance(seed=17)
+    tr, va, _ = masks(16, rng_seed=17)
+    loss_and_gradients(init_parameters(config, np.random.default_rng(0)), config, inputs,
+                       labels, tr)
+    assert inputs._selection is None
+    kept = []
+
+    def spy(params, config, inputs, *args, **kwargs):
+        kept.append(inputs._selection is not None)
+        return loss_and_gradients(params, config, inputs, *args, **kwargs)
+
+    monkeypatch.setattr(model_module, "loss_and_gradients", spy)
+    train(config, TrainConfig(epochs=2, seed=0), inputs, labels, tr, va)
+    assert kept == [True, True]
+    assert inputs._selection is None
+    # as in test_train_divergence_reports_learning_rate
+    tcfg = TrainConfig(lr=1e300, weight_decay=0.0, epochs=50, patience=50, seed=0)
+    with pytest.raises(TrainingDivergedError):
+        train(config, tcfg, inputs, labels, tr, va)
+    assert inputs._selection is None
+
+
 def test_adam_first_step_is_signed_learning_rate():
     model = {"w": np.array([[2.0, -3.0]]), "b": np.array([0.5, 0.0])}
     grads = {"w": np.array([[0.3, -40.0]]), "b": np.array([-2.0, 0.0])}
