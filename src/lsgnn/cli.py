@@ -91,7 +91,7 @@ def _resolve_configs(overrides: dict):
     unknown = [key for key in overrides if key not in defaults]
     if unknown:
         raise InputError(
-            f"unknown config keys {sorted(unknown)}; allowed keys are {sorted(defaults)}"
+            f"unknown config keys {sorted(unknown, key=repr)}; allowed keys are {sorted(defaults)}"
         )
     for key, value in overrides.items():
         default = defaults[key]

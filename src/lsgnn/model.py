@@ -25,7 +25,7 @@ similarity), `al_w1, al_b1, al_w2, al_b2` (node-level weights) or
 the initializer's draws, the optimizer, the checkpoint format and the
 finite-difference tests all rely on it.
 
-Every pass reads the rows a `_Rows` selects: `_Rows.index` indexes the
+Every pass reads the rows a `Rows` selects: `Rows.index` indexes the
 node axis.  It is a slice for consecutive rows (every row, or one
 inference block), so those arrays are views of the inputs rather than
 copies.  Inference (`predict_proba`, `evaluate`) runs in fixed blocks of
@@ -35,15 +35,14 @@ then gathers each channel's input rows and computes its map in turn, adds
 that map's projection to the logits and drops both, so a block holds one
 (rows, z) map, not 2K+1.
 
-While `train` runs, its selection is kept on the `ModelInputs`: a copy
-of the train mask, the selected rows gathered once, and the work arrays
-every epoch's `loss_and_gradients` writes into (2K+1 channel maps, one
+A training pass reads the `Rows` that `select_rows` returns and its
+caller holds: the selected rows gathered once, and the work arrays every
+`loss_and_gradients` call over them writes into (2K+1 channel maps, one
 backward map, the (n, z) dropout buffer and the refined local-similarity
 activations).  That is about (2K+1)·m·(d + z) floats for m selected rows,
-plus the dropout buffer, so steady-state epochs allocate no row-sized
-arrays.  `train` releases the selection when it returns or raises; a
-`loss_and_gradients` call outside a training gathers its rows for that
-call only and keeps nothing.
+plus the dropout buffer, so repeated passes allocate no row-sized arrays.
+`train` selects its rows once; two trainings hold two `Rows` and share
+nothing they write.
 
 Gradients are derived by hand and verified against central finite
 differences in the test suite; there is no autograd dependency.
@@ -51,10 +50,9 @@ differences in the test suite; there is no autograd dependency.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import reprlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -75,6 +73,7 @@ __all__ = [
     "WEIGHT_MODES",
     "ModelConfig",
     "ModelInputs",
+    "Rows",
     "TrainConfig",
     "TrainResult",
     "Adam",
@@ -82,6 +81,7 @@ __all__ = [
     "predict_proba",
     "predict",
     "evaluate",
+    "select_rows",
     "loss_and_gradients",
     "train",
     "save_checkpoint",
@@ -188,8 +188,7 @@ def _squared_norm(params: Params) -> float:
 @dataclass(eq=False)
 class ModelInputs:
     """Everything the forward pass reads: raw features, propagated layers,
-    and per-edge similarity features cached once up front.  A running
-    training's selection (module docstring) is kept here too."""
+    and per-edge similarity features cached once up front."""
 
     graph: SparseGraph
     x: np.ndarray
@@ -198,7 +197,6 @@ class ModelInputs:
     edge_feats: np.ndarray
     phi_naive: np.ndarray
     inv_degrees: np.ndarray
-    _selection: _Selection | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def build(
@@ -234,7 +232,7 @@ class ModelInputs:
 
 
 @dataclass(eq=False)
-class _Rows:
+class Rows:
     """The part of `ModelInputs` that a pass over selected nodes reads.
 
     A node's output depends only on its own features, its own propagated
@@ -244,16 +242,20 @@ class _Rows:
     when it is a slice the arrays are views.  Channel inputs are read
     through `basis`: `bases` holds either the selected rows already
     gathered or every row, with `basis_rows` gathering them on each read.
+    `work` holds the arrays a training pass writes into, by name; it is
+    None for an inference block, whose pass keeps nothing.
     """
 
     index: slice | np.ndarray
     num_nodes: int
+    sim_kind: str
     bases: list[np.ndarray]  # each channel's input, in channel order
     basis_rows: slice | np.ndarray
     phi_naive: np.ndarray
     edge_feats: np.ndarray
     entry_slots: np.ndarray
     inv_degrees: np.ndarray
+    work: dict[str, np.ndarray] | None
 
     @property
     def size(self) -> int:
@@ -262,16 +264,20 @@ class _Rows:
     def basis(self, ch: int) -> np.ndarray:
         return self.bases[ch][self.basis_rows]
 
+    def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """`work[name]`, reallocated only when its shape changes; a new
+        array when there is no `work`.  Its contents are undefined."""
+        if self.work is None:
+            return np.empty(shape)
+        a = self.work.get(name)
+        if a is None or a.shape != shape:
+            a = self.work[name] = np.empty(shape)
+        return a
 
-def _row_index(
-    config: ModelConfig, inputs: ModelInputs, mask: np.ndarray | None = None
-) -> slice | np.ndarray:
+
+def _row_index(inputs: ModelInputs, mask: np.ndarray | None = None) -> slice | np.ndarray:
     """The rows `mask` selects: `slice(None)` for None or an all-true mask,
     otherwise their ascending indices."""
-    if inputs.sim_kind != config.sim_kind:
-        raise InputError(
-            f"inputs carry sim_kind={inputs.sim_kind!r} but config wants {config.sim_kind!r}"
-        )
     if mask is None:
         return slice(None)
     n = inputs.graph.num_nodes
@@ -281,10 +287,10 @@ def _row_index(
     return slice(None) if mask.all() else np.flatnonzero(mask)
 
 
-def _select_rows(inputs: ModelInputs, index: slice | np.ndarray, gather: bool) -> _Rows:
+def _rows(inputs: ModelInputs, index: slice | np.ndarray, gather: bool) -> Rows:
     """The rows `index` selects (ascending); a slice copies nothing.  With
-    `gather`, every channel's input rows are copied now; without, each
-    `basis` read gathers one channel's rows."""
+    `gather`, every channel's input rows are copied now and the rows get a
+    `work` dict; without, each `basis` read gathers one channel's rows."""
     graph = inputs.graph
     n = graph.num_nodes
     degrees = graph.degrees[index]
@@ -302,60 +308,25 @@ def _select_rows(inputs: ModelInputs, index: slice | np.ndarray, gather: bool) -
         bases, basis_rows = [a[index] for a in bases], slice(None)
     else:
         basis_rows = index
-    return _Rows(
+    return Rows(
         index=index,
         num_nodes=n,
+        sim_kind=inputs.sim_kind,
         bases=bases,
         basis_rows=basis_rows,
         phi_naive=inputs.phi_naive[index],
         edge_feats=inputs.edge_feats[entries],
         entry_slots=entry_slots,
         inv_degrees=inputs.inv_degrees[index],
+        work={} if gather else None,
     )
 
 
-@dataclass(eq=False)
-class _Selection:
-    """A training mask's rows, gathered once, and the work arrays that
-    every pass over them writes into, by name."""
-
-    mask: np.ndarray
-    rows: _Rows
-    work: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def _selection(config: ModelConfig, inputs: ModelInputs, mask: np.ndarray) -> _Selection:
-    """The selection kept on `inputs` when its mask has the same contents
-    as `mask`; otherwise a new one, which is not kept."""
-    index = _row_index(config, inputs, mask)
-    kept = inputs._selection
-    if kept is not None and np.array_equal(kept.mask, mask):
-        return kept
-    rows = _select_rows(inputs, index, gather=True)
-    return _Selection(mask=np.array(mask, dtype=bool), rows=rows)
-
-
-@contextlib.contextmanager
-def _kept_selection(config: ModelConfig, inputs: ModelInputs, mask: np.ndarray):
-    """Keep `mask`'s selection on `inputs` for the passes inside the block;
-    it is released on exit, also when the block raises."""
-    inputs._selection = None  # free any old rows before gathering new ones
-    inputs._selection = _selection(config, inputs, mask)
-    try:
-        yield
-    finally:
-        inputs._selection = None
-
-
-def _buffer(work: dict[str, np.ndarray] | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """`work[name]`, reallocated only when its shape changes; a new array
-    when there is no `work`.  Its contents are undefined."""
-    if work is None:
-        return np.empty(shape)
-    a = work.get(name)
-    if a is None or a.shape != shape:
-        a = work[name] = np.empty(shape)
-    return a
+def select_rows(inputs: ModelInputs, mask: np.ndarray) -> Rows:
+    """The rows `mask` selects, gathered once for every training pass over
+    them (module docstring).  The result is a snapshot: changing `mask`
+    afterwards does not change it."""
+    return _rows(inputs, _row_index(inputs, mask), gather=True)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -396,13 +367,12 @@ def _block_columns(w_blocks: np.ndarray) -> np.ndarray:
 def _fusion_weights(
     params: Params,
     config: ModelConfig,
-    rows: _Rows,
+    rows: Rows,
     cache: dict | None,
-    work: dict[str, np.ndarray] | None,
 ) -> np.ndarray:
     """α for the selected rows, shape (rows, 3K).  With a `cache`, the
     arrays backward needs are stored in it; without one, none outlives the
-    call.  The refined local-similarity activations go into `work`."""
+    call.  The refined local-similarity activations go into `rows.work`."""
     k = config.num_layers
     n = rows.size
     if config.weight_mode == "graph_level":
@@ -411,7 +381,7 @@ def _fusion_weights(
         phi = rows.phi_naive
     else:
         # ReLU in place: backward reads its mask as r1 > 0.
-        r1 = _buffer(work, "ls_r1", (rows.edge_feats.shape[0], config.ls_hidden))
+        r1 = rows.buffer("ls_r1", (rows.edge_feats.shape[0], config.ls_hidden))
         np.matmul(rows.edge_feats, params["ls_w1"], out=r1)
         r1 += params["ls_b1"]
         np.maximum(r1, 0.0, out=r1)
@@ -432,13 +402,12 @@ def _fusion_weights(
 def _forward(
     params: Params,
     config: ModelConfig,
-    rows: _Rows,
+    rows: Rows,
     dropout_rng: np.random.Generator | None,
-    work: dict[str, np.ndarray] | None = None,
 ) -> dict:
     """Forward pass over the selected rows; returns a cache holding the
-    log-probabilities and, for a training pass (one given `work`, its
-    selection's work arrays), every array backward needs.
+    log-probabilities and, for a training pass (rows with a `work` dict),
+    every array backward needs.
 
     α comes first.  Each channel's map is then computed and added to the
     logits in channel order.  A training pass writes the map into its own
@@ -446,18 +415,22 @@ def _forward(
     pass holds one (rows, z) map at a time.  Dropout draws happen in
     channel order, so a seeded generator reproduces runs exactly.
     """
+    if rows.sim_kind != config.sim_kind:
+        raise InputError(
+            f"inputs carry sim_kind={rows.sim_kind!r} but config wants {config.sim_kind!r}"
+        )
     k, z = config.num_layers, config.hidden_dim
     n = rows.size
-    backward = work is not None
+    backward = rows.work is not None
     cache: dict = {}
-    alpha = _fusion_weights(params, config, rows, cache if backward else None, work)
+    alpha = _fusion_weights(params, config, rows, cache if backward else None)
 
     # Inverted dropout, in place.  Each channel's draw fills one buffer for
     # every node and its keep mask is then indexed to the selected rows, so
     # the generator's stream does not depend on which rows a pass computes.
     dropout = dropout_rng is not None and config.dropout > 0.0
     if dropout:
-        draw = _buffer(work, "draw", (rows.num_nodes, z))
+        draw = rows.buffer("draw", (rows.num_nodes, z))
     # Fusion in logit space (module docstring).
     c = config.num_classes
     w_blocks = params["w_out"].reshape(k + 1, z, c)
@@ -465,7 +438,7 @@ def _forward(
     channels = []
     terms = zip(_channel_names(k), _fusion_terms(k, alpha))
     for ch, (name, (blocks, weights, _)) in enumerate(terms):
-        h = np.matmul(rows.basis(ch), params[name], out=_buffer(work, f"map_{ch}", (n, z)))
+        h = np.matmul(rows.basis(ch), params[name], out=rows.buffer(f"map_{ch}", (n, z)))
         np.maximum(h, 0.0, out=h)
         if dropout:
             dropout_rng.random(out=draw)
@@ -496,7 +469,7 @@ def _proba(
     for s in range(0, n, _BLOCK_ROWS):
         e = min(s + _BLOCK_ROWS, n)
         block = slice(s, e) if isinstance(index, slice) else index[s:e]
-        rows = _select_rows(inputs, block, gather=False)
+        rows = _rows(inputs, block, gather=False)
         np.exp(_forward(params, config, rows, dropout_rng=None)["log_probs"], out=probs[s:e])
     return probs
 
@@ -505,7 +478,7 @@ def predict_proba(
     params: Params, config: ModelConfig, inputs: ModelInputs
 ) -> np.ndarray:
     """Class probabilities with dropout off; rows sum to 1."""
-    return _proba(params, config, inputs, _row_index(config, inputs))
+    return _proba(params, config, inputs, _row_index(inputs))
 
 
 def predict(params: Params, config: ModelConfig, inputs: ModelInputs) -> np.ndarray:
@@ -520,7 +493,7 @@ def evaluate(
     mask: np.ndarray,
 ) -> float:
     """Accuracy over the masked nodes, computed from those rows alone."""
-    index = _row_index(config, inputs, mask)
+    index = _row_index(inputs, mask)
     pred = _proba(params, config, inputs, index).argmax(axis=1)
     return _accuracy(pred, labels[index])
 
@@ -541,27 +514,24 @@ def _require_nodes(train_mask: np.ndarray, val_mask: np.ndarray) -> None:
 def loss_and_gradients(
     params: Params,
     config: ModelConfig,
-    inputs: ModelInputs,
+    rows: Rows,
     labels: np.ndarray,
-    mask: np.ndarray,
     weight_decay: float = 0.0,
     dropout_rng: np.random.Generator | None = None,
 ) -> tuple[float, Params]:
-    """Mean cross-entropy over masked nodes plus L2 penalty, with exact
-    gradients for every trainable array.
+    """Mean cross-entropy over the nodes `rows` selects plus L2 penalty,
+    with exact gradients for every trainable array.
 
-    The L2 term is weight_decay / 2 times the squared norm of all
-    parameters, biases and mixing weights included.  An empty mask leaves
-    only the decay term, with zero data gradient.  Only the masked rows are
-    computed; dropout still draws a mask for every node.  Inside `train`,
-    a mask equal to the train mask reuses the training's selection (module
-    docstring); any other call gathers its rows and keeps nothing.
+    `rows` comes from `select_rows`; `labels` has one entry per node.  The
+    L2 term is weight_decay / 2 times the squared norm of all parameters,
+    biases and mixing weights included.  Rows from an empty mask leave only
+    the decay term, with zero data gradient.  Only the selected rows are
+    computed, into the arrays of `rows.work`; dropout still draws a mask
+    for every node.
     """
     k, z = config.num_layers, config.hidden_dim
-    selection = _selection(config, inputs, mask)
-    rows, work = selection.rows, selection.work
     labels = labels[rows.index]
-    cache = _forward(params, config, rows, dropout_rng, work)
+    cache = _forward(params, config, rows, dropout_rng)
     m_count = labels.size
     ce, dlogits = _cross_entropy(cache["log_probs"], labels)
     loss = ce + 0.5 * weight_decay * _squared_norm(params)
@@ -572,7 +542,7 @@ def loss_and_gradients(
     w_blocks = params["w_out"].reshape(k + 1, z, c)
     dw_out = np.zeros_like(w_blocks)
     dalpha = np.empty((m_count, 3 * k), dtype=np.float64)
-    dh = _buffer(work, "dh", (m_count, z))
+    dh = rows.buffer("dh", (m_count, z))
     terms = zip(_channel_names(k), cache["channels"], _fusion_terms(k, cache["alpha"]))
     for ch, (name, (h, proj), (blocks, weights, cols)) in enumerate(terms):
         dweights = (proj * dlogits[:, None, :]).sum(axis=2)
@@ -732,28 +702,27 @@ def train(
     A non-finite loss raises TrainingDivergedError immediately.  Dropout
     masks come from the seeded generator, after the initial draws.  An
     empty train or validation mask raises InputError naming it.  The
-    train rows are gathered once and kept on `inputs`, with the epochs'
-    work arrays, until it returns or raises.
+    train rows are selected once, and every epoch's pass writes into their
+    work arrays.
     """
     _require_nodes(train_mask, val_mask)
     rng = np.random.default_rng(train_config.seed)
     params = init_parameters(config, rng)
     dropout_rng = rng if config.dropout > 0.0 else None
-    with _kept_selection(config, inputs, train_mask):
-        return _fit(
-            params,
-            train_config,
-            lambda p: loss_and_gradients(
-                p,
-                config,
-                inputs,
-                labels,
-                train_mask,
-                weight_decay=train_config.weight_decay,
-                dropout_rng=dropout_rng,
-            ),
-            lambda p: evaluate(p, config, inputs, labels, val_mask),
-        )
+    rows = select_rows(inputs, train_mask)
+    return _fit(
+        params,
+        train_config,
+        lambda p: loss_and_gradients(
+            p,
+            config,
+            rows,
+            labels,
+            weight_decay=train_config.weight_decay,
+            dropout_rng=dropout_rng,
+        ),
+        lambda p: evaluate(p, config, inputs, labels, val_mask),
+    )
 
 
 # --- checkpoint serialization ---------------------------------------------

@@ -306,15 +306,18 @@ def test_search_smoke(dataset_dir, config_file, tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_2(dataset_dir, tmp_path, capsys):
-    bad = tmp_path / "bad.yaml"
-    bad.write_text("learning_rate: 0.1\n")
-    code = main(["precompute", "--data", str(dataset_dir), "--config", str(bad),
-                 "--out", str(tmp_path / "out2")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "learning_rate" in err
-    assert "allowed keys" in err
-    assert "lr" in err
+    # YAML keys need not be strings; naming them must not compare types.
+    cases = [("learning_rate: 0.1\n", "['learning_rate']"), ("1: 2\nfoo: 3\n", "['foo', 1]"),
+             ("null:\nfoo: 3\n", "['foo', None]")]
+    for i, (text, named) in enumerate(cases):
+        bad = tmp_path / f"bad{i}.yaml"
+        bad.write_text(text)
+        code = main(["precompute", "--data", str(dataset_dir), "--config", str(bad),
+                     "--out", str(tmp_path / f"out{i}")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: unknown config keys {named}; allowed keys are " in err
+        assert "'lr'" in err
 
 
 def test_config_values_must_match_field_types(dataset_dir, tmp_path, capsys):

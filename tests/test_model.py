@@ -1,4 +1,5 @@
 import struct
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from lsgnn.model import (
     predict,
     predict_proba,
     save_checkpoint,
+    select_rows,
     train,
     train_linear,
 )
@@ -120,10 +122,11 @@ def test_zero_parameters_give_uniform_probs_and_log_c_loss():
     probs = predict_proba(params, config, inputs)
     assert np.allclose(probs, 1.0 / 3.0, atol=1e-15)
     tr, _, _ = masks(16)
-    loss, grads = loss_and_gradients(params, config, inputs, labels, tr)
+    rows = select_rows(inputs, tr)
+    loss, grads = loss_and_gradients(params, config, rows, labels)
     assert loss == pytest.approx(np.log(3.0))
     # decay of zero params contributes nothing
-    loss_wd, _ = loss_and_gradients(params, config, inputs, labels, tr, weight_decay=0.1)
+    loss_wd, _ = loss_and_gradients(params, config, rows, labels, weight_decay=0.1)
     assert loss_wd == pytest.approx(np.log(3.0))
 
 
@@ -178,13 +181,13 @@ def test_gradients_match_finite_differences(sim_kind, localsim_mode, weight_mode
         localsim_mode=localsim_mode, weight_mode=weight_mode, scalar=scalar, dropout=dropout)
     params = init_parameters(config, np.random.default_rng(9))
     tr, _, _ = masks(14, rng_seed=9)
+    rows = select_rows(inputs, tr)
     wd = 5e-4
 
     def loss_and_grads():
         # A fresh generator per evaluation draws the same dropout masks.
         rng = np.random.default_rng(4) if dropout else None
-        return loss_and_gradients(params, config, inputs, labels, tr, weight_decay=wd,
-                                  dropout_rng=rng)
+        return loss_and_gradients(params, config, rows, labels, weight_decay=wd, dropout_rng=rng)
 
     _, grads = loss_and_grads()
     numeric = central_fd(lambda: loss_and_grads()[0], params, h)
@@ -196,7 +199,8 @@ def test_empty_mask_decay_only_loss_and_zero_data_gradient():
     params = init_parameters(config, np.random.default_rng(11))
     empty = np.zeros(16, dtype=bool)
     wd = 0.01
-    loss, grads = loss_and_gradients(params, config, inputs, labels, empty, weight_decay=wd)
+    loss, grads = loss_and_gradients(params, config, select_rows(inputs, empty), labels,
+                                     weight_decay=wd)
     assert loss == pytest.approx(0.5 * wd * sum((a * a).sum() for a in params.values()))
     for name, g in grads.items():
         want = wd * params[name]
@@ -217,7 +221,7 @@ def test_masks_must_have_one_entry_per_node():
     with pytest.raises(InputError, match=r"mask has shape \(15,\), expected \(16,\)"):
         evaluate(params, config, inputs, labels, short)
     with pytest.raises(InputError, match=r"mask has shape \(15,\), expected \(16,\)"):
-        loss_and_gradients(params, config, inputs, labels, short)
+        select_rows(inputs, short)
 
 
 def test_graph_and_node_modes_agree_on_constant_localsim():
@@ -260,21 +264,23 @@ def test_dropout_zero_matches_disabled_and_eval_is_deterministic():
     _, _, config, inputs, labels = make_instance(seed=13)
     params = init_parameters(config, np.random.default_rng(13))
     tr, _, _ = masks(16, rng_seed=13)
-    base, _ = loss_and_gradients(params, config, inputs, labels, tr)
-    with_rng, _ = loss_and_gradients(params, config, inputs, labels, tr,
+    rows = select_rows(inputs, tr)
+    base, _ = loss_and_gradients(params, config, rows, labels)
+    with_rng, _ = loss_and_gradients(params, config, rows, labels,
                                      dropout_rng=np.random.default_rng(0))
     assert with_rng == base  # dropout=0.0 ignores the rng
 
     _, _, dcfg, dinputs, dlabels = make_instance(seed=13, dropout=0.5)
     dparams = init_parameters(dcfg, np.random.default_rng(13))
-    l1, g1 = loss_and_gradients(dparams, dcfg, dinputs, dlabels, tr,
+    drows = select_rows(dinputs, tr)
+    l1, g1 = loss_and_gradients(dparams, dcfg, drows, dlabels,
                                 dropout_rng=np.random.default_rng(42))
-    l2, g2 = loss_and_gradients(dparams, dcfg, dinputs, dlabels, tr,
+    l2, g2 = loss_and_gradients(dparams, dcfg, drows, dlabels,
                                 dropout_rng=np.random.default_rng(42))
     assert l1 == l2  # same stream, same masks
     for (_, a), (_, b) in zip(g1.items(), g2.items()):
         assert np.array_equal(a, b)
-    l3, _ = loss_and_gradients(dparams, dcfg, dinputs, dlabels, tr,
+    l3, _ = loss_and_gradients(dparams, dcfg, drows, dlabels,
                                dropout_rng=np.random.default_rng(43))
     assert l3 != l1  # different masks move the loss
     # inference path never applies dropout
@@ -522,7 +528,7 @@ def test_masked_loss_matches_full_graph_probabilities(localsim_mode, weight_mode
         n=40, d=3, k=2, z=5, seed=23, localsim_mode=localsim_mode, weight_mode=weight_mode)
     params = init_parameters(config, np.random.default_rng(23))
     mask = sparse_mask(g, 40)
-    loss, _ = loss_and_gradients(params, config, inputs, labels, mask)
+    loss, _ = loss_and_gradients(params, config, select_rows(inputs, mask), labels)
     full = np.log(predict_proba(params, config, inputs))
     assert abs(loss - -full[mask, labels[mask]].mean()) <= 1e-12
 
@@ -542,7 +548,8 @@ def test_masked_dropout_consumes_a_full_mask_per_channel():
     g, _, config, inputs, labels = make_instance(n=30, k=3, z=4, seed=25, dropout=0.5)
     params = init_parameters(config, np.random.default_rng(25))
     rng = np.random.default_rng(7)
-    loss_and_gradients(params, config, inputs, labels, sparse_mask(g, 30), dropout_rng=rng)
+    loss_and_gradients(params, config, select_rows(inputs, sparse_mask(g, 30)), labels,
+                       dropout_rng=rng)
     twin = np.random.default_rng(7)
     for _ in range(2 * config.num_layers + 1):
         twin.random((30, config.hidden_dim))
@@ -646,45 +653,32 @@ def test_a_repeated_pass_allocates_nothing_row_sized():
     config, inputs, params, labels = wide_instance(n, d=64, k=4, z=z, seed=30, dropout=0.5)
     assert config.localsim_mode == "refined"
     mask = np.arange(n) % 2 == 0
-    rng = np.random.default_rng(0)
-    with model_module._kept_selection(config, inputs, mask):
-        loss_and_gradients(params, config, inputs, labels, mask, 5e-4, rng)
-        _, peak = traced_peak(loss_and_gradients, params, config, inputs, labels, mask.copy(),
-                              5e-4, rng)
+    rows = select_rows(inputs, mask)
+    loss_and_gradients(params, config, rows, labels, 5e-4, np.random.default_rng(0))
+    got, peak = traced_peak(loss_and_gradients, params, config, rows, labels, 5e-4,
+                            np.random.default_rng(1))
     row_map = mask.sum() * z * 8
     assert peak < 5 * row_map, peak / row_map
+    want = loss_and_gradients(params, config, select_rows(inputs, mask), labels, 5e-4,
+                              np.random.default_rng(1))
+    assert_same_result(got, want)
 
 
-def fresh(inputs):
-    """The same inputs with no training selection kept on them."""
-    return ModelInputs.build(inputs.graph, inputs.x, inputs.stack, inputs.sim_kind)
-
-
-def assert_same_pass(config, params, labels, mask, kept, seed=5):
-    """A pass over `kept`, which holds a training's selection, is bitwise
-    one over fresh inputs."""
-    assert kept._selection is not None
-    got, want = (
-        loss_and_gradients(params, config, inputs, labels, mask, 1e-3, np.random.default_rng(seed))
-        for inputs in (kept, fresh(kept))
-    )
+def assert_same_result(got, want):
     assert got[0] == want[0]
     assert list(got[1]) == list(want[1])
     for name, g in got[1].items():
         assert g.tobytes() == want[1][name].tobytes(), name
 
 
-def test_a_mask_mutated_in_place_is_gathered_again():
-    g, _, config, inputs, labels = make_instance(n=30, seed=31, localsim_mode="refined",
-                                                 dropout=0.5)
-    params = init_parameters(config, np.random.default_rng(31))
-    mask = sparse_mask(g, 30)
-    with model_module._kept_selection(config, inputs, mask):
-        assert_same_pass(config, params, labels, mask, inputs)
-        mask[1] = True
-        assert_same_pass(config, params, labels, mask, inputs)
-        mask[:] = True
-        assert_same_pass(config, params, labels, mask, inputs)
+def assert_same_pass(config, params, labels, rows, inputs, mask, seed=5):
+    """A pass over `rows`, held across earlier passes, is bitwise one over
+    the rows of `mask` selected afresh."""
+    got, want = (
+        loss_and_gradients(params, config, r, labels, 1e-3, np.random.default_rng(seed))
+        for r in (rows, select_rows(inputs, mask))
+    )
+    assert_same_result(got, want)
 
 
 @pytest.mark.parametrize("change", [
@@ -696,63 +690,66 @@ def test_a_kept_selection_serves_another_config(change):
                                                  dropout=0.5)
     mask = sparse_mask(g, 30)
     other = replace(config, **change)
-    with model_module._kept_selection(config, inputs, mask):
-        assert_same_pass(config, init_parameters(config, np.random.default_rng(32)), labels,
-                         mask, inputs)
-        assert_same_pass(other, init_parameters(other, np.random.default_rng(33)), labels,
-                         mask, inputs)
-        assert_same_pass(config, init_parameters(config, np.random.default_rng(34)), labels,
-                         mask, inputs)
-
-
-def test_an_empty_mask_beside_a_kept_selection_is_decay_only():
-    g, _, config, inputs, labels = make_instance(n=30, seed=35, localsim_mode="refined",
-                                                 dropout=0.5)
-    params = init_parameters(config, np.random.default_rng(35))
-    mask = sparse_mask(g, 30)
-    empty = np.zeros(30, dtype=bool)
-    with model_module._kept_selection(config, inputs, mask):
-        assert_same_pass(config, params, labels, mask, inputs)
-        assert_same_pass(config, params, labels, empty, inputs)
-        loss, grads = loss_and_gradients(params, config, inputs, labels, empty, weight_decay=1e-3)
-    assert loss == pytest.approx(0.5e-3 * sum((a * a).sum() for a in params.values()))
-    for name, grad in grads.items():
-        assert np.allclose(grad, 1e-3 * params[name], atol=1e-15)
+    rows = select_rows(inputs, mask)
+    for cfg, seed in ((config, 32), (other, 33), (config, 34)):
+        params = init_parameters(cfg, np.random.default_rng(seed))
+        assert_same_pass(cfg, params, labels, rows, inputs, mask)
 
 
 def test_a_kept_selection_still_checks_the_similarity_kind():
     g, _, config, inputs, labels = make_instance(n=30, seed=36)
     params = init_parameters(config, np.random.default_rng(36))
     mask = sparse_mask(g, 30)
-    with model_module._kept_selection(config, inputs, mask):
-        loss_and_gradients(params, config, inputs, labels, mask)
-        with pytest.raises(InputError, match="sim_kind"):
-            loss_and_gradients(params, replace(config, sim_kind="euclidean"), inputs, labels,
-                               mask)
+    rows = select_rows(inputs, mask)
+    assert_same_pass(config, params, labels, rows, inputs, mask)
+    with pytest.raises(InputError, match="sim_kind"):
+        loss_and_gradients(params, replace(config, sim_kind="euclidean"), rows, labels)
+    assert_same_pass(config, params, labels, rows, inputs, mask)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_selection_is_kept_only_while_training(monkeypatch):
-    _, _, config, inputs, labels = make_instance(seed=17)
-    tr, va, _ = masks(16, rng_seed=17)
-    loss_and_gradients(init_parameters(config, np.random.default_rng(0)), config, inputs,
-                       labels, tr)
-    assert inputs._selection is None
-    kept = []
+def test_rows_are_a_snapshot_of_their_mask():
+    g, _, config, inputs, labels = make_instance(n=30, seed=31, localsim_mode="refined",
+                                                 dropout=0.5)
+    params = init_parameters(config, np.random.default_rng(31))
+    for mask in (sparse_mask(g, 30), np.ones(30, dtype=bool)):
+        rows = select_rows(inputs, mask)
+        before = loss_and_gradients(params, config, rows, labels, 1e-3, np.random.default_rng(5))
+        mask[:] = ~mask
+        mask[1] = True
+        after = loss_and_gradients(params, config, rows, labels, 1e-3, np.random.default_rng(5))
+        assert_same_result(after, before)
 
-    def spy(params, config, inputs, *args, **kwargs):
-        kept.append(inputs._selection is not None)
-        return loss_and_gradients(params, config, inputs, *args, **kwargs)
 
-    monkeypatch.setattr(model_module, "loss_and_gradients", spy)
-    train(config, TrainConfig(epochs=2, seed=0), inputs, labels, tr, va)
-    assert kept == [True, True]
-    assert inputs._selection is None
-    # as in test_train_divergence_reports_learning_rate
-    tcfg = TrainConfig(lr=1e300, weight_decay=0.0, epochs=50, patience=50, seed=0)
-    with pytest.raises(TrainingDivergedError):
-        train(config, tcfg, inputs, labels, tr, va)
-    assert inputs._selection is None
+def test_concurrent_trainings_on_shared_inputs_match_sequential_ones():
+    # The toy's two model arms, trained on one ModelInputs and one train
+    # mask by two threads at once, must get what they get one at a time.
+    n = 2000
+    config, inputs, _, labels = wide_instance(n, d=64, k=4, z=64, seed=37,
+                                              localsim_mode="naive", dropout=0.5)
+    configs = [config, replace(config, weight_mode="graph_level")]
+    tr = np.arange(n) % 2 == 0
+    tcfg = TrainConfig(epochs=15, patience=15, seed=3)
+
+    def fit(cfg):
+        return train(cfg, tcfg, inputs, labels, tr, ~tr).params
+
+    want = [fit(cfg) for cfg in configs]
+    got: list = [None, None]
+
+    def run(i):
+        got[i] = fit(configs[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=300)
+        assert not t.is_alive()
+    for params, expected in zip(got, want):
+        assert params is not None
+        assert list(params) == list(expected)
+        for name, a in params.items():
+            assert a.tobytes() == expected[name].tobytes(), name
 
 
 def test_adam_first_step_is_signed_learning_rate():
