@@ -2,7 +2,8 @@
 
 Graphs are stored once in CSR form with sorted column indices, so every
 matrix product over them is deterministic: the same entries are visited in
-the same order on every run.
+the same order on every run.  The module also holds the one reader and the
+one writer of the text tables a dataset and a report are stored in.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ __all__ = [
     "enhanced_filters",
     "self_loop_filters",
     "node_homophily",
+    "neighborhood_mean",
     "read_edge_list",
-    "write_edge_list",
+    "format_float",
 ]
 
 
@@ -211,18 +213,31 @@ def self_loop_filters(g: SparseGraph) -> FilterPair:
     return _filter_pair(g, "self_loop", diag, np.ones(g.num_entries, dtype=np.float64))
 
 
+def neighborhood_mean(g: SparseGraph, entry_values: np.ndarray) -> np.ndarray:
+    """Mean of per-entry values over each node's neighbors.
+
+    Degree-0 nodes get the convention value 0.
+    """
+    if entry_values.shape != (g.num_entries,):
+        raise InputError(
+            f"entry_values must have shape ({g.num_entries},), got {entry_values.shape}"
+        )
+    sums = np.bincount(g.entry_rows(), weights=entry_values, minlength=g.num_nodes)
+    out = np.zeros(g.num_nodes, dtype=np.float64)
+    nz = g.degrees > 0
+    out[nz] = sums[nz] / g.degrees[nz]
+    return out
+
+
 def node_homophily(g: SparseGraph, labels: np.ndarray) -> HomophilyReport:
     """Fraction of neighbors sharing each node's label, and the mean over
     non-isolated nodes."""
     labels = np.asarray(labels)
     if labels.shape != (g.num_nodes,):
         raise InputError(f"labels must have shape ({g.num_nodes},), got {labels.shape}")
-    rows = g.entry_rows()
-    same = (labels[rows] == labels[g.col_indices]).astype(np.float64)
-    sums = np.bincount(rows, weights=same, minlength=g.num_nodes)
-    per_node = np.zeros(g.num_nodes, dtype=np.float64)
+    same = (labels[g.entry_rows()] == labels[g.col_indices]).astype(np.float64)
+    per_node = neighborhood_mean(g, same)
     nz = g.degrees > 0
-    per_node[nz] = sums[nz] / g.degrees[nz]
     graph_level = float(per_node[nz].mean()) if nz.any() else 0.0
     return HomophilyReport(per_node=per_node, graph_level=graph_level)
 
@@ -291,6 +306,22 @@ def _read_lines(path, kind, width, delimiter, comments, low, high, what) -> np.n
     return np.array(rows, dtype=kind).reshape(len(rows), width or 0)
 
 
+def format_float(x: float) -> str:
+    """Shortest decimal that parses back to the exact same float64."""
+    return repr(float(x))
+
+
+def _write_table(path, rows, delimiter=",") -> None:
+    """Write each row as one UTF-8 line of `delimiter`-joined values ending
+    in a newline: floats through `format_float`, so `_read_table` recovers
+    them bit for bit, and every other value through `str`."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for row in rows:
+            fh.write(delimiter.join(
+                format_float(v) if isinstance(v, (float, np.floating)) else str(v) for v in row
+            ) + "\n")
+
+
 def read_edge_list(path, num_nodes: int | None = None) -> np.ndarray:
     """Read whitespace-separated "i j" pairs; '#' starts a comment.
 
@@ -299,10 +330,3 @@ def read_edge_list(path, num_nodes: int | None = None) -> np.ndarray:
     """
     bounds = {} if num_nodes is None else {"low": 0, "high": num_nodes - 1}
     return _read_table(path, np.int64, 2, comments="#", what="node id", **bounds)
-
-
-def write_edge_list(path, g: SparseGraph) -> None:
-    """Write each undirected edge once as "i j" with i < j, sorted."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, j in g.edge_array():
-            fh.write(f"{i} {j}\n")

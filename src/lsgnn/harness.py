@@ -20,10 +20,11 @@ from . import graph as _graph
 from .graph import (
     SparseGraph,
     build_graph,
+    format_float,
     node_homophily,
     read_edge_list,
-    write_edge_list,
 )
+from .localsim import _check_kind
 from .model import (
     ModelConfig,
     ModelInputs,
@@ -64,10 +65,6 @@ __all__ = [
 ]
 
 RATIOS = (0.48, 0.32, 0.20)
-
-def format_float(x: float) -> str:
-    """Shortest decimal that parses back to the exact same float64."""
-    return repr(float(x))
 
 
 def _seed_list(seed) -> list[int]:
@@ -110,19 +107,13 @@ def save_dataset(
     feature matrix bit for bit.
     """
     os.makedirs(directory, exist_ok=True)
-    write_edge_list(os.path.join(directory, "edges.txt"), graph)
-    features = np.asarray(features, dtype=np.float64)
-    with open(os.path.join(directory, "features.csv"), "w", encoding="utf-8") as fh:
-        for row in features:
-            fh.write(",".join(format_float(v) for v in row))
-            fh.write("\n")
-    with open(os.path.join(directory, "labels.txt"), "w", encoding="utf-8") as fh:
-        for label in labels:
-            fh.write(f"{int(label)}\n")
+    write = _graph._write_table
+    write(os.path.join(directory, "edges.txt"), graph.edge_array(), delimiter=" ")
+    write(os.path.join(directory, "features.csv"), np.asarray(features, dtype=np.float64))
+    # int() refuses a NaN or infinite label instead of writing a garbage id.
+    write(os.path.join(directory, "labels.txt"), ([int(label)] for label in labels))
     if subgraph_id is not None:
-        with open(os.path.join(directory, "subgraphs.txt"), "w", encoding="utf-8") as fh:
-            for sg in subgraph_id:
-                fh.write(f"{int(sg)}\n")
+        write(os.path.join(directory, "subgraphs.txt"), ([int(sg)] for sg in subgraph_id))
 
 
 def _first_ids(ids: np.ndarray) -> str:
@@ -350,13 +341,16 @@ def sample_config(
     return replace(base, **drawn)
 
 
-def _check_space(space: SearchSpace, base: ExperimentConfig) -> None:
-    """Validate every value the space can draw, naming the key at fault."""
+def _check_space(space: SearchSpace, base: ExperimentConfig, in_dim: int) -> None:
+    """Validate every value the space can draw, naming the key at fault;
+    a similarity kind must also suit features of width `in_dim`."""
     base.validate()
     for key, name, kind in SEARCHED:
-        for value in getattr(space, key):
+        for value in map(kind, getattr(space, key)):
             try:
-                replace(base, **{name: kind(value)}).validate()
+                replace(base, **{name: value}).validate()
+                if name == "sim_kind":
+                    _check_kind(value, in_dim)
             except InputError as exc:
                 raise InputError(f"{key}: {exc}") from exc
 
@@ -492,7 +486,7 @@ def random_search(
         raise InputError(f"budget must be >= 1, got {budget}")
     if base is None:
         base = ExperimentConfig()
-    _check_space(space, base)
+    _check_space(space, base, bundle.features.shape[1])
     cache = PropagationCache(bundle.graph, bundle.features)
     seeds = _seed_list(seed)
     rng = np.random.default_rng(seeds)
@@ -524,16 +518,7 @@ def random_search(
 
 def write_report(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     """CSV with fixed column order; floats in round-trip-exact decimal."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for value in row:
-                if isinstance(value, (float, np.floating)):
-                    cells.append(format_float(value))
-                else:
-                    cells.append(str(value))
-            fh.write(",".join(cells) + "\n")
+    _graph._write_table(path, [header, *rows])
 
 
 def write_manifest(path, command: Sequence[str], config: dict, seed, notes: dict | None = None) -> None:

@@ -10,13 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .graph import SparseGraph
+from .graph import SparseGraph, neighborhood_mean
 
 __all__ = [
     "SIM_KINDS",
     "similarity",
     "edge_sim_values",
-    "neighborhood_mean",
     "naive_localsim",
 ]
 
@@ -96,22 +95,6 @@ def edge_sim_values(g: SparseGraph, x: np.ndarray, kind: str) -> np.ndarray:
             prod = x[r]
             prod *= x[c]
             out[start:stop] = _cosine(prod.sum(axis=1), norms[r], norms[c])
-    return out
-
-
-def neighborhood_mean(g: SparseGraph, entry_values: np.ndarray) -> np.ndarray:
-    """Mean of per-entry values over each node's neighbors.
-
-    Degree-0 nodes get the convention value 0.
-    """
-    if entry_values.shape != (g.num_entries,):
-        raise InputError(
-            f"entry_values must have shape ({g.num_entries},), got {entry_values.shape}"
-        )
-    sums = np.bincount(g.entry_rows(), weights=entry_values, minlength=g.num_nodes)
-    out = np.zeros(g.num_nodes, dtype=np.float64)
-    nz = g.degrees > 0
-    out[nz] = sums[nz] / g.degrees[nz]
     return out
 
 

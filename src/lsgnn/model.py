@@ -58,8 +58,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DigestMismatchError, FormatError, InputError, TrainingDivergedError
-from .graph import SparseGraph
-from .localsim import SIM_KINDS, edge_sim_values, neighborhood_mean
+from .graph import SparseGraph, neighborhood_mean
+from .localsim import SIM_KINDS, edge_sim_values
 from .propagation import (
     PropagationConfig,
     PropagationStack,
@@ -168,21 +168,33 @@ def _parameter_shapes(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], i
     return table
 
 
+def _draw(shapes: dict[str, tuple[tuple[int, ...], int]], rng: np.random.Generator) -> Params:
+    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) per array, drawn in the
+    order of `shapes` (name -> (shape, fan_in))."""
+    params = {}
+    for name, (shape, fan_in) in shapes.items():
+        bound = 1.0 / np.sqrt(fan_in)
+        params[name] = rng.uniform(-bound, bound, size=shape)
+    return params
+
+
 def init_parameters(config: ModelConfig, rng: np.random.Generator) -> Params:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) per array.
 
     Arrays are drawn in the fixed key order given in the module docstring,
     so two runs with equal seeds get bitwise-identical starting points.
     """
-    params = {}
-    for name, (shape, fan_in) in _parameter_shapes(config).items():
-        bound = 1.0 / np.sqrt(fan_in)
-        params[name] = rng.uniform(-bound, bound, size=shape)
-    return params
+    return _draw(_parameter_shapes(config), rng)
 
 
-def _squared_norm(params: Params) -> float:
-    return float(sum((a * a).sum() for a in params.values()))
+def _decayed(loss: float, grads: Params, params: Params, weight_decay: float) -> tuple[float, Params]:
+    """Add the L2 term weight_decay / 2 times the squared norm of every
+    array to `loss`, and its gradient to `grads` in place."""
+    loss += 0.5 * weight_decay * float(sum((a * a).sum() for a in params.values()))
+    if weight_decay != 0.0:
+        for name, g in grads.items():
+            g += weight_decay * params[name]
+    return loss, grads
 
 
 @dataclass(eq=False)
@@ -534,7 +546,6 @@ def loss_and_gradients(
     cache = _forward(params, config, rows, dropout_rng)
     m_count = labels.size
     ce, dlogits = _cross_entropy(cache["log_probs"], labels)
-    loss = ce + 0.5 * weight_decay * _squared_norm(params)
 
     # Keys in parameter order; each is assigned below.
     grads = dict.fromkeys(params)
@@ -585,10 +596,7 @@ def loss_and_gradients(
             grads["ls_w1"] = rows.edge_feats.T @ da1
             grads["ls_b1"] = da1.sum(axis=0)
 
-    if weight_decay != 0.0:
-        for name, g in grads.items():
-            g += weight_decay * params[name]
-    return loss, grads
+    return _decayed(ce, grads, params, weight_decay)
 
 
 _ADAM_BETA1 = 0.9
@@ -795,30 +803,22 @@ def train_linear(
     val_mask: np.ndarray,
 ) -> Params:
     """Fit the softmax regression head `{"w", "b"}` used by the raw-feature
-    and deep-filter baselines, with the same Adam + early-stopping loop as
-    the full model; returns best-validation parameters."""
+    and deep-filter baselines, with the same initializer, decay term and
+    Adam + early-stopping loop as the full model; returns best-validation
+    parameters."""
     features = np.ascontiguousarray(features, dtype=np.float64)
     _require_nodes(train_mask, val_mask)
     d = features.shape[1]
-    rng = np.random.default_rng(train_config.seed)
-    bound = 1.0 / np.sqrt(d)
-    params = {
-        "w": rng.uniform(-bound, bound, size=(d, num_classes)),
-        "b": rng.uniform(-bound, bound, size=(num_classes,)),
-    }
+    shapes = {"w": ((d, num_classes), d), "b": ((num_classes,), d)}
+    params = _draw(shapes, np.random.default_rng(train_config.seed))
     rows = np.flatnonzero(train_mask)
     x_train, y_train = features[rows], labels[rows]
     x_val, y_val = features[val_mask], labels[val_mask]
-    wd = train_config.weight_decay
 
     def loss_and_grads(p: Params) -> tuple[float, Params]:
         loss, dlogits = _cross_entropy(_linear_log_probs(p, x_train), y_train)
-        loss += 0.5 * wd * _squared_norm(p)
-        grads = {
-            "w": x_train.T @ dlogits + wd * p["w"],
-            "b": dlogits.sum(axis=0) + wd * p["b"],
-        }
-        return loss, grads
+        grads = {"w": x_train.T @ dlogits, "b": dlogits.sum(axis=0)}
+        return _decayed(loss, grads, p, train_config.weight_decay)
 
     return _fit(
         params,

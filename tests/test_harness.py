@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -80,6 +81,37 @@ def test_dataset_round_trip(tmp_path):
     assert np.array_equal(loaded.features, bundle.features)  # bitwise via repr
     assert np.array_equal(loaded.labels, bundle.labels)
     assert loaded.num_classes == 2
+
+
+def _digests(where):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in sorted(where.iterdir())}
+
+
+def test_save_dataset_bytes_are_pinned(tmp_path):
+    # Signed zero, the smallest subnormal, a huge value and a 17-digit
+    # decimal; labels given as floats go through int().
+    features = np.array([[-0.0, 5e-324], [1e300, 0.1 + 0.2], [2.0 / 3.0, -7.0]])
+    graph = build_graph(np.array([[2, 0], [1, 2], [0, 1]]), 3)
+    save_dataset(tmp_path, graph, features, np.array([1.0, 0.0, 1.0]),
+                 subgraph_id=np.array([0, 1, 1]))
+    assert (tmp_path / "features.csv").read_text().splitlines()[:2] == [
+        "-0.0,5e-324", "1e+300,0.30000000000000004"]
+    assert _digests(tmp_path) == {
+        "edges.txt": "0b3cf00b23b6326a",
+        "features.csv": "e666a69127f2d6cb",
+        "labels.txt": "a714acf0208a1a2e",
+        "subgraphs.txt": "76fe9f61152f4c08",
+    }
+    with pytest.raises(ValueError):
+        save_dataset(tmp_path / "nan", graph, features, np.array([1.0, np.nan, 0.0]))
+
+
+def test_write_report_bytes_are_pinned(tmp_path):
+    rows = [[np.float32(0.1), np.int64(3), np.bool_(True)], ["b", np.float64(1e-7), False]]
+    write_report(tmp_path / "report.csv", ["name", "value", "flag"], rows)
+    assert (tmp_path / "report.csv").read_text() == (
+        "name,value,flag\n0.10000000149011612,3,True\nb,1e-07,False\n")
+    assert _digests(tmp_path) == {"report.csv": "74cc9e6361b2fd03"}
 
 
 def write_minimal(where, features_text="1.0,2.0\n3.0,4.0\n", labels_text="0\n1\n",
@@ -355,6 +387,19 @@ def test_random_search_checks_every_choice_before_the_first_trial(monkeypatch):
     space = SearchSpace(beta_choices=(0.5, 2.0))
     with pytest.raises(InputError, match=r"^beta_choices: beta must lie in \[0, 1\], got 2\.0$"):
         harness.random_search(bundle, space, budget=1, splits=splits, seed=0)
+    assert calls == []
+
+
+def test_random_search_checks_sim_choices_against_the_feature_width(monkeypatch):
+    bundle = small_bundle(n=40)
+    bundle.features = np.hstack([bundle.features] * 4)
+    splits = make_splits(bundle.num_nodes, count=1)
+    calls = []
+    monkeypatch.setattr(harness, "run_experiment", lambda *a, **k: calls.append(1))
+    space = SearchSpace(sim_choices=("cosine", "neg_sq_scalar"))
+    with pytest.raises(InputError, match=r"^sim_choices: neg_sq_scalar requires 1-dimensional "
+                                         r"features, got d=4$"):
+        harness.random_search(bundle, space, budget=6, splits=splits, seed=0)
     assert calls == []
 
 

@@ -3,11 +3,10 @@ import pytest
 
 from lsgnn import localsim
 from lsgnn.errors import InputError
-from lsgnn.graph import build_graph
+from lsgnn.graph import build_graph, neighborhood_mean
 from lsgnn.localsim import (
     edge_sim_values,
     naive_localsim,
-    neighborhood_mean,
     similarity,
 )
 
