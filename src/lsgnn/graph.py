@@ -3,7 +3,8 @@
 Graphs are stored once in CSR form with sorted column indices, so every
 matrix product over them is deterministic: the same entries are visited in
 the same order on every run.  The module also holds the one reader and the
-one writer of the text tables a dataset and a report are stored in.
+one writer of the text tables a dataset and a report are stored in, and
+the zero-guarded ratio and the row norm the other modules share.
 """
 
 from __future__ import annotations
@@ -156,14 +157,22 @@ def _csr(
     return sp.csr_array((values, col_indices, row_offsets), shape=(n, n), copy=False)
 
 
-def sym_norm_adj(g: SparseGraph) -> sp.csr_array:
-    """Symmetrically normalized adjacency D^{-1/2} A D^{-1/2}.
+def _ratio(num, den) -> np.ndarray:
+    """num / den elementwise, and 0 where den is 0: an isolated node or a
+    zero feature row reads as no evidence instead of NaN."""
+    out = np.zeros(np.broadcast_shapes(np.shape(num), np.shape(den)))
+    return np.divide(num, den, out=out, where=den > 0)
 
-    Isolated nodes contribute empty rows, so no division guard is needed.
-    """
-    inv_sqrt = np.zeros(g.num_nodes, dtype=np.float64)
-    nz = g.degrees > 0
-    inv_sqrt[nz] = 1.0 / np.sqrt(g.degrees[nz].astype(np.float64))
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """L2 norm of each row of a 2-D array."""
+    return np.sqrt((x * x).sum(axis=1))
+
+
+def sym_norm_adj(g: SparseGraph) -> sp.csr_array:
+    """Symmetrically normalized adjacency D^{-1/2} A D^{-1/2}; an isolated
+    node has an empty row."""
+    inv_sqrt = _ratio(1.0, np.sqrt(g.degrees))
     values = inv_sqrt[g.entry_rows()] * inv_sqrt[g.col_indices]
     return _csr(g.num_nodes, g.row_offsets, g.col_indices, values)
 
@@ -222,11 +231,7 @@ def neighborhood_mean(g: SparseGraph, entry_values: np.ndarray) -> np.ndarray:
         raise InputError(
             f"entry_values must have shape ({g.num_entries},), got {entry_values.shape}"
         )
-    sums = np.bincount(g.entry_rows(), weights=entry_values, minlength=g.num_nodes)
-    out = np.zeros(g.num_nodes, dtype=np.float64)
-    nz = g.degrees > 0
-    out[nz] = sums[nz] / g.degrees[nz]
-    return out
+    return _ratio(np.bincount(g.entry_rows(), weights=entry_values, minlength=g.num_nodes), g.degrees)
 
 
 def node_homophily(g: SparseGraph, labels: np.ndarray) -> HomophilyReport:

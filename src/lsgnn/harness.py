@@ -104,16 +104,28 @@ def save_dataset(
     labels.txt (plus subgraphs.txt when subgraph ids are given).
 
     Floats use shortest-round-trip decimals, so load_dataset recovers the
-    feature matrix bit for bit.
+    feature matrix bit for bit.  A label or subgraph id that is not a finite
+    integer raises InputError before any file is opened.
     """
+    label_rows = _id_rows(labels, "labels")
+    subgraph_rows = None if subgraph_id is None else _id_rows(subgraph_id, "subgraph_id")
     os.makedirs(directory, exist_ok=True)
     write = _graph._write_table
     write(os.path.join(directory, "edges.txt"), graph.edge_array(), delimiter=" ")
     write(os.path.join(directory, "features.csv"), np.asarray(features, dtype=np.float64))
-    # int() refuses a NaN or infinite label instead of writing a garbage id.
-    write(os.path.join(directory, "labels.txt"), ([int(label)] for label in labels))
-    if subgraph_id is not None:
-        write(os.path.join(directory, "subgraphs.txt"), ([int(sg)] for sg in subgraph_id))
+    write(os.path.join(directory, "labels.txt"), label_rows)
+    if subgraph_rows is not None:
+        write(os.path.join(directory, "subgraphs.txt"), subgraph_rows)
+
+
+def _id_rows(values, name: str) -> list[list[int]]:
+    """One `[id]` row per value, or InputError naming `name` and the first
+    position that does not hold a finite integer."""
+    arr = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(arr) | (arr != np.trunc(arr)))
+    if bad.size:
+        raise InputError(f"{name}[{bad[0]}] is {arr.flat[bad[0]]}, not a finite integer")
+    return [[int(v)] for v in values]
 
 
 def _first_ids(ids: np.ndarray) -> str:
@@ -199,6 +211,10 @@ def make_splits(n: int, base_seed=0, count: int = 10) -> list[SplitSpec]:
 
 @dataclass(frozen=True)
 class DatasetStats:
+    """Dataset size and node homophily (`graph.node_homophily`): the mean over
+    non-isolated nodes of each node's share of same-label neighbours, not
+    edge homophily (the share of edges joining equal labels)."""
+
     num_nodes: int
     num_edges: int
     num_classes: int
@@ -524,12 +540,6 @@ def write_report(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
 def write_manifest(path, command: Sequence[str], config: dict, seed, notes: dict | None = None) -> None:
     """Everything needed to reproduce a run: argv, resolved config, seeds,
     and the package version."""
-    extra = notes or {}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"version={__version__}\n")
-        fh.write(f"command={' '.join(str(c) for c in command)}\n")
-        fh.write(f"seed={seed}\n")
-        for key in sorted(config):
-            fh.write(f"config.{key}={config[key]}\n")
-        for key in sorted(extra):
-            fh.write(f"{key}={extra[key]}\n")
+    rows = [("version", __version__), ("command", " ".join(str(c) for c in command)), ("seed", seed),
+            *((f"config.{key}", config[key]) for key in sorted(config)), *sorted((notes or {}).items())]
+    _graph._write_table(path, rows, delimiter="=")

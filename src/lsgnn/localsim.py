@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .graph import SparseGraph, neighborhood_mean
+from .graph import SparseGraph, _ratio, _row_norms, neighborhood_mean
 
 __all__ = [
     "SIM_KINDS",
@@ -38,10 +38,9 @@ def similarity(x: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
         raise InputError(f"expected matching (m, d) arrays, got {x.shape} and {y.shape}")
     _check_kind(kind, x.shape[1])
     if kind == "cosine":
-        return _cosine((x * y).sum(axis=1), _norms(x), _norms(y))
+        return _ratio((x * y).sum(axis=1), _row_norms(x) * _row_norms(y))
     if kind == "euclidean":
-        diff = x - y
-        return -np.sqrt((diff * diff).sum(axis=1))
+        return -_row_norms(x - y)
     diff = (x[:, 0] - y[:, 0])
     return -(diff * diff)
 
@@ -52,19 +51,6 @@ def _check_kind(kind: str, d: int) -> None:
         raise InputError(f"similarity kind must be one of {SIM_KINDS}, got {kind!r}")
     if kind == "neg_sq_scalar" and d != 1:
         raise InputError(f"neg_sq_scalar requires 1-dimensional features, got d={d}")
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    return np.sqrt((x * x).sum(axis=1))
-
-
-def _cosine(dots: np.ndarray, nx: np.ndarray, ny: np.ndarray) -> np.ndarray:
-    """dots / (nx * ny), with 0 where either norm is 0."""
-    denom = nx * ny
-    out = np.zeros(dots.shape[0], dtype=np.float64)
-    nz = denom > 0.0
-    out[nz] = dots[nz] / denom[nz]
-    return out
 
 
 def edge_sim_values(g: SparseGraph, x: np.ndarray, kind: str) -> np.ndarray:
@@ -83,7 +69,7 @@ def edge_sim_values(g: SparseGraph, x: np.ndarray, kind: str) -> np.ndarray:
     _check_kind(kind, x.shape[1])
     rows = g.entry_rows()
     cols = g.col_indices
-    norms = _norms(x) if kind == "cosine" else None
+    norms = _row_norms(x) if kind == "cosine" else None
     out = np.empty(g.num_entries, dtype=np.float64)
     chunk = max(1, _CHUNK // max(1, x.shape[1]))
     for start in range(0, g.num_entries, chunk):
@@ -94,7 +80,7 @@ def edge_sim_values(g: SparseGraph, x: np.ndarray, kind: str) -> np.ndarray:
         else:
             prod = x[r]
             prod *= x[c]
-            out[start:stop] = _cosine(prod.sum(axis=1), norms[r], norms[c])
+            out[start:stop] = _ratio(prod.sum(axis=1), norms[r] * norms[c])
     return out
 
 

@@ -58,7 +58,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DigestMismatchError, FormatError, InputError, TrainingDivergedError
-from .graph import SparseGraph, neighborhood_mean
+from .graph import SparseGraph, _ratio, neighborhood_mean
 from .localsim import SIM_KINDS, edge_sim_values
 from .propagation import (
     PropagationConfig,
@@ -229,9 +229,6 @@ class ModelInputs:
                 "propagation stack was computed from a different feature matrix"
             )
         sims = edge_sim_values(graph, x, sim_kind)
-        inv_deg = np.zeros(graph.num_nodes, dtype=np.float64)
-        nz = graph.degrees > 0
-        inv_deg[nz] = 1.0 / graph.degrees[nz]
         return cls(
             graph=graph,
             x=x,
@@ -239,7 +236,7 @@ class ModelInputs:
             sim_kind=sim_kind,
             edge_feats=np.column_stack([sims, sims * sims]),
             phi_naive=neighborhood_mean(graph, sims),
-            inv_degrees=inv_deg,
+            inv_degrees=_ratio(1.0, graph.degrees),
         )
 
 
@@ -287,12 +284,12 @@ class Rows:
         return a
 
 
-def _row_index(inputs: ModelInputs, mask: np.ndarray | None = None) -> slice | np.ndarray:
-    """The rows `mask` selects: `slice(None)` for None or an all-true mask,
-    otherwise their ascending indices."""
+def _row_index(n: int, mask: np.ndarray | None = None) -> slice | np.ndarray:
+    """The rows of `n` a mask of any dtype selects, read as bool: `slice(None)`
+    for None or an all-true mask, else their ascending indices.  A mask not
+    of shape (n,) raises InputError.  Every node mask becomes rows here."""
     if mask is None:
         return slice(None)
-    n = inputs.graph.num_nodes
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (n,):
         raise InputError(f"mask has shape {mask.shape}, expected ({n},)")
@@ -338,7 +335,7 @@ def select_rows(inputs: ModelInputs, mask: np.ndarray) -> Rows:
     """The rows `mask` selects, gathered once for every training pass over
     them (module docstring).  The result is a snapshot: changing `mask`
     afterwards does not change it."""
-    return _rows(inputs, _row_index(inputs, mask), gather=True)
+    return _rows(inputs, _row_index(inputs.graph.num_nodes, mask), gather=True)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -490,7 +487,7 @@ def predict_proba(
     params: Params, config: ModelConfig, inputs: ModelInputs
 ) -> np.ndarray:
     """Class probabilities with dropout off; rows sum to 1."""
-    return _proba(params, config, inputs, _row_index(inputs))
+    return _proba(params, config, inputs, _row_index(inputs.graph.num_nodes))
 
 
 def predict(params: Params, config: ModelConfig, inputs: ModelInputs) -> np.ndarray:
@@ -505,7 +502,7 @@ def evaluate(
     mask: np.ndarray,
 ) -> float:
     """Accuracy over the masked nodes, computed from those rows alone."""
-    index = _row_index(inputs, mask)
+    index = _row_index(inputs.graph.num_nodes, mask)
     pred = _proba(params, config, inputs, index).argmax(axis=1)
     return _accuracy(pred, labels[index])
 
@@ -791,7 +788,8 @@ def linear_predict(params: Params, features: np.ndarray) -> np.ndarray:
 def linear_accuracy(
     params: Params, features: np.ndarray, labels: np.ndarray, mask: np.ndarray
 ) -> float:
-    return _accuracy(linear_predict(params, features[mask]), labels[mask])
+    index = _row_index(features.shape[0], mask)
+    return _accuracy(linear_predict(params, features[index]), labels[index])
 
 
 def train_linear(
@@ -811,9 +809,9 @@ def train_linear(
     d = features.shape[1]
     shapes = {"w": ((d, num_classes), d), "b": ((num_classes,), d)}
     params = _draw(shapes, np.random.default_rng(train_config.seed))
-    rows = np.flatnonzero(train_mask)
-    x_train, y_train = features[rows], labels[rows]
-    x_val, y_val = features[val_mask], labels[val_mask]
+    train_rows, val_rows = (_row_index(features.shape[0], m) for m in (train_mask, val_mask))
+    x_train, y_train = features[train_rows], labels[train_rows]
+    x_val, y_val = features[val_rows], labels[val_rows]
 
     def loss_and_grads(p: Params) -> tuple[float, Params]:
         loss, dlogits = _cross_entropy(_linear_log_probs(p, x_train), y_train)

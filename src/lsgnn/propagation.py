@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DigestMismatchError, FormatError, InputError
-from .graph import FilterPair, SparseGraph, enhanced_filters
+from .graph import FilterPair, SparseGraph, _row_norms, enhanced_filters
 
 __all__ = [
     "VARIANTS",
@@ -146,7 +146,7 @@ def row_normalize(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     The result goes to a new array, or to `out` when given; `out=m`
     normalizes in place, with one (n, d) temporary for the squared entries.
     """
-    norms = np.sqrt((m * m).sum(axis=1))
+    norms = _row_norms(m)
     safe = np.where(norms > 0.0, norms, 1.0)
     return np.divide(m, safe[:, None], out=out)
 

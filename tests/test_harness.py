@@ -102,8 +102,27 @@ def test_save_dataset_bytes_are_pinned(tmp_path):
         "labels.txt": "a714acf0208a1a2e",
         "subgraphs.txt": "76fe9f61152f4c08",
     }
-    with pytest.raises(ValueError):
-        save_dataset(tmp_path / "nan", graph, features, np.array([1.0, np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("labels, subgraph_id, message", [
+    ([1.0, 1.5, 0.0], None, r"^labels\[1\] is 1.5, not a finite integer$"),
+    ([1.0, np.nan, 0.0], None, r"^labels\[1\] is nan, not a finite integer$"),
+    ([1, 0, 1], [0, 1, np.inf], r"^subgraph_id\[2\] is inf, not a finite integer$"),
+], ids=["fractional-label", "nan-label", "infinite-subgraph-id"])
+def test_save_dataset_refuses_non_integer_ids_before_writing(tmp_path, labels, subgraph_id, message):
+    graph = build_graph(np.array([[0, 1], [1, 2]]), 3)
+    subgraph_id = None if subgraph_id is None else np.array(subgraph_id)
+    with pytest.raises(InputError, match=message):
+        save_dataset(tmp_path, graph, np.zeros((3, 2)), np.array(labels), subgraph_id=subgraph_id)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stats_report_node_homophily_not_edge_homophily():
+    # Per node: 1, 1, 2/3 and 0, so the mean is 2/3; edge homophily would
+    # be 3 same-label edges of 4, 0.75.
+    graph = build_graph(np.array([[0, 1], [1, 2], [0, 2], [2, 3]]), 4)
+    bundle = DatasetBundle(graph=graph, features=np.zeros((4, 1)), labels=np.array([0, 0, 0, 1]))
+    assert dataset_stats(bundle).homophily == pytest.approx(2.0 / 3.0)
 
 
 def test_write_report_bytes_are_pinned(tmp_path):

@@ -222,6 +222,28 @@ def test_masks_must_have_one_entry_per_node():
         evaluate(params, config, inputs, labels, short)
     with pytest.raises(InputError, match=r"mask has shape \(15,\), expected \(16,\)"):
         select_rows(inputs, short)
+    head = {"w": np.zeros((inputs.x.shape[1], 3)), "b": np.zeros(3)}
+    with pytest.raises(InputError, match=r"mask has shape \(15,\), expected \(16,\)"):
+        linear_accuracy(head, inputs.x, labels, short)
+    with pytest.raises(InputError, match=r"mask has shape \(15,\), expected \(16,\)"):
+        train_linear(inputs.x, labels, 3, TrainConfig(epochs=2), short, np.ones(16, dtype=bool))
+
+
+def test_int_masks_select_what_bool_masks_do():
+    _, _, config, inputs, labels = make_instance(n=30, seed=29)
+    train_mask = np.arange(30) % 3 != 0
+    val_mask = ~train_mask
+    tcfg = TrainConfig(lr=0.05, epochs=20, patience=20, seed=2)
+    want = train_linear(inputs.x, labels, 3, tcfg, train_mask, val_mask)
+    got = train_linear(inputs.x, labels, 3, tcfg, train_mask.astype(int), val_mask.astype(int))
+    for name in want:
+        assert np.array_equal(got[name], want[name])
+    params = init_parameters(config, np.random.default_rng(29))
+    for mask in (train_mask, val_mask):
+        assert linear_accuracy(want, inputs.x, labels, mask.astype(int)) == linear_accuracy(
+            want, inputs.x, labels, mask)
+        assert evaluate(params, config, inputs, labels, mask.astype(int)) == evaluate(
+            params, config, inputs, labels, mask)
 
 
 def test_graph_and_node_modes_agree_on_constant_localsim():
