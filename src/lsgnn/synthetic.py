@@ -13,7 +13,11 @@ local-similarity expectation holds exactly.  Exact mode builds each
 community's graph and each cross-community pairing by stub pairing (the
 configuration model) and repairs self loops and duplicate edges with
 degree-preserving endpoint swaps; a target denser than half of a node's
-possible partners is built as the complement of a sparse one.
+possible partners is built as the complement of a sparse one.  Each repair
+round finds its duplicates with one sort of int64 values that pack an
+edge's (key, position); it marks the edges a stable argsort of the keys
+marks, so the draws and swaps are those of that stable-sort check.  The
+packing fits 63 bits for every community of at most 65,536 nodes.
 
 `theory_check` tests the paper's two closed forms, the per-subgraph mean
 local similarity and the cross-subgraph gap bound, against one set of
@@ -151,24 +155,39 @@ def _random_pairing(stubs: np.ndarray, n_ids: int, rng, bipartite: bool) -> np.n
     duplicates are repaired by swapping second endpoints between edges,
     which preserves every degree; a draw that is not simple after 300
     swap rounds is discarded, and 100 discarded draws raise.
+
+    A round finds duplicates with one sort of int64 values that pack each
+    edge's key lo * n_ids + hi above its position.  Positions break ties,
+    so the repeats of a key after its first position are exactly the edges
+    a stable argsort of the keys marks.  The packed values need
+    (n_ids**2 - 1).bit_length() plus the last position's bit length, at
+    most 63 bits, or the call raises before its first draw.  A community of
+    at most 65,536 nodes always fits, at any degree: 32 bits of key, and
+    `_exact_edges` keeps a pairing at or below m**2 / 2 edges, 31 bits.
     """
+    edges = stubs.shape[0] if bipartite else stubs.shape[0] // 2
+    shift = max(edges - 1, 0).bit_length()
+    if (int(n_ids) * int(n_ids) - 1).bit_length() + shift > 63:
+        raise GenerationError(
+            f"cannot pair {edges} edges over {n_ids} node ids: "
+            f"their packed keys would overflow 63 bits"
+        )
+    position = np.arange(edges, dtype=np.int64)
+    position_mask = (1 << shift) - 1
     for _ in range(100):
         perm = rng.permutation(stubs)
         u, v = (stubs, perm) if bipartite else (perm[0::2].copy(), perm[1::2].copy())
         for _ in range(300):
             lo, hi = (u, v) if bipartite else (np.minimum(u, v), np.maximum(u, v))
-            key = lo * n_ids + hi
-            order = np.argsort(key, kind="stable")
-            sorted_key = key[order]
-            bad = np.zeros(u.shape[0], dtype=bool)
-            bad[order[1:][sorted_key[1:] == sorted_key[:-1]]] = True
-            if not bipartite:
-                bad |= u == v
+            packed = np.sort(((lo * n_ids + hi) << shift) | position)
+            key = packed >> shift
+            bad = np.zeros(edges, dtype=bool) if bipartite else u == v
+            bad[packed[1:][key[1:] == key[:-1]] & position_mask] = True
             bad_idx = np.flatnonzero(bad)
             if bad_idx.size == 0:
                 return np.column_stack([u, v])
-            partners = rng.integers(0, u.shape[0], size=bad_idx.size)
-            for b, p in zip(bad_idx, partners):
+            partners = rng.integers(0, edges, size=bad_idx.size)
+            for b, p in zip(bad_idx.tolist(), partners.tolist()):
                 v[b], v[p] = v[p], v[b]
     raise GenerationError("could not realize the exact degree sequence")
 

@@ -7,6 +7,8 @@ must agree with these, not the other way around.
 
 import numpy as np
 
+from lsgnn.errors import GenerationError
+
 
 def dense_adjacency(num_nodes, edges):
     """Symmetric 0/1 adjacency from an edge array, loops and dupes ignored."""
@@ -112,6 +114,30 @@ def triu_bernoulli_subgraph(m, p, q, rng):
     prob = np.where(comm[iu] == comm[ju], p, q)
     keep = rng.random(iu.shape[0]) < prob
     return np.column_stack([iu[keep], ju[keep]]).astype(np.int64)
+
+
+def stable_sort_pairing(stubs, n_ids, rng, bipartite):
+    """The exact-degree stub pairing with each repair round's duplicates
+    marked by one stable argsort of the edge keys."""
+    for _ in range(100):
+        perm = rng.permutation(stubs)
+        u, v = (stubs, perm) if bipartite else (perm[0::2].copy(), perm[1::2].copy())
+        for _ in range(300):
+            lo, hi = (u, v) if bipartite else (np.minimum(u, v), np.maximum(u, v))
+            key = lo * n_ids + hi
+            order = np.argsort(key, kind="stable")
+            sorted_key = key[order]
+            bad = np.zeros(u.shape[0], dtype=bool)
+            bad[order[1:][sorted_key[1:] == sorted_key[:-1]]] = True
+            if not bipartite:
+                bad |= u == v
+            bad_idx = np.flatnonzero(bad)
+            if bad_idx.size == 0:
+                return np.column_stack([u, v])
+            partners = rng.integers(0, u.shape[0], size=bad_idx.size)
+            for b, p in zip(bad_idx, partners):
+                v[b], v[p] = v[p], v[b]
+    raise GenerationError("could not realize the exact degree sequence")
 
 
 def loop_sim(xi, xj, kind):

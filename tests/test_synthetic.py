@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsgnn import synthetic
-from lsgnn.errors import InputError
+from lsgnn.errors import GenerationError, InputError
 from lsgnn.harness import ExperimentConfig
 from lsgnn.localsim import naive_localsim
 from lsgnn.model import ModelConfig
@@ -24,7 +24,7 @@ from lsgnn.synthetic import (
 )
 
 from conftest import traced_peak
-from reference import triu_bernoulli_subgraph
+from reference import stable_sort_pairing, triu_bernoulli_subgraph
 
 
 def test_config_validation():
@@ -212,6 +212,76 @@ def test_expectation_exact_odd_stub_total_drops_one_edge():
     for comm in (0, 1):
         degs = np.sort(ds.graph.degrees[ds.community == comm])
         assert degs.tolist() == [2, 3, 3, 3, 3]
+
+
+def _assert_same_pairing(stubs, n_ids, seed, bipartite):
+    """`_random_pairing` and the stable-argsort oracle return the same pairs,
+    or raise the same message, and leave the generator in the same state."""
+    outcomes = []
+    for pairing in (synthetic._random_pairing, stable_sort_pairing):
+        rng = np.random.default_rng(seed)
+        try:
+            result = pairing(np.array(stubs, dtype=np.int64), n_ids, rng, bipartite)
+        except GenerationError as error:
+            result = str(error)
+        outcomes.append((result, rng.bit_generator.state))
+    (got, got_state), (want, want_state) = outcomes
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got_state == want_state
+    return got
+
+
+@pytest.mark.parametrize("bipartite, stubs", [
+    (True, []), (True, [3]), (True, [0, 1]), (True, [1, 3]),
+    (False, []), (False, [0, 1]), (False, [0, 1, 1, 2]), (False, [0, 1, 2, 3]),
+])
+def test_random_pairing_of_zero_one_and_two_edges_matches_stable_sort(bipartite, stubs):
+    for seed in range(5):
+        _assert_same_pairing(stubs, 4, seed, bipartite)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_ids=st.integers(2, 40), bipartite=st.booleans(),
+       density=st.floats(0.0, 0.5))
+def test_random_pairing_matches_stable_sort_oracle(seed, n_ids, bipartite, density):
+    # The degrees of a random simple graph (a symmetric 0/1 matrix, whose
+    # row and column sums agree when bipartite) are realizable; up to half
+    # the possible partners is the regime `_exact_edges` pairs in.  Few ids
+    # make duplicate keys and self loops common in the early rounds.
+    rng = np.random.default_rng([seed, 1])
+    upper = np.triu(rng.random((n_ids, n_ids)) < density, k=0 if bipartite else 1)
+    degrees = (upper | upper.T).sum(axis=1)
+    stubs = rng.permutation(np.repeat(np.arange(n_ids), degrees))
+    _assert_same_pairing(stubs, n_ids, seed, bipartite)
+
+
+@pytest.mark.parametrize("n_ids, fits", [(2**31, True), (2**31 + 1, False), (2**32, False)])
+def test_random_pairing_refuses_keys_that_overflow_before_drawing(n_ids, fits):
+    # two bipartite edges take one position bit; the key n_ids**2 - 1 the rest
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+
+    def attempt():
+        if fits:
+            return synthetic._random_pairing(np.array([0, 1]), n_ids, rng, True)
+        with pytest.raises(GenerationError, match=rf"2 edges over {n_ids} node ids"):
+            synthetic._random_pairing(np.array([0, 1]), n_ids, rng, True)
+
+    pairs, peak = traced_peak(attempt)
+    assert peak < 1 << 16
+    if fits:
+        assert sorted(pairs[:, 1].tolist()) == [0, 1]
+    else:
+        assert rng.bit_generator.state == state
+
+
+def test_random_pairing_raises_after_discarding_every_draw():
+    # node 0 needs three distinct partners and only node 1 exists
+    message = _assert_same_pairing([0, 0, 0, 1, 1, 1], 2, 0, bipartite=False)
+    assert message == "could not realize the exact degree sequence"
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0])
