@@ -260,15 +260,24 @@ _TOKENS = {
 }
 
 
+def _finite_squares(table: np.ndarray) -> np.ndarray:
+    """Whether each row's sum of squares, summed as `_row_norms` sums it, is
+    finite; it is not where a value is NaN or infinite or the sum overflows."""
+    with np.errstate(over="ignore"):
+        return np.isfinite((table * table).sum(axis=1))
+
+
 def _read_table(path, kind, width=None, delimiter=None, comments=None,
                 low=_INT64.min, high=_INT64.max, what="value") -> np.ndarray:
     """Read a text table of `kind` (np.int64 or np.float64) values as a 2-D
     array, `width` values a line (the first line's count when None).
 
-    Floats must be finite and ints lie in [low, high]; blank lines are
-    skipped and `comments` starts a comment.  The whole file is parsed by
-    one `np.loadtxt` call.  When numpy rejects it or warns (an empty file
-    warns), or a check fails, `_read_lines` re-reads it to name the line.
+    Floats must be finite, and so must each row's sum of squares (the
+    squared norm a row norm takes); ints must lie in [low, high].  Blank
+    lines are skipped and `comments` starts a comment.  The whole file is
+    parsed by one `np.loadtxt` call.  When numpy rejects it or warns (an
+    empty file warns), or a check fails, `_read_lines` re-reads it to name
+    the line.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -278,7 +287,7 @@ def _read_table(path, kind, width=None, delimiter=None, comments=None,
         except (ValueError, Warning):
             table = None
     if table is not None and table.size and width in (None, table.shape[1]) and (
-        np.isfinite(table).all() if kind is np.float64 else low <= table.min() and table.max() <= high
+        _finite_squares(table).all() if kind is np.float64 else low <= table.min() and table.max() <= high
     ):
         return table
     return _read_lines(path, kind, width, delimiter, comments, low, high, what)
@@ -305,6 +314,9 @@ def _read_lines(path, kind, width, delimiter, comments, low, high, what) -> np.n
                 if not pattern.fullmatch(token) or number is float and not np.isfinite(float(token)):
                     raise FormatError(f"{path}:{lineno}: {what} {token!r} is not {rule}")
             row = [number(token) for token in tokens]
+            if number is float and not _finite_squares(np.array([row]))[0]:
+                raise FormatError(f"{path}:{lineno}: the squares of {reprlib.repr(text)} "
+                                  f"sum past the float64 range")
             if number is int and not all(low <= value <= high for value in row):
                 raise FormatError(f"{path}:{lineno}: {what} outside {bounds} in {reprlib.repr(text)}")
             rows.append(row)

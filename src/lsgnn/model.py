@@ -18,12 +18,14 @@ column kk in block kk + 1).  Channel c >= 1 is projected through block
 1 + (c - 1) mod K alone, weighted by column K + c - 1.  Neither pass
 builds the (rows, (K+1)·z) fused features.
 
-Parameters are one ordered `dict[str, np.ndarray]`: the channel maps in
-channel order, then `ls_w1, ls_b1, ls_w2, ls_b2` (refined local
-similarity), `al_w1, al_b1, al_w2, al_b2` (node-level weights) or
-`graph_alpha` (graph-level weights), then `w_out`.  That order is fixed;
-the initializer's draws, the optimizer, the checkpoint format and the
-finite-difference tests all rely on it.
+Parameters are one float64 vector, read as an ordered name -> array dict
+of views into it (`propagation._views`): the channel maps in channel
+order, then `ls_w1, ls_b1, ls_w2, ls_b2` (refined local similarity),
+`al_w1, al_b1, al_w2, al_b2` (node-level weights) or `graph_alpha`
+(graph-level weights), then `w_out`.  That order is fixed: the initializer
+draws the vector in it, Adam and the best-epoch snapshot take the whole
+vector, and a checkpoint's payload is the vector.  The passes, the decay
+term and `save_checkpoint` take any such dict, views or not.
 
 Every pass reads the rows a `Rows` selects: `Rows.index` indexes the
 node axis.  It is a slice for consecutive rows (every row, or one
@@ -51,6 +53,7 @@ differences in the test suite; there is no autograd dependency.
 from __future__ import annotations
 
 import functools
+import math
 import reprlib
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -64,6 +67,7 @@ from .propagation import (
     PropagationConfig,
     PropagationStack,
     _read_artifact,
+    _views,
     _write_artifact,
     feature_digest,
 )
@@ -168,23 +172,29 @@ def _parameter_shapes(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], i
     return table
 
 
-def _draw(shapes: dict[str, tuple[tuple[int, ...], int]], rng: np.random.Generator) -> Params:
-    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) per array, drawn in the
-    order of `shapes` (name -> (shape, fan_in))."""
-    params = {}
-    for name, (shape, fan_in) in shapes.items():
+def _layout(shapes: dict[str, tuple[tuple[int, ...], int]]) -> list[tuple[str, tuple[int, ...]]]:
+    """The (name, shape) pairs of a name -> (shape, fan_in) table, in order."""
+    return [(name, shape) for name, (shape, _) in shapes.items()]
+
+
+def _draw(shapes: dict[str, tuple[tuple[int, ...], int]], rng: np.random.Generator) -> np.ndarray:
+    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) draws for each array of
+    `shapes` (name -> (shape, fan_in)) in turn, as one `_layout(shapes)` vector."""
+    draws = []
+    for shape, fan_in in shapes.values():
         bound = 1.0 / np.sqrt(fan_in)
-        params[name] = rng.uniform(-bound, bound, size=shape)
-    return params
+        draws.append(rng.uniform(-bound, bound, size=math.prod(shape)))
+    return np.concatenate(draws)
 
 
 def init_parameters(config: ModelConfig, rng: np.random.Generator) -> Params:
-    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) per array.
+    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) per array, as `_views` of one vector.
 
     Arrays are drawn in the fixed key order given in the module docstring,
     so two runs with equal seeds get bitwise-identical starting points.
     """
-    return _draw(_parameter_shapes(config), rng)
+    shapes = _parameter_shapes(config)
+    return _views(_draw(shapes, rng), _layout(shapes))
 
 
 def _decayed(loss: float, grads: Params, params: Params, weight_decay: float) -> tuple[float, Params]:
@@ -602,32 +612,26 @@ _ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Standard Adam with bias correction; state is keyed by array name."""
+    """Standard Adam with bias correction over a vector of `size` parameters."""
 
-    def __init__(self, lr: float):
+    def __init__(self, lr: float, size: int):
         self.lr = lr
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
 
-    def step(self, params: Params, grads: Params) -> None:
-        """Update every array of `params` in place from `grads[name]`."""
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Update the vector `params` in place from the vector `grads`."""
         self.t += 1
         b1, b2 = _ADAM_BETA1, _ADAM_BETA2
         correct1 = 1.0 - b1**self.t
         correct2 = 1.0 - b2**self.t
-        for name, p in params.items():
-            g = grads[name]
-            if name not in self._m:
-                self._m[name] = np.zeros_like(p)
-                self._v[name] = np.zeros_like(p)
-            m = self._m[name]
-            v = self._v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
+        m, v = self._m, self._v
+        m *= b1
+        m += (1.0 - b1) * grads
+        v *= b2
+        v += (1.0 - b2) * grads * grads
+        params -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -659,20 +663,21 @@ class TrainResult:
 
 
 def _fit(
-    params: Params,
+    vector: np.ndarray,
+    layout: list[tuple[str, tuple[int, ...]]],
     train_config: TrainConfig,
     loss_and_grads: Callable[[Params], tuple[float, Params]],
     val_accuracy: Callable[[Params], float],
 ) -> TrainResult:
     """The Adam and early-stopping loop of `train` and `train_linear`.
 
-    Updates `params` in place and returns copies of the best validation
-    epoch's arrays.
+    The callbacks read `vector` as the `_views` of `layout`.  Adam updates
+    it in place from each epoch's gradients, flattened in that layout.  The
+    result's params are views of a copy of the best validation epoch's vector.
     """
-    opt = Adam(train_config.lr)
-    # Copy every array: Adam updates them in place, so a shallow dict copy
-    # would follow the last epoch.
-    best = {name: a.copy() for name, a in params.items()}
+    params = _views(vector, layout)
+    opt = Adam(train_config.lr, vector.size)
+    best = vector.copy()
     best_val = -np.inf
     best_epoch = -1
     history: list[tuple[int, float, float]] = []
@@ -680,16 +685,16 @@ def _fit(
         loss, grads = loss_and_grads(params)
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch, train_config.lr)
-        opt.step(params, grads)
+        opt.step(vector, np.concatenate([grads[name] for name in params], axis=None))
         val_acc = val_accuracy(params)
         history.append((epoch, loss, val_acc))
         if val_acc > best_val:
             best_val = val_acc
             best_epoch = epoch
-            best = {name: a.copy() for name, a in params.items()}
+            best[:] = vector
         elif epoch - best_epoch >= train_config.patience:
             break
-    return TrainResult(params=best, history=history, best_epoch=best_epoch, best_val_acc=best_val)
+    return TrainResult(_views(best, layout), history, best_epoch, best_val)
 
 
 def train(
@@ -712,11 +717,12 @@ def train(
     """
     _require_nodes(train_mask, val_mask)
     rng = np.random.default_rng(train_config.seed)
-    params = init_parameters(config, rng)
+    shapes = _parameter_shapes(config)
     dropout_rng = rng if config.dropout > 0.0 else None
     rows = select_rows(inputs, train_mask)
     return _fit(
-        params,
+        _draw(shapes, rng),
+        _layout(shapes),
         train_config,
         lambda p: loss_and_gradients(
             p,
@@ -763,7 +769,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, PropagationConfig, Params]:
             f"{path}: model.num_layers={k} needs {2 * k + 1} channel maps, "
             f"but the file holds {len(arrays)} arrays"
         )
-    expected = {name: shape for name, (shape, _) in _parameter_shapes(config).items()}
+    expected = dict(_layout(_parameter_shapes(config)))
     found = {name: a.shape for name, a in arrays.items()}
     for name in sorted(expected.keys() | found.keys()):
         if found.get(name) != expected.get(name):
@@ -808,7 +814,6 @@ def train_linear(
     _require_nodes(train_mask, val_mask)
     d = features.shape[1]
     shapes = {"w": ((d, num_classes), d), "b": ((num_classes,), d)}
-    params = _draw(shapes, np.random.default_rng(train_config.seed))
     train_rows, val_rows = (_row_index(features.shape[0], m) for m in (train_mask, val_mask))
     x_train, y_train = features[train_rows], labels[train_rows]
     x_val, y_val = features[val_rows], labels[val_rows]
@@ -819,7 +824,8 @@ def train_linear(
         return _decayed(loss, grads, p, train_config.weight_decay)
 
     return _fit(
-        params,
+        _draw(shapes, np.random.default_rng(train_config.seed)),
+        _layout(shapes),
         train_config,
         loss_and_grads,
         lambda p: _accuracy(linear_predict(p, x_val), y_val),

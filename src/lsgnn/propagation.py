@@ -237,9 +237,13 @@ def _write_artifact(path, magic: bytes, header: dict, arrays: dict[str, np.ndarr
     length as u32, the UTF-8 JSON header, and every array as row-major
     little-endian float64 in manifest order.  The header is `header` plus
     the manifest `arrays: [[name, shape], ...]`, with sorted keys and no
-    timestamps, so equal inputs give equal bytes.
+    timestamps, so equal inputs give equal bytes.  An array holding a NaN
+    or an infinity raises InputError before the file is opened.
     """
     arrays = {name: np.asarray(a, dtype="<f8", order="C") for name, a in arrays.items()}
+    bad = _first_nonfinite(arrays)
+    if bad is not None:
+        raise InputError(f"{path}: array {reprlib.repr(bad)} holds a non-finite value")
     manifest = [[name, list(a.shape)] for name, a in arrays.items()]
     text = json.dumps({**header, "arrays": manifest}, sort_keys=True, allow_nan=False).encode()
     with _atomic_write(path) as fh:
@@ -247,6 +251,22 @@ def _write_artifact(path, magic: bytes, header: dict, arrays: dict[str, np.ndarr
         fh.write(text)
         for a in arrays.values():
             fh.write(a)
+
+
+def _views(vector: np.ndarray, layout) -> dict[str, np.ndarray]:
+    """Each (name, shape) of `layout` in turn as a view of the next prod(shape)
+    entries of `vector`: the one layout of artifact payloads and parameter vectors."""
+    arrays, offset = {}, 0
+    for name, shape in layout:
+        size = math.prod(shape)
+        arrays[name] = vector[offset:offset + size].reshape(shape)
+        offset += size
+    return arrays
+
+
+def _first_nonfinite(arrays: dict[str, np.ndarray]) -> str | None:
+    """The name of the first array holding a NaN or an infinity, or None."""
+    return next((name for name, a in arrays.items() if not np.isfinite(a).all()), None)
 
 
 def _is_array_entry(entry) -> bool:
@@ -269,7 +289,8 @@ def _read_artifact(
     back built.  Every `FormatError` names the file.  Nothing is allocated
     for the arrays until they are known to fill exactly the bytes after the
     header, so a corrupt header cannot ask for more memory than the file
-    holds.  The arrays are views of one buffer.
+    holds.  The arrays are `_views` of one buffer, and one holding a NaN or
+    an infinity is refused.
     """
 
     def error(message: str) -> FormatError:
@@ -331,10 +352,10 @@ def _read_artifact(
         payload = np.empty(count, dtype="<f8")
         if fh.readinto(payload) != 8 * count:
             raise error("file changed while it was read")
-    arrays, offset = {}, 0
-    for name, shape in manifest:
-        arrays[name] = payload[offset:offset + math.prod(shape)].reshape(shape)
-        offset += arrays[name].size
+    arrays = _views(payload, manifest)
+    bad = _first_nonfinite(arrays)
+    if bad is not None:
+        raise error(f"array {reprlib.repr(bad)} holds a non-finite value")
     return header, arrays
 
 

@@ -1,6 +1,8 @@
 """Property tests of the one artifact container behind LSPB and LSPM files."""
 
 import json
+import math
+import os
 import re
 import struct
 
@@ -11,18 +13,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lsgnn.model as model_module
-from lsgnn.errors import FormatError
+from lsgnn.errors import FormatError, InputError
 from lsgnn.localsim import SIM_KINDS
 from lsgnn.model import LOCALSIM_MODES, WEIGHT_MODES, ModelConfig, load_checkpoint, save_checkpoint
 from lsgnn.propagation import VARIANTS, PropagationConfig, PropagationStack, load_bundle, save_bundle
 
-from conftest import split_artifact
+from conftest import join_artifact, split_artifact
 
 # An int passes for a float field, and must come back as the same int.
 unit = st.floats(0.0, 1.0) | st.integers(0, 1)
 small = st.integers(1, 3)
-# Any float64 bit pattern, NaN payloads and signed zeros included.
-any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+# Any finite float64, subnormals and signed zeros included.  A NaN or an
+# infinity is refused on write and on read (tested below).
+any_float = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
 
 
 @st.composite
@@ -151,3 +154,47 @@ def test_malformed_headers_raise_format_error_naming_the_file(tmp_path, text, me
     bad.write_bytes(magic + struct.pack("<II", version, len(text)) + text + payload)
     with pytest.raises(FormatError, match=f"^{re.escape(str(bad))}: {message}"):
         load_checkpoint(bad)
+
+
+def _artifacts(tmp_path, value=0.5):
+    """A bundle and a checkpoint of one layer, each with `value` at position
+    1 of one array: its path, a save of it, its loader and that array's name."""
+    config = ModelConfig(num_layers=1, in_dim=2, hidden_dim=2, num_classes=2)
+    propagation = PropagationConfig(num_layers=1)
+    params = model_module.init_parameters(config, np.random.default_rng(0))
+    params["al_w1"].flat[1] = value
+    layers = np.random.default_rng(1).normal(size=(2, 3, 2))
+    layers[1].flat[1] = value
+    stack = PropagationStack(config=propagation, low=[layers[0]], high=[layers[1]],
+                             feature_digest=bytes(32), filter_kind="enhanced")
+    return [
+        (tmp_path / "stack.lspb", lambda path: save_bundle(stack, path), load_bundle, "high_1"),
+        (tmp_path / "model.lspm", lambda path: save_checkpoint(path, config, propagation, params),
+         load_checkpoint, "al_w1"),
+    ]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_array_is_refused_before_a_file_opens(tmp_path, value):
+    for path, save, _, name in _artifacts(tmp_path, value):
+        with pytest.raises(InputError,
+                           match=f"^{re.escape(str(path))}: array '{name}' holds a non-finite"):
+            save(path)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_value_in_a_file_is_refused_naming_the_array(tmp_path, value):
+    # The same value, written into the payload of a valid file.
+    for path, save, load, name in _artifacts(tmp_path):
+        save(path)
+        magic, version, header, payload = split_artifact(path.read_bytes())
+        values = np.frombuffer(payload, dtype="<f8").copy()
+        names = [entry[0] for entry in header["arrays"]]
+        offset = sum(math.prod(shape) for _, shape in header["arrays"][:names.index(name)])
+        assert values[offset + 1] == 0.5
+        values[offset + 1] = value
+        path.write_bytes(join_artifact(magic, version, header, values.tobytes()))
+        with pytest.raises(FormatError,
+                           match=f"^{re.escape(str(path))}: array '{name}' holds a non-finite"):
+            load(path)

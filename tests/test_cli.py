@@ -14,7 +14,10 @@ import lsgnn
 from lsgnn import synthetic
 from lsgnn.cli import build_parser, main
 from lsgnn.harness import ExperimentConfig, dataset_stats, load_dataset, save_dataset
+from lsgnn.model import load_checkpoint
 from lsgnn.propagation import load_bundle
+
+from conftest import join_artifact, split_artifact
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +168,26 @@ def test_eval_rejects_a_config_key_the_checkpoint_contradicts(dataset_dir, tuned
     err = capsys.readouterr().err
     assert f"config key 'beta' is 0.0, but checkpoint {checkpoint} was trained with 1.0" in err
     assert not (out / "report.csv").exists()
+
+
+def test_eval_refuses_a_checkpoint_holding_a_nan(dataset_dir, tuned_checkpoint, tmp_path, capsys):
+    # One NaN in al_w1 used to load, and eval then reported an accuracy and
+    # exited 0.
+    checkpoint, _ = tuned_checkpoint
+    _, _, params = load_checkpoint(checkpoint)
+    _, version, header, payload = split_artifact(checkpoint.read_bytes())
+    values = np.frombuffer(payload, dtype="<f8").copy()
+    names = list(params)
+    values[sum(params[name].size for name in names[:names.index("al_w1")])] = np.nan
+    bad = tmp_path / "bad.lspm"
+    bad.write_bytes(join_artifact(b"LSPM", version, header, values.tobytes()))
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(bad),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}: array 'al_w1' holds a non-finite value\n"
+    assert "accuracy" not in captured.out
 
 
 def test_eval_takes_the_bench_config_for_a_checkpoint_from_another_graph(dataset_dir, tmp_path,

@@ -87,11 +87,13 @@ def assert_bitwise(got, want):
 
 @settings(max_examples=100, deadline=None)
 @given(features=arrays(np.float64, st.tuples(st.integers(2, 6), st.integers(1, 5)),
-                       elements=st.floats(allow_nan=False, allow_infinity=False)))
-@example(features=np.array([[0.0, -0.0, 5e-324], [-2.2250738585072014e-308, 1.7976931348623157e308,
+                       elements=st.floats(-5e153, 5e153)))
+@example(features=np.array([[0.0, -0.0, 5e-324], [-2.2250738585072014e-308, 1.3407807929942596e154,
                                                     -1.0000000000000002]]))
 def test_format_float_round_trips_through_the_fast_path(features, tmp_path_factory):
-    # save_dataset writes each value as format_float(value).
+    # save_dataset writes each value as format_float(value).  A row's squares
+    # must sum to a finite value, so no value exceeds 5e153 in a five-wide
+    # row; the example holds the largest float whose square is finite.
     where = tmp_path_factory.mktemp("roundtrip")
     n = features.shape[0]
     save_dataset(where, build_graph(np.array([[0, 1]]), n), features, np.arange(n) % 2)
@@ -227,3 +229,37 @@ def test_benchmark_inputs_take_the_fast_path_bitwise(workload, tmp_path, monkeyp
     where = tmp_path / "data"
     workloads.write_fsbm(where, 16 * 10, spec.dim, spec.lambdas, seed=0)
     assert_bitwise(parse_fast_only(where), parse_by_loops(where))
+
+
+@pytest.mark.parametrize(
+    "features,line,text",
+    [("1.0,2.0\n1e308,4.0\n", 2, "'1e308,4.0'"),
+     ("1.0,2.0\n1.3407807929942598e154,0.0\n", 2, "'1.3407807929942598e154,0.0'"),
+     ("1.0,2.0\n\n3.0,4.0\n1e154,1e154\n", 4, "'1e154,1e154'")],
+    ids=["one-value", "first-past-the-boundary", "after-blank-line"],
+)
+def test_a_row_whose_squares_overflow_names_its_line(features, line, text, tmp_path):
+    # Each value is finite, but the row's squared norm is not: the row norms
+    # of cosine similarity and row normalization would warn and turn to inf.
+    where = tmp_path / "data"
+    write_files(where, features, "0\n1\n", "0 1\n")
+    expected = f"{where / 'features.csv'}:{line}: the squares of {text} sum past the float64 range"
+    with pytest.raises(FormatError) as info:
+        parse(where)
+    assert str(info.value) == expected
+
+
+def test_precompute_refuses_an_overflowing_feature_in_a_generated_dataset(tmp_path, capsys):
+    where = tmp_path / "data"
+    assert main(["gen-fsbm", "--nodes", "40", "--degree", "4", "--out", str(where)]) == 0
+    lines = (where / "features.csv").read_text().splitlines(keepends=True)
+    assert lines[0].count(",") == 0  # the generator writes one feature column
+    lines[6] = "1e200\n"
+    (where / "features.csv").write_text("".join(lines))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["precompute", "--data", str(where), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {where / 'features.csv'}:7: the squares of '1e200' "
+                   f"sum past the float64 range\n")

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import threading
 import tracemalloc
@@ -32,7 +33,7 @@ from lsgnn.model import (
     train,
     train_linear,
 )
-from lsgnn.propagation import PropagationConfig, build_stack
+from lsgnn.propagation import PropagationConfig, _views, build_stack
 
 from conftest import (
     edit_header,
@@ -774,11 +775,99 @@ def test_concurrent_trainings_on_shared_inputs_match_sequential_ones():
             assert a.tobytes() == expected[name].tobytes(), name
 
 
+def params_digest(params) -> str:
+    """sha256 prefix over every array's name, dtype, shape and bytes, in order."""
+    h = hashlib.sha256()
+    for name, a in params.items():
+        h.update(f"{name}{a.dtype.str}{a.shape}".encode() + a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def pinned_training(case):
+    """Each case's seed puts its best epoch mid-run (8, 14 and 10 of 25), so
+    the pin covers Adam steps and a snapshot that later epochs move past."""
+    seed = {"node-refined-dropout": 48, "graph-level": 43, "linear": 47}[case]
+    _, _, config, inputs, labels = make_instance(n=40, seed=seed, localsim_mode="refined",
+                                                 dropout=0.5)
+    tr, va, _ = masks(40, rng_seed=seed)
+    tcfg = TrainConfig(lr=0.05, epochs=25, patience=25, seed=seed)
+    if case == "linear":
+        x = np.random.default_rng(seed + 1).normal(size=(40, 3))
+        return train_linear(x, labels, 3, tcfg, tr, va)
+    if case == "graph-level":
+        config = replace(config, weight_mode="graph_level", dropout=0.0)
+    return train(config, tcfg, inputs, labels, tr, va).params
+
+
+_PINNED_PARAMS = {
+    "node-refined-dropout": "3693dd8e22984ab8",
+    "graph-level": "a21a99d61fd2532f",
+    "linear": "a43e9e4b7b65ff3f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_PARAMS))
+def test_trained_parameters_are_pinned(case):
+    # Recorded before parameters moved into one vector; any change to the
+    # initializer's draws, Adam's arithmetic or the best-epoch snapshot
+    # shows here.
+    assert params_digest(pinned_training(case)) == _PINNED_PARAMS[case]
+
+
+def assert_views_of_one_vector(params, config=None):
+    """Every array is a C-contiguous view into one vector, in
+    `_parameter_shapes` order (when a config is given), with no gaps."""
+    if config is not None:
+        assert list(params) == list(model_module._parameter_shapes(config))
+    arrays = list(params.values())
+    vector = arrays[0].base
+    assert vector is not None and vector.ndim == 1 and vector.flags.c_contiguous
+    start = vector.__array_interface__["data"][0]
+    offset = 0
+    for name, a in params.items():
+        assert a.flags.c_contiguous and np.shares_memory(a, vector), name
+        assert a.__array_interface__["data"][0] == start + offset * vector.itemsize, name
+        offset += a.size
+    assert offset == vector.size
+
+
+@pytest.mark.parametrize("weight_mode", ["node_level", "graph_level"])
+def test_initial_parameters_are_views_of_one_vector(weight_mode):
+    _, _, config, _, _ = make_instance(localsim_mode="refined", weight_mode=weight_mode)
+    assert_views_of_one_vector(init_parameters(config, np.random.default_rng(0)), config)
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_PARAMS))
+def test_parameters_are_views_of_one_vector_through_training(case, monkeypatch):
+    # A rebinding such as `params[name] = ...` during training would fork
+    # the vector Adam steps, so every epoch's pass must read views of it.
+    # Both heads pass their parameters to the decay term.
+    seen = []
+    decayed = model_module._decayed
+
+    def spy(loss, grads, params, weight_decay):
+        seen.append(params)
+        return decayed(loss, grads, params, weight_decay)
+
+    monkeypatch.setattr(model_module, "_decayed", spy)
+    result = pinned_training(case)
+    assert len(seen) == 25
+    vector = next(iter(seen[0].values())).base
+    for params in seen:
+        assert list(params) == list(result)
+        assert_views_of_one_vector(params)
+        assert next(iter(params.values())).base is vector
+    assert_views_of_one_vector(result)
+    assert not np.shares_memory(next(iter(result.values())), vector)
+
+
 def test_adam_first_step_is_signed_learning_rate():
-    model = {"w": np.array([[2.0, -3.0]]), "b": np.array([0.5, 0.0])}
-    grads = {"w": np.array([[0.3, -40.0]]), "b": np.array([-2.0, 0.0])}
-    opt = Adam(0.1)
-    opt.step(model, grads)
+    # w = [[2.0, -3.0]] and b = [0.5, 0.0] as one parameter vector
+    vector = np.array([2.0, -3.0, 0.5, 0.0])
+    model = _views(vector, [("w", (1, 2)), ("b", (2,))])
+    grads = np.array([0.3, -40.0, -2.0, 0.0])
+    opt = Adam(0.1, vector.size)
+    opt.step(vector, grads)
     # bias-corrected first step is lr * g / (|g| + eps), i.e. +-lr per coordinate
     assert model["w"][0, 0] == pytest.approx(2.0 - 0.1, abs=1e-6)
     assert model["w"][0, 1] == pytest.approx(-3.0 + 0.1, abs=1e-6)
