@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+import orjson
 import scipy.sparse as sp
 
 from .errors import FormatError, InputError
@@ -260,11 +261,58 @@ _TOKENS = {
 }
 
 
-def _finite_squares(table: np.ndarray) -> np.ndarray:
-    """Whether each row's sum of squares, summed as `_row_norms` sums it, is
-    finite; it is not where a value is NaN or infinite or the sum overflows."""
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares, summed as `_row_norms` sums it, without a
+    warning: it is not finite where a value is NaN or infinite or the sum
+    overflows."""
     with np.errstate(over="ignore"):
-        return np.isfinite((table * table).sum(axis=1))
+        return (x * x).sum(axis=1)
+
+
+# The bytes of a float table as `_write_table` writes it, and the block of
+# lines `_read_canonical` parses at a time.
+_CANONICAL_BYTES = b"0123456789.eE+-,\n\r \t"
+_BLOCK_BYTES = 1 << 18
+# An integer token -0: orjson reads it as the int 0, float() as -0.0.
+_INT_MINUS_ZERO = re.compile(rb"-0(?![.0-9eE])")
+
+
+def _read_canonical(path) -> np.ndarray | None:
+    """A float table of `,`-separated JSON numbers, one row a line, or None
+    for any other file.
+
+    Each block of whole lines is framed as a JSON array of rows and parsed by
+    orjson, whose number parser rounds correctly as float() does, into
+    its slice of a table sized by a first pass that counts the lines; the
+    first pass also refuses a file holding any byte outside the canonical
+    set.  A blank line, a ragged row, a trailing comma, a value past the
+    float64 range or an integer -0 makes the result None.
+    """
+    with open(path, "rb") as fh:
+        rows, last = 0, b"\n"
+        while block := fh.read(_BLOCK_BYTES):
+            if block.translate(None, _CANONICAL_BYTES):
+                return None
+            rows, last = rows + block.count(b"\n"), block[-1:]
+        rows += last != b"\n"
+        fh.seek(0)
+        table, filled = None, 0
+        while block := fh.read(_BLOCK_BYTES):
+            block = (block + fh.readline()).removesuffix(b"\n")
+            try:
+                part = np.array(orjson.loads(b"[[" + block.replace(b"\n", b"],[") + b"]]"),
+                                dtype=np.float64)
+            except ValueError:  # not JSON (orjson.JSONDecodeError), or ragged rows
+                return None
+            if table is None:
+                table = np.empty((rows, part.shape[1]))
+            end = filled + part.shape[0]
+            if part.shape[1] != table.shape[1] or end > rows or (
+                (part == 0).any() and _INT_MINUS_ZERO.search(block)
+            ):
+                return None
+            table[filled:end], filled = part, end
+    return table if filled == rows else None
 
 
 def _read_table(path, kind, width=None, delimiter=None, comments=None,
@@ -274,20 +322,24 @@ def _read_table(path, kind, width=None, delimiter=None, comments=None,
 
     Floats must be finite, and so must each row's sum of squares (the
     squared norm a row norm takes); ints must lie in [low, high].  Blank
-    lines are skipped and `comments` starts a comment.  The whole file is
-    parsed by one `np.loadtxt` call.  When numpy rejects it or warns (an
-    empty file warns), or a check fails, `_read_lines` re-reads it to name
-    the line.
+    lines are skipped and `comments` starts a comment.  A `,`-separated
+    float table in the canonical encoding `_write_table` writes is read
+    exactly by `_read_canonical`; any other file is parsed by one
+    `np.loadtxt` call.  When numpy rejects it or warns (an empty file
+    warns), or a check fails, `_read_lines` re-reads it to name the line.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-                table = np.loadtxt(fh, dtype=kind, delimiter=delimiter, comments=comments, ndmin=2)
-        except (ValueError, Warning):
-            table = None
+    table = _read_canonical(path) if kind is np.float64 and delimiter == "," else None
+    if table is None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+                    table = np.loadtxt(fh, dtype=kind, delimiter=delimiter, comments=comments, ndmin=2)
+            except (ValueError, Warning):
+                table = None
     if table is not None and table.size and width in (None, table.shape[1]) and (
-        _finite_squares(table).all() if kind is np.float64 else low <= table.min() and table.max() <= high
+        np.isfinite(_squared_norms(table)).all() if kind is np.float64
+        else low <= table.min() and table.max() <= high
     ):
         return table
     return _read_lines(path, kind, width, delimiter, comments, low, high, what)
@@ -314,7 +366,7 @@ def _read_lines(path, kind, width, delimiter, comments, low, high, what) -> np.n
                 if not pattern.fullmatch(token) or number is float and not np.isfinite(float(token)):
                     raise FormatError(f"{path}:{lineno}: {what} {token!r} is not {rule}")
             row = [number(token) for token in tokens]
-            if number is float and not _finite_squares(np.array([row]))[0]:
+            if number is float and not np.isfinite(_squared_norms(np.array([row])))[0]:
                 raise FormatError(f"{path}:{lineno}: the squares of {reprlib.repr(text)} "
                                   f"sum past the float64 range")
             if number is int and not all(low <= value <= high for value in row):

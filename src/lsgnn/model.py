@@ -609,6 +609,7 @@ def loss_and_gradients(
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+_ADAM_BLOCK = 4096
 
 
 class Adam:
@@ -621,17 +622,21 @@ class Adam:
         self._v = np.zeros(size)
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
-        """Update the vector `params` in place from the vector `grads`."""
+        """Update the vector `params` in place from the vector `grads`, one
+        block of `_ADAM_BLOCK` entries at a time, so its temporaries are
+        block-sized whatever the parameter count."""
         self.t += 1
         b1, b2 = _ADAM_BETA1, _ADAM_BETA2
         correct1 = 1.0 - b1**self.t
         correct2 = 1.0 - b2**self.t
-        m, v = self._m, self._v
-        m *= b1
-        m += (1.0 - b1) * grads
-        v *= b2
-        v += (1.0 - b2) * grads * grads
-        params -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
+        for start in range(0, params.shape[0], _ADAM_BLOCK):
+            block = slice(start, start + _ADAM_BLOCK)
+            m, v, g = self._m[block], self._v[block], grads[block]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            params[block] -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DigestMismatchError, FormatError, InputError
-from .graph import FilterPair, SparseGraph, _row_norms, enhanced_filters
+from .graph import FilterPair, SparseGraph, _squared_norms, enhanced_filters
 
 __all__ = [
     "VARIANTS",
@@ -145,8 +145,14 @@ def row_normalize(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     The result goes to a new array, or to `out` when given; `out=m`
     normalizes in place, with one (n, d) temporary for the squared entries.
+    A row whose squared norm is not finite raises InputError naming the
+    first such row, before anything is written.
     """
-    norms = _row_norms(m)
+    squares = _squared_norms(m)
+    finite = np.isfinite(squares)
+    if not finite.all():
+        raise InputError(f"row {int(np.argmin(finite))}'s squared norm is past the float64 range")
+    norms = np.sqrt(squares)
     safe = np.where(norms > 0.0, norms, 1.0)
     return np.divide(m, safe[:, None], out=out)
 
@@ -168,15 +174,19 @@ def build_stack(pair: FilterPair, x: np.ndarray, config: PropagationConfig) -> P
     With `config.normalize`, each band's layers are row-normalized in place
     (one `row_normalize` call per layer) as soon as its recurrence has
     finished, so no layer is ever held twice: the peak is the stack plus
-    about two layers of temporaries.
+    about two layers of temporaries.  A layer with a row whose squared norm
+    overflows raises InputError naming the band, the layer and the row.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     bands = []
-    for s in (pair.low, pair.high):
+    for band, s in (("low", pair.low), ("high", pair.high)):
         layers = propagate_layers(config.variant, s, x, config.num_layers, config.gamma)
         if config.normalize:
-            for h in layers:
-                row_normalize(h, out=h)
+            for k, h in enumerate(layers, start=1):
+                try:
+                    row_normalize(h, out=h)
+                except InputError as err:
+                    raise InputError(f"{band}-pass layer {k} overflows: {err}") from None
         bands.append(layers)
     low, high = bands
     return PropagationStack(

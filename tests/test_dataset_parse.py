@@ -1,12 +1,17 @@
-"""The dataset reader's whole-file parse against its line loop.
+"""The dataset reader's fast paths against its line loop.
 
 `graph._read_table` reads every dataset text file (features.csv and
-labels.txt for `load_dataset`, edges.txt for `read_edge_list`) with one
-`np.loadtxt` call and falls back to its line loop, `graph._read_lines`, only
-to name a bad line.  These tests pin the two to the same arrays, bit for
-bit, and to the same accepted tokens; check that valid inputs (the
-generator's and the benchmark's among them) take the fast path; and check
-that every malformed file fails naming its path, line and offending text.
+labels.txt for `load_dataset`, edges.txt for `read_edge_list`).  A float
+table in the canonical encoding `_write_table` writes goes to
+`graph._read_canonical`, which parses a block of lines at a time with
+orjson; any other file goes to one `np.loadtxt` call.  Either falls back to
+the line loop, `graph._read_lines`, only to name a bad line.  These tests pin
+all three to the same arrays, bit for bit, and to the same accepted tokens;
+check that valid inputs (the generator's and the benchmark's among them)
+take a fast path, and that the benchmark's features take the canonical one;
+check that the canonical reader's memory is the table plus one block; and
+check that every malformed file fails naming its path, line and offending
+text.
 """
 
 import inspect
@@ -25,6 +30,8 @@ from lsgnn.cli import main
 from lsgnn.errors import FormatError
 from lsgnn.graph import build_graph, read_edge_list
 from lsgnn.harness import load_dataset, save_dataset
+
+from conftest import traced_peak
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -200,9 +207,16 @@ def test_malformed_files_name_path_line_and_text(case, file, tmp_path, capsys):
 @example(token="+1")
 @example(token="1e400")
 @example(token="\u0663")
+@example(token="-0")
+@example(token="-0e0")
+@example(token="true")
+@example(token="[1]")
+@example(token="1,")
+@example(token="18446744073709551616")
 def test_both_paths_accept_the_same_tokens(token, tmp_path_factory):
-    # A one-line file: whatever np.loadtxt and its checks accept, the loop
-    # accepts with the same bits, and it accepts nothing else.
+    # A one-line file: whatever np.loadtxt and its checks accept, and
+    # whatever the canonical reader accepts, the loop accepts with the same
+    # bits, and it accepts nothing else.
     path = tmp_path_factory.mktemp("token") / "table.txt"
     path.write_bytes(f"{token}\n".encode("utf-8", "surrogateescape"))
     for kind, rules in ((np.float64, {"delimiter": ","}), (np.int64, {"width": 1, "low": 0})):
@@ -216,12 +230,29 @@ def test_both_paths_accept_the_same_tokens(token, tmp_path_factory):
         assert (fast is None) == (loop is None), (kind, fast, loop)
         if fast is not None:
             assert_bitwise([fast], [loop])
+    canonical = graph._read_canonical(path)
+    if canonical is not None:
+        assert_bitwise([canonical], [read_by_loop(path, np.float64, delimiter=",")])
+
+
+def features_by_loadtxt(where):
+    """The feature paths `load_dataset` hands to `np.loadtxt`."""
+    loadtxt, paths = np.loadtxt, []
+
+    def spy(fh, *args, **kwargs):
+        paths.append(fh.name)
+        return loadtxt(fh, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np, "loadtxt", spy)
+        parse_fast_only(where)
+    return [path for path in paths if path.endswith("features.csv")]
 
 
 @pytest.mark.parametrize("workload", ["train-wide", "precompute-eval", "synth-study"])
 def test_benchmark_inputs_take_the_fast_path_bitwise(workload, tmp_path, monkeypatch):
-    # A numpy that parses these files differently fails here, not in the
-    # benchmark.
+    # A numpy or orjson that parses these files differently fails here, not
+    # in the benchmark.  The features reach neither np.loadtxt nor the loop.
     monkeypatch.syspath_prepend(BENCH_DIR)
     import workloads
 
@@ -229,6 +260,77 @@ def test_benchmark_inputs_take_the_fast_path_bitwise(workload, tmp_path, monkeyp
     where = tmp_path / "data"
     workloads.write_fsbm(where, 16 * 10, spec.dim, spec.lambdas, seed=0)
     assert_bitwise(parse_fast_only(where), parse_by_loops(where))
+    assert features_by_loadtxt(where) == []
+
+
+def write_rows(path, rows):
+    path.write_bytes("".join(f"{row}\n" for row in rows).encode())
+    return path
+
+
+# Rows of a multi-block file (blocks of 64 bytes, rows of about 20), with
+# the last or a later row changed; the canonical reader gives each to
+# np.loadtxt, and the result or the error is the loop's.
+ROWS = [f"{i}.25,-{i}.5e-3,{i}e+2" for i in range(40)]
+DOUBTS = {
+    "ragged row": (ROWS[:30] + ["1.5,2.5"] + ROWS[31:], "31: expected 3 values, got 2 in '1.5,2.5'"),
+    "wider row in a later block": (ROWS[:35] + ["1.5,2.5,3.5,4.5"] + ROWS[36:],
+                                   "36: expected 3 values, got 4 in '1.5,2.5,3.5,4.5'"),
+    "non-canonical byte in the last block": (ROWS[:-1] + ["1.5,2.5\x0c,3.5"], None),
+    "bad token in the last block": (ROWS[:-1] + ["1.5,2.5,x"], "40: value 'x' is not a finite number"),
+    "integer -0 in a later block": (ROWS[:30] + ["1.5,-0,2.5"] + ROWS[31:], None),
+    "blank line": (ROWS[:20] + [""] + ROWS[20:], None),
+    "trailing comma": (ROWS[:-1] + ["1.5,2.5,3.5,"], "40: expected 3 values, got 4 in '1.5,2.5,3.5,'"),
+    "value past the float64 range": (ROWS[:30] + ["1.5,2.5,1e400"] + ROWS[31:],
+                                     "31: value '1e400' is not a finite number"),
+}
+
+
+@pytest.mark.parametrize("name", DOUBTS)
+def test_canonical_reader_leaves_any_doubt_to_loadtxt(name, tmp_path, monkeypatch):
+    rows, error = DOUBTS[name]
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", 64)
+    path = write_rows(tmp_path / "features.csv", rows)
+    assert graph._read_canonical(path) is None
+    if error is not None:
+        with pytest.raises(FormatError, match="^" + re.escape(f"{path}:{error}") + "$"):
+            graph._read_table(path, np.float64, delimiter=",")
+    else:
+        table = graph._read_table(path, np.float64, delimiter=",")
+        assert_bitwise([table], [read_by_loop(path, np.float64, delimiter=",")])
+
+
+def test_canonical_reader_checks_every_byte_before_it_parses(tmp_path, monkeypatch):
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", 64)
+    path = write_rows(tmp_path / "features.csv", ROWS[:-1] + ["1.5,2.5\x0c,3.5"])
+    monkeypatch.setattr(graph.orjson, "loads", lambda _: pytest.fail("parsed a non-canonical file"))
+    assert graph._read_canonical(path) is None
+
+
+@pytest.mark.parametrize("block_bytes", [1, 64, 1 << 18])
+def test_canonical_blocks_join_into_the_whole_table(block_bytes, tmp_path, monkeypatch):
+    # Every block boundary, CRLF endings and a last line without its newline.
+    rows = [f"{i}.25,-{i}.5e-3, {i}e+2\t" for i in range(40)]
+    path = tmp_path / "features.csv"
+    path.write_bytes(("\r\n".join(rows)).encode())
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", block_bytes)
+    assert_bitwise([graph._read_canonical(path)], [read_by_loop(path, np.float64, delimiter=",")])
+
+
+def test_canonical_reader_holds_the_table_and_one_block(tmp_path):
+    # The canonical reader holds the table plus one block of lines and their
+    # parse, whatever the file's size: reading the file whole, or
+    # concatenating per-block arrays, adds memory that grows with it.
+    rng = np.random.default_rng(0)
+    text = "".join(",".join(map(graph.format_float, row)) + "\n"
+                   for row in rng.normal(size=(3500, 16)).tolist()).encode()
+    for copies in (8, 16):  # about 8 and 16 MB
+        path = tmp_path / f"features-{copies}.csv"
+        path.write_bytes(text * copies)
+        assert path.stat().st_size >= 8 << 20
+        table, peak = traced_peak(graph._read_canonical, path)
+        assert table.shape == (3500 * copies, 16)
+        assert peak - table.nbytes < 3 * graph._BLOCK_BYTES + (1 << 20), (copies, peak, table.nbytes)
 
 
 @pytest.mark.parametrize(

@@ -875,6 +875,24 @@ def test_adam_first_step_is_signed_learning_rate():
     assert model["b"][1] == pytest.approx(0.0)
 
 
+def test_adam_steps_in_blocks_as_the_whole_vector_would():
+    # Two and a half blocks: the block loop must give the bits of the
+    # whole-vector update, and hold only block-sized temporaries.
+    block = model_module._ADAM_BLOCK
+    rng = np.random.default_rng(0)
+    vector = rng.normal(size=2 * block + block // 2)
+    want, m, v = vector.copy(), np.zeros(vector.size), np.zeros(vector.size)
+    opt = Adam(0.01, vector.size)
+    for t in range(1, 4):
+        grads = rng.normal(size=vector.size)
+        m = 0.9 * m + (1.0 - 0.9) * grads
+        v = 0.999 * v + (1.0 - 0.999) * grads * grads
+        want -= 0.01 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+        _, peak = traced_peak(opt.step, vector, grads)
+        assert vector.tobytes() == want.tobytes()
+        assert peak < 8 * block * vector.itemsize, peak / vector.nbytes
+
+
 def test_linear_model_learns_separable_blobs():
     rng = np.random.default_rng(20)
     x = np.vstack([rng.normal(-2.0, 0.5, size=(60, 2)), rng.normal(2.0, 0.5, size=(60, 2))])

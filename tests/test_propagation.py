@@ -1,8 +1,10 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from lsgnn.cli import main
 from lsgnn.errors import DigestMismatchError, FormatError, InputError
 from lsgnn.graph import enhanced_filters, self_loop_filters, sym_norm_adj
 from lsgnn.propagation import (
@@ -144,6 +146,49 @@ def test_row_normalize_out_is_bitwise_the_new_array():
     want = row_normalize(m)
     assert row_normalize(m, out=m) is m
     assert m.tobytes() == want.tobytes()
+
+
+def test_row_normalize_refuses_an_overflowing_row_before_writing():
+    m = np.ones((4, 2))
+    m[2:] = 1.3e154  # the first float whose square overflows is 1.3407807929942598e154
+    out = np.zeros_like(m)
+    with pytest.raises(InputError, match="^row 2's squared norm is past the float64 range$"):
+        row_normalize(m, out=out)
+    assert not out.any()
+
+
+def test_build_stack_names_the_band_layer_and_row_that_overflow(random_graph):
+    # Every value and every raw layer is finite; the third sgc low-pass
+    # layer's rows 5 and 9 are not, once squared.
+    g, _ = random_graph(n=12, p=0.3, seed=0)
+    pair = enhanced_filters(g, 0.5)
+    x = make_features(12, d=2)
+    x[[5, 9], 0] = 1.3e154
+    raw = build_stack(pair, x, PropagationConfig(num_layers=3, variant="sgc", normalize=False))
+    with np.errstate(over="ignore"):
+        first = next((band, k, int(np.flatnonzero(~np.isfinite((h * h).sum(axis=1)))[0]))
+                     for band in ("low", "high") for k, h in enumerate(getattr(raw, band), start=1)
+                     if not np.isfinite((h * h).sum(axis=1)).all())
+    assert first == ("low", 3, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="^low-pass layer 3 overflows: row 5's squared norm"):
+            build_stack(pair, x, PropagationConfig(num_layers=3, variant="sgc"))
+
+
+def test_commands_refuse_features_that_overflow_after_propagation(tmp_path, capsys):
+    # Each row passes load_dataset's squared-norm check, but the filters add
+    # neighbours to it, and the layers' squared norms overflow.
+    where = tmp_path / "data"
+    assert main(["gen-fsbm", "--nodes", "40", "--degree", "4", "--out", str(where)]) == 0
+    (where / "features.csv").write_text("1.3e154\n" * 40)
+    for command in ("precompute", "train"):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--data", str(where), "--out", str(tmp_path / command)]) == 2
+        assert capsys.readouterr().err == (
+            "error: low-pass layer 1 overflows: row 0's squared norm is past the float64 range\n")
 
 
 @pytest.mark.parametrize("variant", ["irdc", "sgc", "difference_residual"])
