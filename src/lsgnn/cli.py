@@ -14,7 +14,6 @@ import os
 import sys
 from dataclasses import asdict, astuple, fields, replace
 
-import numpy as np
 import yaml
 
 from .errors import InputError, LsgnnError
@@ -195,8 +194,7 @@ def _cmd_eval(args, out):
         )
     stack = precompute_bundle(bundle.graph, bundle.features, prop_cfg)
     inputs = ModelInputs.build(bundle.graph, bundle.features, stack, model_cfg.sim_kind)
-    mask = np.ones(bundle.num_nodes, dtype=bool)
-    accuracy = evaluate(params, model_cfg, inputs, bundle.labels, mask)
+    accuracy = evaluate(params, model_cfg, inputs, bundle.labels, None)
     print(f"accuracy over all nodes: {accuracy:.4f}")
     return ["num_nodes", "accuracy"], [[bundle.num_nodes, accuracy]], stored, {}
 

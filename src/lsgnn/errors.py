@@ -21,14 +21,16 @@ class DigestMismatchError(FormatError):
 
 
 class TrainingDivergedError(LsgnnError):
-    """Loss became non-finite during optimization."""
+    """Loss became non-finite during optimization.  At epoch 0 no update has
+    happened, so the message names `inputs` and not the learning rate."""
 
-    def __init__(self, epoch: int, lr: float):
+    def __init__(self, epoch: int, lr: float, inputs: str = "the inputs"):
         self.epoch = epoch
         self.lr = lr
         super().__init__(
-            f"loss became non-finite at epoch {epoch} (lr={lr:g}); "
-            f"try a smaller learning rate"
+            (f"loss was non-finite at epoch 0, before any update (lr={lr:g} is not at fault); "
+             f"check {inputs}") if epoch == 0 else
+            f"loss became non-finite at epoch {epoch} (lr={lr:g}); try a smaller learning rate"
         )
 
 

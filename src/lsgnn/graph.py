@@ -4,7 +4,7 @@ Graphs are stored once in CSR form with sorted column indices, so every
 matrix product over them is deterministic: the same entries are visited in
 the same order on every run.  The module also holds the one reader and the
 one writer of the text tables a dataset and a report are stored in, and
-the zero-guarded ratio and the row norm the other modules share.
+the zero-guarded ratio, row sum of squares and row norm the others share.
 """
 
 from __future__ import annotations
@@ -165,9 +165,17 @@ def _ratio(num, den) -> np.ndarray:
     return np.divide(num, den, out=out, where=den > 0)
 
 
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares, the one such sum in the package, without
+    a warning: it is not finite where a value is NaN or infinite or the sum
+    overflows."""
+    with np.errstate(over="ignore"):
+        return (x * x).sum(axis=1)
+
+
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """L2 norm of each row of a 2-D array."""
-    return np.sqrt((x * x).sum(axis=1))
+    """L2 norm of each row of a 2-D array; inf where `_squared_norms` overflows."""
+    return np.sqrt(_squared_norms(x))
 
 
 def sym_norm_adj(g: SparseGraph) -> sp.csr_array:
@@ -259,14 +267,6 @@ _TOKENS = {
     np.float64: (re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf(?:inity)?|nan)",
                             re.I), float, "a finite number"),
 }
-
-
-def _squared_norms(x: np.ndarray) -> np.ndarray:
-    """Each row's sum of squares, summed as `_row_norms` sums it, without a
-    warning: it is not finite where a value is NaN or infinite or the sum
-    overflows."""
-    with np.errstate(over="ignore"):
-        return (x * x).sum(axis=1)
 
 
 # The bytes of a float table as `_write_table` writes it, and the block of

@@ -67,10 +67,12 @@ __all__ = [
 RATIOS = (0.48, 0.32, 0.20)
 
 
-def _seed_list(seed) -> list[int]:
-    if isinstance(seed, (int, np.integer)):
-        return [int(seed)]
-    return [int(s) for s in seed]
+def _seeds(base, *tags) -> tuple[int, ...]:
+    """The seed of one random unit: `base` (an int or ints), then its tags,
+    which README "Determinism" lists.  Split i's shuffle and its training
+    both take `(base, i)`, so under one base they share a stream."""
+    head = [base] if isinstance(base, (int, np.integer)) else base
+    return (*map(int, head), *map(int, tags))
 
 
 # --- datasets --------------------------------------------------------------
@@ -193,9 +195,8 @@ def make_splits(n: int, base_seed=0, count: int = 10) -> list[SplitSpec]:
     if min(n_train, n_val, n_test) < 1:
         raise InputError(f"n={n} too small for nonempty splits with ratios {RATIOS}")
     out = []
-    base = _seed_list(base_seed)
     for i in range(count):
-        perm = np.random.default_rng(base + [i]).permutation(n)
+        perm = np.random.default_rng(_seeds(base_seed, i)).permutation(n)
         train_mask = np.zeros(n, dtype=bool)
         val_mask = np.zeros(n, dtype=bool)
         test_mask = np.zeros(n, dtype=bool)
@@ -263,25 +264,25 @@ class ExperimentConfig:
     """Flat union of propagation, model, and training settings.
 
     This is also the CLI config-file surface; every field name here is a
-    legal config key.
+    legal config key.  Defaults not written as literals are the library's.
     """
 
     num_layers: int = 5
-    gamma: float = 0.5
-    beta: float = 0.5
-    variant: str = "irdc"
-    normalize: bool = True
+    gamma: float = PropagationConfig.gamma
+    beta: float = PropagationConfig.beta
+    variant: str = PropagationConfig.variant
+    normalize: bool = PropagationConfig.normalize
     hidden_dim: int = 64
-    sim_kind: str = "cosine"
-    localsim_mode: str = "refined"
-    weight_mode: str = "node_level"
-    ls_hidden: int = 16
-    alpha_hidden: int = 16
-    dropout: float = 0.5
-    lr: float = 0.01
-    weight_decay: float = 5e-4
-    epochs: int = 200
-    patience: int = 40
+    sim_kind: str = ModelConfig.sim_kind
+    localsim_mode: str = ModelConfig.localsim_mode
+    weight_mode: str = ModelConfig.weight_mode
+    ls_hidden: int = ModelConfig.ls_hidden
+    alpha_hidden: int = ModelConfig.alpha_hidden
+    dropout: float = 0.5  # ModelConfig's is 0.0
+    lr: float = TrainConfig.lr
+    weight_decay: float = TrainConfig.weight_decay
+    epochs: int = TrainConfig.epochs
+    patience: int = TrainConfig.patience
 
     def _project(self, target: type, **given):
         """A `target` config holding this config's values of its fields,
@@ -418,9 +419,8 @@ def run_experiment(
     inputs = ModelInputs.build(bundle.graph, bundle.features, stack, model_cfg.sim_kind)
     test_accs = []
     val_accs = []
-    base = _seed_list(base_seed)
     for i, split in enumerate(splits):
-        tcfg = config.training(seed=tuple(base + [i]))
+        tcfg = config.training(seed=_seeds(base_seed, i))
         result = train(model_cfg, tcfg, inputs, bundle.labels, split.train, split.val)
         test_accs.append(evaluate(result.params, model_cfg, inputs, bundle.labels, split.test))
         if not val_accs or result.best_val_acc > max(val_accs):
@@ -504,14 +504,13 @@ def random_search(
         base = ExperimentConfig()
     _check_space(space, base, bundle.features.shape[1])
     cache = PropagationCache(bundle.graph, bundle.features)
-    seeds = _seed_list(seed)
-    rng = np.random.default_rng(seeds)
+    rng = np.random.default_rng(_seeds(seed))
     trials = []
     best: tuple[ExperimentConfig, MetricsReport] | None = None
     for index in range(budget):
         trial_cfg = sample_config(space, rng, base)
         try:
-            report = run_experiment(bundle, trial_cfg, splits, base_seed=seeds + [index], cache=cache)
+            report = run_experiment(bundle, trial_cfg, splits, _seeds(seed, index), cache)
         except TrainingDivergedError:
             report = None
         failed = report is None

@@ -66,6 +66,7 @@ from .localsim import SIM_KINDS, edge_sim_values
 from .propagation import (
     PropagationConfig,
     PropagationStack,
+    _layer_names,
     _read_artifact,
     _views,
     _write_artifact,
@@ -149,8 +150,8 @@ Params = dict[str, np.ndarray]
 
 @functools.cache
 def _channel_names(k: int) -> tuple[str, ...]:
-    """The 2K+1 channel maps' parameter names, in channel order."""
-    return ("w_in", *(f"w_{band}_{kk}" for band in ("low", "high") for kk in range(1, k + 1)))
+    """The 2K+1 channel maps' names, in channel order: `w_in`, then `w_<layer>`."""
+    return ("w_in", *(f"w_{name}" for name in _layer_names(k)))
 
 
 def _parameter_shapes(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], int]]:
@@ -239,12 +240,19 @@ class ModelInputs:
                 "propagation stack was computed from a different feature matrix"
             )
         sims = edge_sim_values(graph, x, sim_kind)
+        with np.errstate(over="ignore"):
+            squares = sims * sims
+        if not np.isfinite(squares).all():
+            bad = np.argmin(np.isfinite(squares))
+            raise InputError(f"sim_kind={sim_kind!r} gives edge ({graph.entry_rows()[bad]}, "
+                             f"{graph.col_indices[bad]}) the similarity {float(sims[bad])}, "
+                             f"whose square is past the float64 range")
         return cls(
             graph=graph,
             x=x,
             stack=stack,
             sim_kind=sim_kind,
-            edge_feats=np.column_stack([sims, sims * sims]),
+            edge_feats=np.column_stack([sims, squares]),
             phi_naive=neighborhood_mean(graph, sims),
             inv_degrees=_ratio(1.0, graph.degrees),
         )
@@ -394,9 +402,9 @@ def _fusion_weights(
     call.  The refined local-similarity activations go into `rows.work`."""
     k = config.num_layers
     n = rows.size
-    if config.weight_mode == "graph_level":
+    if not config.uses_alpha_mlp:
         return np.broadcast_to(params["graph_alpha"], (n, 3 * k))
-    if config.localsim_mode == "naive":
+    if not config.uses_localsim_mlp:
         phi = rows.phi_naive
     else:
         # ReLU in place: backward reads its mask as r1 > 0.
@@ -509,9 +517,9 @@ def evaluate(
     config: ModelConfig,
     inputs: ModelInputs,
     labels: np.ndarray,
-    mask: np.ndarray,
+    mask: np.ndarray | None,
 ) -> float:
-    """Accuracy over the masked nodes, computed from those rows alone."""
+    """Accuracy over the masked nodes (all for None), from those rows alone."""
     index = _row_index(inputs.graph.num_nodes, mask)
     pred = _proba(params, config, inputs, index).argmax(axis=1)
     return _accuracy(pred, labels[index])
@@ -577,7 +585,7 @@ def loss_and_gradients(
         grads[name] = rows.basis(ch).T @ dh
     grads["w_out"] = dw_out.reshape(params["w_out"].shape)
 
-    if config.weight_mode == "graph_level":
+    if not config.uses_alpha_mlp:
         grads["graph_alpha"] = dalpha.sum(axis=0)
     else:
         q1 = cache["al_q1"]
@@ -589,7 +597,7 @@ def loss_and_gradients(
         grads["al_b1"] = db1.sum(axis=0)
         dpsi = db1 @ params["al_w1"].T
         dphi = dpsi[:, 0] + 2.0 * cache["phi"] * dpsi[:, 1]
-        if config.localsim_mode == "refined":
+        if config.uses_localsim_mlp:
             # Each entry's score feeds its row's mean, so the incoming
             # gradient splits by 1/degree.
             ds = dphi[rows.entry_slots] * rows.inv_degrees[rows.entry_slots]
@@ -667,18 +675,26 @@ class TrainResult:
     best_val_acc: float
 
 
+def _feature_scale(x: np.ndarray) -> str:
+    """The feature scale a divergence at epoch 0 names."""
+    return f"the feature scale (largest |x| = {float(np.abs(x).max()):g})"
+
+
 def _fit(
     vector: np.ndarray,
     layout: list[tuple[str, tuple[int, ...]]],
     train_config: TrainConfig,
     loss_and_grads: Callable[[Params], tuple[float, Params]],
     val_accuracy: Callable[[Params], float],
+    describe_inputs: Callable[[], str],
 ) -> TrainResult:
     """The Adam and early-stopping loop of `train` and `train_linear`.
 
     The callbacks read `vector` as the `_views` of `layout`.  Adam updates
     it in place from each epoch's gradients, flattened in that layout.  The
     result's params are views of a copy of the best validation epoch's vector.
+    A non-finite loss raises TrainingDivergedError; at epoch 0, before any
+    update, it names `describe_inputs()` in place of the learning rate.
     """
     params = _views(vector, layout)
     opt = Adam(train_config.lr, vector.size)
@@ -689,7 +705,7 @@ def _fit(
     for epoch in range(train_config.epochs):
         loss, grads = loss_and_grads(params)
         if not np.isfinite(loss):
-            raise TrainingDivergedError(epoch, train_config.lr)
+            raise TrainingDivergedError(epoch, train_config.lr, describe_inputs())
         opt.step(vector, np.concatenate([grads[name] for name in params], axis=None))
         val_acc = val_accuracy(params)
         history.append((epoch, loss, val_acc))
@@ -738,6 +754,7 @@ def train(
             dropout_rng=dropout_rng,
         ),
         lambda p: evaluate(p, config, inputs, labels, val_mask),
+        lambda: f"{_feature_scale(inputs.x)} and sim_kind={config.sim_kind!r}",
     )
 
 
@@ -834,4 +851,5 @@ def train_linear(
         train_config,
         loss_and_grads,
         lambda p: _accuracy(linear_predict(p, x_val), y_val),
+        lambda: _feature_scale(features),
     ).params

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DigestMismatchError, FormatError, InputError
-from .graph import FilterPair, SparseGraph, _squared_norms, enhanced_filters
+from .graph import FilterPair, SparseGraph, _row_norms, enhanced_filters
 
 __all__ = [
     "VARIANTS",
@@ -148,11 +148,10 @@ def row_normalize(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     A row whose squared norm is not finite raises InputError naming the
     first such row, before anything is written.
     """
-    squares = _squared_norms(m)
-    finite = np.isfinite(squares)
+    norms = _row_norms(m)
+    finite = np.isfinite(norms)
     if not finite.all():
         raise InputError(f"row {int(np.argmin(finite))}'s squared norm is past the float64 range")
-    norms = np.sqrt(squares)
     safe = np.where(norms > 0.0, norms, 1.0)
     return np.divide(m, safe[:, None], out=out)
 
@@ -370,7 +369,7 @@ def _read_artifact(
 
 
 def _layer_names(num_layers: int) -> list[str]:
-    """A bundle's array names: the low layers, then the high layers."""
+    """Layer names, low before high: a bundle's arrays, and channel maps as `w_<name>`."""
     return [f"{band}_{k}" for band in ("low", "high") for k in range(1, num_layers + 1)]
 
 

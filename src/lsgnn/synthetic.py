@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import GenerationError, InputError
 from .graph import SparseGraph, build_graph, self_loop_filters
-from .harness import ExperimentConfig, _seed_list, make_splits
+from .harness import ExperimentConfig, _seeds, make_splits
 from .localsim import naive_localsim
 from .model import ModelInputs, evaluate, linear_accuracy, train, train_linear
 from .propagation import build_stack
@@ -364,7 +364,7 @@ def _generated_lambdas(config: FsbmConfig) -> np.ndarray:
 def theory_check(config: FsbmConfig, trials: int, base_seed=0) -> TheoryReport:
     """Monte-Carlo estimate of both closed forms from one draw per trial.
 
-    Trial i draws `generate_fsbm(config, seed=[base_seed, i])` once; its
+    Trial i draws `generate_fsbm(config, seed=_seeds(base_seed, i))` once; its
     local similarity phi gives both the per-subgraph means and the mean
     cross-subgraph |phi_i - phi_j|, the latter exact from sorted prefix sums
     without forming the pairs (only its summation order differs from the
@@ -383,11 +383,10 @@ def theory_check(config: FsbmConfig, trials: int, base_seed=0) -> TheoryReport:
     lambdas = _generated_lambdas(config)
     gap_sq = (config.mu[0] - config.mu[1]) ** 2
     analytic = -2.0 * config.sigma**2 - (1.0 - lambdas) * gap_sq
-    base = _seed_list(base_seed)
     means = np.empty((trials, 2))
     gaps = np.empty(trials)
     for i in range(trials):
-        ds = generate_fsbm(config, seed=base + [i])
+        ds = generate_fsbm(config, seed=_seeds(base_seed, i))
         phi = naive_localsim(ds.graph, ds.x, "neg_sq_scalar")
         phi0 = phi[ds.subgraph_id == 0]
         phi1 = phi[ds.subgraph_id == 1]
@@ -459,9 +458,9 @@ def toy_study(
         fsbm = multi_subgraph_config(lambdas, num_nodes=num_nodes, mode=mode)
         accs: dict[str, list[float]] = {"raw": [], "graph_level": [], "node_level": []}
         for s in seeds:
-            ds = generate_fsbm(fsbm, seed=[base_seed, ci, s, 0])
-            split = make_splits(num_nodes, base_seed=[base_seed, ci, s, 1], count=1)[0]
-            tcfg = config.training(seed=(base_seed, ci, s, 2))
+            ds = generate_fsbm(fsbm, seed=_seeds(base_seed, ci, s, 0))
+            split = make_splits(num_nodes, base_seed=_seeds(base_seed, ci, s, 1), count=1)[0]
+            tcfg = config.training(seed=_seeds(base_seed, ci, s, 2))
             raw_model = train_linear(ds.x, ds.community, 2, tcfg, split.train, split.val)
             accs["raw"].append(linear_accuracy(raw_model, ds.x, ds.community, split.test))
             stack = build_stack(self_loop_filters(ds.graph), ds.x, propagation)

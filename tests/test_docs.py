@@ -1,11 +1,14 @@
 """The README's reference tables list exactly what the code defines."""
 
 import argparse
+import re
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
 import yaml
 
+from lsgnn import graph, localsim, model, synthetic
 from lsgnn.cli import build_parser
 from lsgnn.harness import ExperimentConfig
 
@@ -38,3 +41,23 @@ def test_readme_lists_every_command():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     documented = [row[0] for row in _table_after("## Commands")]
     assert sorted(documented) == sorted(sub.choices)
+
+
+# Each block size the README quotes: the phrase around it, with the number
+# as its group, the unit the phrase counts in, and the constant it names.
+_BLOCK_SIZES = {
+    "text lines": (r"a block of (\S+) KiB of lines", 1024, graph._BLOCK_BYTES),
+    "inference rows": (r"in fixed blocks of (\S+) selected rows", 1, model._BLOCK_ROWS),
+    "inference map": (r"holds one \((\S+), `hidden_dim`\) channel map", 1, model._BLOCK_ROWS),
+    "Adam entries": (r"in blocks of (\S+) entries", 1, model._ADAM_BLOCK),
+    "gathered floats": (r"at most (\S+) gathered floats", 1, localsim._CHUNK),
+    "generator pairs": (r"in blocks of (\S+) pairs", 1, synthetic._PAIR_BLOCK),
+}
+
+
+@pytest.mark.parametrize("case", _BLOCK_SIZES)
+def test_readme_quotes_each_block_size(case):
+    phrase, unit, constant = _BLOCK_SIZES[case]
+    quoted = re.findall(phrase, " ".join(README.split()))
+    assert quoted, phrase
+    assert [int(q.replace(",", "")) * unit for q in quoted] == [constant] * len(quoted)
