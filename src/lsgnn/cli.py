@@ -104,7 +104,7 @@ def _resolve_configs(overrides: dict):
             raise InputError(f"config key {key!r} expects {expected}, got {value!r}")
     config = replace(
         ExperimentConfig(), **{k: v for k, v in overrides.items() if k in exp_defaults}
-    ).validate()
+    )
     space = SearchSpace(**{k: tuple(v) for k, v in overrides.items() if k in space_defaults})
     return config, space
 

@@ -35,6 +35,7 @@ from .model import (
 from .propagation import (
     PropagationConfig,
     PropagationStack,
+    _check_rules,
     precompute_bundle,
 )
 
@@ -284,6 +285,11 @@ class ExperimentConfig:
     epochs: int = TrainConfig.epochs
     patience: int = TrainConfig.patience
 
+    # The library configs' rules, less those of the fields `model()` supplies.
+    RULES = PropagationConfig.RULES | ModelConfig.RULES | TrainConfig.RULES
+    del RULES["in_dim"], RULES["num_classes"]
+    __post_init__ = _check_rules
+
     def _project(self, target: type, **given):
         """A `target` config holding this config's values of its fields,
         with `given` supplying the fields this config does not hold."""
@@ -300,9 +306,7 @@ class ExperimentConfig:
         return self._project(TrainConfig, seed=seed)
 
     def validate(self) -> "ExperimentConfig":
-        self.propagation()
-        self.model(in_dim=1, num_classes=2)
-        self.training(seed=0)
+        """The config itself: `__post_init__` checked it when it was made."""
         return self
 
 
@@ -361,11 +365,10 @@ def sample_config(
 def _check_space(space: SearchSpace, base: ExperimentConfig, in_dim: int) -> None:
     """Validate every value the space can draw, naming the key at fault;
     a similarity kind must also suit features of width `in_dim`."""
-    base.validate()
     for key, name, kind in SEARCHED:
         for value in map(kind, getattr(space, key)):
             try:
-                replace(base, **{name: value}).validate()
+                replace(base, **{name: value})  # refuses a value out of range
                 if name == "sim_kind":
                     _check_kind(value, in_dim)
             except InputError as exc:

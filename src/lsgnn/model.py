@@ -66,6 +66,7 @@ from .localsim import SIM_KINDS, edge_sim_values
 from .propagation import (
     PropagationConfig,
     PropagationStack,
+    _check_rules,
     _layer_names,
     _read_artifact,
     _views,
@@ -117,24 +118,16 @@ class ModelConfig:
     alpha_hidden: int = 16
     dropout: float = 0.0
 
-    def __post_init__(self):
-        if self.num_layers < 1:
-            raise InputError(f"num_layers must be >= 1, got {self.num_layers}")
-        for name in ("in_dim", "hidden_dim", "num_classes", "ls_hidden", "alpha_hidden"):
-            if getattr(self, name) < 1:
-                raise InputError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.sim_kind not in SIM_KINDS:
-            raise InputError(f"sim_kind must be one of {SIM_KINDS}, got {self.sim_kind!r}")
-        if self.localsim_mode not in LOCALSIM_MODES:
-            raise InputError(
-                f"localsim_mode must be one of {LOCALSIM_MODES}, got {self.localsim_mode!r}"
-            )
-        if self.weight_mode not in WEIGHT_MODES:
-            raise InputError(
-                f"weight_mode must be one of {WEIGHT_MODES}, got {self.weight_mode!r}"
-            )
-        if not 0.0 <= self.dropout < 1.0:
-            raise InputError(f"dropout must lie in [0, 1), got {self.dropout}")
+    RULES = dict.fromkeys(
+        ("num_layers", "in_dim", "hidden_dim", "num_classes", "ls_hidden", "alpha_hidden"),
+        (lambda v: v >= 1, "must be >= 1"),
+    ) | {
+        "sim_kind": (lambda v: v in SIM_KINDS, f"must be one of {SIM_KINDS}"),
+        "localsim_mode": (lambda v: v in LOCALSIM_MODES, f"must be one of {LOCALSIM_MODES}"),
+        "weight_mode": (lambda v: v in WEIGHT_MODES, f"must be one of {WEIGHT_MODES}"),
+        "dropout": (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+    }
+    __post_init__ = _check_rules
 
     @property
     def uses_localsim_mlp(self) -> bool:
@@ -442,11 +435,14 @@ def _forward(
     pass holds one (rows, z) map at a time.  Dropout draws happen in
     channel order, so a seeded generator reproduces runs exactly.
     """
-    if rows.sim_kind != config.sim_kind:
-        raise InputError(
-            f"inputs carry sim_kind={rows.sim_kind!r} but config wants {config.sim_kind!r}"
-        )
     k, z = config.num_layers, config.hidden_dim
+    kind, channels, width = rows.sim_kind, len(rows.bases), rows.bases[0].shape[1]
+    if (kind, channels, width) != (config.sim_kind, 2 * k + 1, config.in_dim):
+        raise InputError(
+            f"inputs carry sim_kind={kind!r}, {channels} channels and features of width {width}, "
+            f"but config wants sim_kind={config.sim_kind!r}, {2 * k + 1} channels "
+            f"(num_layers={k}) and in_dim={config.in_dim}"
+        )
     n = rows.size
     backward = rows.work is not None
     cache: dict = {}
@@ -655,16 +651,13 @@ class TrainConfig:
     patience: int = 40
     seed: int = 0
 
-    def __post_init__(self):
-        # The chained comparisons also reject NaN.
-        if not 0.0 < self.lr < np.inf:
-            raise InputError(f"lr must be finite and > 0, got {self.lr}")
-        if not 0.0 <= self.weight_decay < np.inf:
-            raise InputError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if self.epochs < 1:
-            raise InputError(f"epochs must be >= 1, got {self.epochs}")
-        if self.patience < 0:
-            raise InputError(f"patience must be >= 0, got {self.patience}")
+    RULES = {
+        "lr": (lambda v: 0.0 < v < np.inf, "must be finite and > 0"),
+        "weight_decay": (lambda v: 0.0 <= v < np.inf, "must be finite and >= 0"),
+        "epochs": (lambda v: v >= 1, "must be >= 1"),
+        "patience": (lambda v: v >= 0, "must be >= 0"),
+    }
+    __post_init__ = _check_rules
 
 
 @dataclass(eq=False)
@@ -703,7 +696,9 @@ def _fit(
     best_epoch = -1
     history: list[tuple[int, float, float]] = []
     for epoch in range(train_config.epochs):
-        loss, grads = loss_and_grads(params)
+        # An overflow yields a non-finite loss, which is refused just below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grads = loss_and_grads(params)
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch, train_config.lr, describe_inputs())
         opt.step(vector, np.concatenate([grads[name] for name in params], axis=None))

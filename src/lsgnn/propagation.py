@@ -53,6 +53,27 @@ _MAGIC = b"LSPB"
 _VERSION = 2
 
 
+def _fits_type(value, kind: type) -> bool:
+    """Whether a config value has type `kind`: an int passes for a float, a
+    bool never passes for a number.  Config files and artifact headers are
+    both checked by this rule."""
+    if isinstance(value, bool) != (kind is bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
+def _check_rules(config) -> None:
+    """Check a config against its class's `RULES`, field -> (test, text) in
+    check order: the first value to fail its test raises InputError("<field>
+    <text>, got <value>"), a message that starts with the field's name.  NaN
+    fails every test."""
+    for name, (test, text) in config.RULES.items():
+        if not test(value := getattr(config, name)):
+            raise InputError(f"{name} {text}, got {repr(value) if isinstance(value, str) else value}")
+
+
 @dataclass(frozen=True)
 class PropagationConfig:
     """Settings that fully determine a propagation stack for fixed inputs."""
@@ -63,15 +84,12 @@ class PropagationConfig:
     variant: str = "irdc"
     normalize: bool = True
 
-    def __post_init__(self):
-        if self.num_layers < 1:
-            raise InputError(f"num_layers must be >= 1, got {self.num_layers}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise InputError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise InputError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.variant not in VARIANTS:
-            raise InputError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+    RULES = {
+        "num_layers": (lambda v: v >= 1, "must be >= 1"),
+        **dict.fromkeys(("gamma", "beta"), (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
+        "variant": (lambda v: v in VARIANTS, f"must be one of {VARIANTS}"),
+    }
+    __post_init__ = _check_rules
 
 
 @dataclass(eq=False)
@@ -203,17 +221,6 @@ def precompute_bundle(g: SparseGraph, x: np.ndarray, config: PropagationConfig) 
 
 
 # --- artifacts ---------------------------------------------------------------
-
-
-def _fits_type(value, kind: type) -> bool:
-    """Whether a config value has type `kind`: an int passes for a float, a
-    bool never passes for a number.  Config files and artifact headers are
-    both checked by this rule."""
-    if isinstance(value, bool) != (kind is bool):
-        return False
-    if kind is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, kind)
 
 
 # A config dataclass's field names and types, resolved once per class.
@@ -351,7 +358,6 @@ def _read_artifact(
             try:
                 header[name] = config(**section)
             except InputError as exc:
-                # Every range check's message starts with its field's name.
                 raise error(f"{name}.{exc}") from None
 
         count = sum(math.prod(shape) for _, shape in manifest)

@@ -567,7 +567,6 @@ def test_a_similarity_whose_square_overflows_is_refused(kind, settings, scale, v
                                        f"similarity {value}, whose square is past the float64 range\n")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_loss_non_finite_before_any_update_does_not_blame_the_learning_rate(tmp_path, capsys):
     # The squared similarities stay finite, so the inputs pass; the loss
     # overflows in the first forward pass, before Adam has stepped.

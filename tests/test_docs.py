@@ -36,6 +36,13 @@ def test_readme_lists_every_config_key_with_its_default():
         assert (type(documented[key]), documented[key]) == (type(default), default), key
 
 
+def test_readme_states_the_rule_of_every_config_key():
+    documented = {key: accepts for key, _, accepts, *_ in _table_after("Keys and defaults:")}
+    assert list(documented) == [f.name for f in fields(ExperimentConfig)]
+    for key, accepts in documented.items():
+        assert accepts == ExperimentConfig.RULES.get(key, (None, "any"))[1], key
+
+
 def test_readme_lists_every_command():
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -1,5 +1,6 @@
 import hashlib
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from lsgnn.harness import (
     write_manifest,
     write_report,
 )
-from lsgnn.model import ModelInputs, train
+from lsgnn.model import ModelConfig, ModelInputs, TrainConfig, train
 from lsgnn.propagation import PropagationConfig, precompute_bundle
 from lsgnn.synthetic import generate_fsbm, multi_subgraph_config
 
@@ -391,6 +392,46 @@ PINNED_DRAWS = {
         (0.010211664032423177, 0.0005854458885145865, 0.5, 1.0, 0.9, "euclidean"),
     ]),
 }
+
+
+# A valid config of each ruled class, and an out-of-range value of every
+# field that a `RULES` table checks.
+_VALID = {
+    PropagationConfig: dict(num_layers=2),
+    ModelConfig: dict(num_layers=2, in_dim=1, hidden_dim=8, num_classes=2),
+    TrainConfig: {},
+    ExperimentConfig: {},
+}
+_OUT_OF_RANGE = dict(
+    num_layers=0, gamma=1.5, beta=-0.5, variant="cheb", in_dim=0, hidden_dim=0, num_classes=0,
+    ls_hidden=0, alpha_hidden=0, sim_kind="dot", localsim_mode="exact", weight_mode="edge_level",
+    dropout=1.0, lr=0.0, weight_decay=-1e-4, epochs=0, patience=-1,
+)
+
+
+def _rule_cases():
+    for cls in _VALID:
+        for field in cls.RULES:
+            bad = _OUT_OF_RANGE[field]
+            yield pytest.param(cls, {field: bad}, field, id=f"{cls.__name__}.{field}={bad}")
+            if not isinstance(bad, str):
+                yield pytest.param(cls, {field: np.nan}, field, id=f"{cls.__name__}.{field}=nan")
+        if "dropout" in cls.RULES:
+            # Two faults name the first field in check order, as before the tables.
+            yield pytest.param(cls, {"num_layers": 0, "dropout": 1.5}, "num_layers",
+                               id=f"{cls.__name__}.two_faults")
+
+
+@pytest.mark.parametrize("cls, changes, field", _rule_cases())
+def test_every_ruled_field_is_checked_when_a_config_is_made(cls, changes, field):
+    assert set(_OUT_OF_RANGE) == {name for c in _VALID for name in c.RULES}
+    value = changes[field]
+    shown = repr(value) if isinstance(value, str) else value
+    for make in (lambda: cls(**_VALID[cls] | changes), lambda: replace(cls(**_VALID[cls]), **changes)):
+        with pytest.raises(InputError) as exc:
+            make()
+        assert str(exc.value).startswith(f"{field} ")
+        assert str(exc.value).endswith(f", got {shown}")
 
 
 @pytest.mark.parametrize("name", PINNED_DRAWS)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import threading
 import tracemalloc
@@ -33,7 +34,8 @@ from lsgnn.model import (
     train,
     train_linear,
 )
-from lsgnn.propagation import PropagationConfig, _views, build_stack
+from lsgnn.propagation import PropagationConfig, _views, build_stack, precompute_bundle
+from lsgnn.synthetic import generate_fsbm, multi_subgraph_config
 
 from conftest import (
     edit_header,
@@ -378,6 +380,35 @@ def test_train_divergence_reports_learning_rate():
     tcfg = TrainConfig(lr=1e300, weight_decay=0.0, epochs=50, patience=50, seed=0)
     with pytest.raises(TrainingDivergedError, match="1e\\+300"):
         train(config, tcfg, inputs, labels, tr, va)
+
+
+@pytest.fixture(scope="module")
+def depth_four_inputs():
+    """Inputs of the 200-node FSBM graph at seed 0, propagated at depth 4."""
+    ds = generate_fsbm(multi_subgraph_config((0.9, 0.1), num_nodes=200), seed=0)
+    stack = precompute_bundle(ds.graph, ds.x, PropagationConfig(4))
+    return ModelInputs.build(ds.graph, ds.x, stack, "cosine"), ds.community
+
+
+@pytest.mark.parametrize("field, value, found, wanted", [
+    ("num_layers", 2, "9 channels", "5 channels (num_layers=2)"),
+    ("in_dim", 3, "features of width 1", "in_dim=3"),
+])
+@pytest.mark.parametrize("run", ["evaluate", "predict_proba", "loss_and_gradients"])
+def test_inputs_of_another_depth_or_width_are_refused(depth_four_inputs, field, value, found,
+                                                      wanted, run):
+    inputs, labels = depth_four_inputs
+    config = ModelConfig(**{"num_layers": 4, "in_dim": 1, "hidden_dim": 8, "num_classes": 2,
+                            field: value})
+    params = init_parameters(config, np.random.default_rng(0))
+    calls = {
+        "evaluate": lambda: evaluate(params, config, inputs, labels, None),
+        "predict_proba": lambda: predict_proba(params, config, inputs),
+        "loss_and_gradients": lambda: loss_and_gradients(
+            params, config, select_rows(inputs, labels >= 0), labels),
+    }
+    with pytest.raises(InputError, match=rf"carry .*{found}.*, but config wants .*{re.escape(wanted)}"):
+        calls[run]()
 
 
 def saved_checkpoint(tmp_path, seed=19, **kwargs):
