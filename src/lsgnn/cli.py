@@ -32,7 +32,7 @@ from .harness import (
     write_report,
 )
 from .model import ModelInputs, evaluate, load_checkpoint, save_checkpoint
-from .propagation import _fits_type, precompute_bundle, save_bundle
+from .propagation import _expected_type, _field_types, precompute_bundle, save_bundle
 from .synthetic import MODES, generate_fsbm, multi_subgraph_config, theory_check, toy_study
 
 
@@ -83,29 +83,20 @@ def _load_overrides(path) -> dict:
 
 def _resolve_configs(overrides: dict):
     """Split config-file overrides between the experiment config and the
-    search space; unknown keys and values of the wrong type are errors."""
-    exp_defaults = asdict(ExperimentConfig())
-    space_defaults = asdict(SearchSpace())
-    defaults = exp_defaults | space_defaults
-    unknown = [key for key in overrides if key not in defaults]
+    search space; unknown keys and values that do not fit the type of the
+    field they set are errors."""
+    exp_types, space_types = _field_types(ExperimentConfig), _field_types(SearchSpace)
+    types = exp_types | space_types
+    unknown = [key for key in overrides if key not in types]
     if unknown:
         raise InputError(
-            f"unknown config keys {sorted(unknown, key=repr)}; allowed keys are {sorted(defaults)}"
+            f"unknown config keys {sorted(unknown, key=repr)}; allowed keys are {sorted(types)}"
         )
     for key, value in overrides.items():
-        default = defaults[key]
-        if isinstance(default, tuple):
-            ok = isinstance(value, list) and all(_fits_type(v, type(default[0])) for v in value)
-            expected = f"a list of {type(default[0]).__name__}"
-        else:
-            ok = _fits_type(value, type(default))
-            expected = type(default).__name__
-        if not ok:
+        if expected := _expected_type(value, types[key]):
             raise InputError(f"config key {key!r} expects {expected}, got {value!r}")
-    config = replace(
-        ExperimentConfig(), **{k: v for k, v in overrides.items() if k in exp_defaults}
-    )
-    space = SearchSpace(**{k: tuple(v) for k, v in overrides.items() if k in space_defaults})
+    config = replace(ExperimentConfig(), **{k: v for k, v in overrides.items() if k in exp_types})
+    space = SearchSpace(**{k: tuple(v) for k, v in overrides.items() if k in space_types})
     return config, space
 
 
@@ -273,7 +264,7 @@ def _cmd_search(args, out):
     result = random_search(
         bundle, space, budget=args.budget, splits=splits, seed=args.seed, base=config
     )
-    columns = [name for _, name, _ in SEARCHED]
+    columns = [name for _, name in SEARCHED]
     rows = [
         [trial.index, int(trial.failed), trial.val_mean, trial.test_mean]
         + [trial.config[key] for key in columns]

@@ -19,7 +19,7 @@ import numpy as np
 import orjson
 import scipy.sparse as sp
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, Rule
 
 __all__ = [
     "SparseGraph",
@@ -219,8 +219,7 @@ def _filter_pair(g: SparseGraph, kind: str, diag: np.ndarray, off: np.ndarray) -
 
 def enhanced_filters(g: SparseGraph, beta: float) -> FilterPair:
     """Low-pass beta*I + D^{-1/2}AD^{-1/2} and its identity complement."""
-    if not 0.0 <= beta <= 1.0:
-        raise InputError(f"beta must lie in [0, 1], got {beta}")
+    Rule.within(0, 1).check("beta", beta)
     diag = np.full(g.num_nodes, beta, dtype=np.float64)
     return _filter_pair(g, "enhanced", diag, sym_norm_adj(g).data)
 

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .errors import FormatError, InputError, LsgnnError, TrainingDivergedError
+from .errors import FormatError, InputError, LsgnnError, Rule, TrainingDivergedError, _check_rules
 from . import graph as _graph
 from .graph import (
     SparseGraph,
@@ -35,7 +35,7 @@ from .model import (
 from .propagation import (
     PropagationConfig,
     PropagationStack,
-    _check_rules,
+    _field_types,
     precompute_bundle,
 )
 
@@ -321,29 +321,25 @@ class SearchSpace:
     gamma_choices: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
     sim_choices: tuple[str, ...] = ("cosine", "euclidean")
 
-    def __post_init__(self):
-        # Ranges are drawn log-uniformly, so both ends must be positive.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name.endswith("_range"):
-                if not (len(value) == 2 and np.isfinite(value).all() and 0.0 < value[0] <= value[1]):
-                    raise InputError(
-                        f"{f.name} must be two finite numbers with 0 < low <= high, got {list(value)}"
-                    )
-            elif not value:
-                raise InputError(f"{f.name} must not be empty")
+    # Ranges are drawn log-uniformly, so both ends must be positive.
+    RULES = dict.fromkeys(("lr_range", "weight_decay_range"), Rule(
+        lambda v: len(v) == 2 and np.isfinite(v).all() and 0.0 < v[0] <= v[1],
+        "must be two finite numbers with 0 < low <= high",
+    )) | dict.fromkeys(("dropout_choices", "beta_choices", "gamma_choices", "sim_choices"),
+                       Rule(lambda v: len(v) > 0, "must not be empty"))
+    __post_init__ = _check_rules
 
 
-# (SearchSpace key, ExperimentConfig field, value type) of every searched
-# setting, in draw order.  A `*_range` key is drawn log-uniformly, a
-# `*_choices` key uniformly from its list.
+# (SearchSpace key, ExperimentConfig field) of every searched setting, in
+# draw order.  A `*_range` key is drawn log-uniformly, a `*_choices` key
+# uniformly from its list; a draw takes the type of the field it sets.
 SEARCHED = (
-    ("lr_range", "lr", float),
-    ("weight_decay_range", "weight_decay", float),
-    ("dropout_choices", "dropout", float),
-    ("beta_choices", "beta", float),
-    ("gamma_choices", "gamma", float),
-    ("sim_choices", "sim_kind", str),
+    ("lr_range", "lr"),
+    ("weight_decay_range", "weight_decay"),
+    ("dropout_choices", "dropout"),
+    ("beta_choices", "beta"),
+    ("gamma_choices", "gamma"),
+    ("sim_choices", "sim_kind"),
 )
 
 
@@ -353,8 +349,8 @@ def sample_config(
     """One draw from the search space; draw order is fixed so a seeded
     generator yields the same trial sequence regardless of outcomes."""
     drawn = {}
-    for key, name, kind in SEARCHED:
-        domain = getattr(space, key)
+    for key, name in SEARCHED:
+        kind, domain = _field_types(ExperimentConfig)[name], getattr(space, key)
         if key.endswith("_range"):
             drawn[name] = kind(np.exp(rng.uniform(np.log(domain[0]), np.log(domain[1]))))
         else:
@@ -365,8 +361,8 @@ def sample_config(
 def _check_space(space: SearchSpace, base: ExperimentConfig, in_dim: int) -> None:
     """Validate every value the space can draw, naming the key at fault;
     a similarity kind must also suit features of width `in_dim`."""
-    for key, name, kind in SEARCHED:
-        for value in map(kind, getattr(space, key)):
+    for key, name in SEARCHED:
+        for value in map(_field_types(ExperimentConfig)[name], getattr(space, key)):
             try:
                 replace(base, **{name: value})  # refuses a value out of range
                 if name == "sim_kind":
@@ -501,8 +497,7 @@ def random_search(
     report that config's test metrics.  Every value the space can draw is
     validated before the first trial.  Trials whose training diverges are
     recorded as failed and skipped."""
-    if budget < 1:
-        raise InputError(f"budget must be >= 1, got {budget}")
+    Rule.at_least(1).check("budget", budget)
     if base is None:
         base = ExperimentConfig()
     _check_space(space, base, bundle.features.shape[1])

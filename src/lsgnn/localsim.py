@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, Rule
 from .graph import SparseGraph, _ratio, _row_norms, neighborhood_mean
 
 __all__ = [
@@ -20,6 +20,8 @@ __all__ = [
 ]
 
 SIM_KINDS = ("cosine", "euclidean", "neg_sq_scalar")
+# The rule of a `sim_kind` value, here and in `ModelConfig`.
+_SIM_KIND = Rule.one_of(SIM_KINDS)
 
 # Floats per gathered operand when walking the edge set: a chunk holds
 # _CHUNK // d entries (at least one), so each of its temporaries has at most
@@ -47,8 +49,7 @@ def similarity(x: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
 
 def _check_kind(kind: str, d: int) -> None:
     """Reject an unknown kind, and neg_sq_scalar on features wider than 1."""
-    if kind not in SIM_KINDS:
-        raise InputError(f"similarity kind must be one of {SIM_KINDS}, got {kind!r}")
+    _SIM_KIND.check("sim_kind", kind)
     if kind == "neg_sq_scalar" and d != 1:
         raise InputError(f"neg_sq_scalar requires 1-dimensional features, got d={d}")
 

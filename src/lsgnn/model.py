@@ -60,13 +60,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DigestMismatchError, FormatError, InputError, TrainingDivergedError
+from .errors import DigestMismatchError, FormatError, InputError, Rule, TrainingDivergedError, _check_rules
 from .graph import SparseGraph, _ratio, neighborhood_mean
-from .localsim import SIM_KINDS, edge_sim_values
+from .localsim import _SIM_KIND, edge_sim_values
 from .propagation import (
     PropagationConfig,
     PropagationStack,
-    _check_rules,
     _layer_names,
     _read_artifact,
     _views,
@@ -119,13 +118,12 @@ class ModelConfig:
     dropout: float = 0.0
 
     RULES = dict.fromkeys(
-        ("num_layers", "in_dim", "hidden_dim", "num_classes", "ls_hidden", "alpha_hidden"),
-        (lambda v: v >= 1, "must be >= 1"),
+        ("num_layers", "in_dim", "hidden_dim", "num_classes", "ls_hidden", "alpha_hidden"), Rule.at_least(1)
     ) | {
-        "sim_kind": (lambda v: v in SIM_KINDS, f"must be one of {SIM_KINDS}"),
-        "localsim_mode": (lambda v: v in LOCALSIM_MODES, f"must be one of {LOCALSIM_MODES}"),
-        "weight_mode": (lambda v: v in WEIGHT_MODES, f"must be one of {WEIGHT_MODES}"),
-        "dropout": (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+        "sim_kind": _SIM_KIND,
+        "localsim_mode": Rule.one_of(LOCALSIM_MODES),
+        "weight_mode": Rule.one_of(WEIGHT_MODES),
+        "dropout": Rule.within(0, 1, "[)"),
     }
     __post_init__ = _check_rules
 
@@ -652,10 +650,10 @@ class TrainConfig:
     seed: int = 0
 
     RULES = {
-        "lr": (lambda v: 0.0 < v < np.inf, "must be finite and > 0"),
-        "weight_decay": (lambda v: 0.0 <= v < np.inf, "must be finite and >= 0"),
-        "epochs": (lambda v: v >= 1, "must be >= 1"),
-        "patience": (lambda v: v >= 0, "must be >= 0"),
+        "lr": Rule.within(0, np.inf, "()"),
+        "weight_decay": Rule.within(0, np.inf, "[)"),
+        "epochs": Rule.at_least(1),
+        "patience": Rule.at_least(0),
     }
     __post_init__ = _check_rules
 
@@ -702,7 +700,9 @@ def _fit(
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch, train_config.lr, describe_inputs())
         opt.step(vector, np.concatenate([grads[name] for name in params], axis=None))
-        val_acc = val_accuracy(params)
+        # An update that overflows the model is refused at the next epoch's loss.
+        with np.errstate(over="ignore", invalid="ignore"):
+            val_acc = val_accuracy(params)
         history.append((epoch, loss, val_acc))
         if val_acc > best_val:
             best_val = val_acc

@@ -25,12 +25,12 @@ import reprlib
 import struct
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import BinaryIO, Iterator, get_type_hints
+from typing import BinaryIO, Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DigestMismatchError, FormatError, InputError
+from .errors import DigestMismatchError, FormatError, InputError, Rule, _check_rules
 from .graph import FilterPair, SparseGraph, _row_norms, enhanced_filters
 
 __all__ = [
@@ -53,25 +53,22 @@ _MAGIC = b"LSPB"
 _VERSION = 2
 
 
-def _fits_type(value, kind: type) -> bool:
-    """Whether a config value has type `kind`: an int passes for a float, a
-    bool never passes for a number.  Config files and artifact headers are
-    both checked by this rule."""
-    if isinstance(value, bool) != (kind is bool):
-        return False
-    if kind is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, kind)
+# A config dataclass's field names and types, resolved once per class.
+_field_types = functools.cache(get_type_hints)
 
 
-def _check_rules(config) -> None:
-    """Check a config against its class's `RULES`, field -> (test, text) in
-    check order: the first value to fail its test raises InputError("<field>
-    <text>, got <value>"), a message that starts with the field's name.  NaN
-    fails every test."""
-    for name, (test, text) in config.RULES.items():
-        if not test(value := getattr(config, name)):
-            raise InputError(f"{name} {text}, got {repr(value) if isinstance(value, str) else value}")
+def _expected_type(value, kind: type) -> str | None:
+    """None if a config value has the type `kind`, a field's annotation; else
+    the name a message gives that type.  An int passes for a float, a bool
+    never passes for a number, and `tuple[T, ...]` takes "a list of T".
+    Config files and artifact headers are both checked by this rule."""
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        fits = isinstance(value, list) and not any(_expected_type(v, item) for v in value)
+        return None if fits else f"a list of {item.__name__}"
+    fits = isinstance(value, bool) == (kind is bool) and isinstance(
+        value, (int, float) if kind is float else kind)
+    return None if fits else kind.__name__
 
 
 @dataclass(frozen=True)
@@ -85,9 +82,9 @@ class PropagationConfig:
     normalize: bool = True
 
     RULES = {
-        "num_layers": (lambda v: v >= 1, "must be >= 1"),
-        **dict.fromkeys(("gamma", "beta"), (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
-        "variant": (lambda v: v in VARIANTS, f"must be one of {VARIANTS}"),
+        "num_layers": Rule.at_least(1),
+        **dict.fromkeys(("gamma", "beta"), Rule.within(0, 1)),
+        "variant": Rule.one_of(VARIANTS),
     }
     __post_init__ = _check_rules
 
@@ -131,8 +128,7 @@ def propagate_layers(
     initial_residual: layer k = x + s @ layer (k-1), layer 0 = x.
     difference_residual: layer 1 = s @ x, layer k = s @ (layer (k-2) - layer (k-1)).
     """
-    if variant not in VARIANTS:
-        raise InputError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    PropagationConfig.RULES["variant"].check("variant", variant)
     if x.ndim != 2 or x.shape[0] != s.shape[0]:
         raise InputError(
             f"features must be 2-d with {s.shape[0]} rows, got shape {x.shape}"
@@ -221,10 +217,6 @@ def precompute_bundle(g: SparseGraph, x: np.ndarray, config: PropagationConfig) 
 
 
 # --- artifacts ---------------------------------------------------------------
-
-
-# A config dataclass's field names and types, resolved once per class.
-_field_types = functools.cache(get_type_hints)
 
 
 @contextmanager
@@ -352,9 +344,8 @@ def _read_artifact(
                 state = "unknown" if odd[0] in section else "missing"
                 raise error(f"{name}.{odd[0][:60]} is {state}")
             for key, kind in types.items():
-                value = section[key]
-                if not _fits_type(value, kind):
-                    raise error(f"{name}.{key} expects {kind.__name__}, got {reprlib.repr(value)}")
+                if expected := _expected_type(section[key], kind):
+                    raise error(f"{name}.{key} expects {expected}, got {reprlib.repr(section[key])}")
             try:
                 header[name] = config(**section)
             except InputError as exc:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GenerationError, InputError
+from .errors import GenerationError, InputError, Rule, _check_rules
 from .graph import SparseGraph, build_graph, self_loop_filters
 from .harness import ExperimentConfig, _seeds, make_splits
 from .localsim import naive_localsim
@@ -52,6 +52,11 @@ __all__ = [
 MODES = ("bernoulli", "expectation_exact")
 
 
+def _flagged(flag: str, rule: Rule) -> Rule:
+    """`rule` with the command-line flag that sets its field before its text."""
+    return rule._replace(text=f"({flag}) {rule.text}")
+
+
 @dataclass(frozen=True)
 class FsbmConfig:
     """Generator settings: one homophily level per subgraph, the graph's
@@ -70,21 +75,26 @@ class FsbmConfig:
     sigma: float
     mode: str = "bernoulli"
 
+    # Each text names the flag that sets its field.
+    RULES = {
+        "expected_degree": Rule(lambda v: 0.0 < v < np.inf, "(--degree) must be finite and positive"),
+        "mu": Rule(lambda v: len(v) == 2 and all(np.isfinite(v)), "(--mu) must be two finite numbers"),
+        "sigma": _flagged("--sigma", Rule.within(0, np.inf, "[)")),
+        "mode": _flagged("--mode", Rule.one_of(MODES)),
+    }
+
     def __post_init__(self):
+        _check_rules(self)
         if not self.lambdas:
             raise InputError("lambdas (--lambdas) must hold at least one value")
+        in_unit = _flagged("--lambdas", Rule.within(0, 1))
         for lam in self.lambdas:
-            if not 0.0 <= lam <= 1.0:
-                raise InputError(f"lambdas (--lambdas) must lie in [0, 1], got {lam}")
+            in_unit.check("lambdas", lam)
         block = 2 * self.num_subgraphs
         if self.num_nodes <= 0 or self.num_nodes % block != 0:
             raise InputError(
                 f"num_nodes (--nodes) must be a positive multiple of 2 communities x "
                 f"{self.num_subgraphs} subgraphs = {block}, got {self.num_nodes}"
-            )
-        if not 0.0 < self.expected_degree < np.inf:
-            raise InputError(
-                f"expected_degree (--degree) must be finite and positive, got {self.expected_degree}"
             )
         for p, q in zip(self.p, self.q):
             if p > 1.0 or q > 1.0:
@@ -92,12 +102,6 @@ class FsbmConfig:
                     f"expected degree {self.expected_degree:g} is infeasible on {self.num_nodes} "
                     f"nodes (--nodes): edge rates p={p:g}, q={q:g} must both be at most 1"
                 )
-        if len(self.mu) != 2 or not all(np.isfinite(self.mu)):
-            raise InputError(f"mu (--mu) must be two finite numbers, got {self.mu}")
-        if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise InputError(f"sigma (--sigma) must be finite and >= 0, got {self.sigma}")
-        if self.mode not in MODES:
-            raise InputError(f"mode (--mode) must be one of {MODES}, got {self.mode!r}")
 
     @property
     def num_subgraphs(self) -> int:
@@ -378,8 +382,7 @@ def theory_check(config: FsbmConfig, trials: int, base_seed=0) -> TheoryReport:
         raise InputError(
             f"the closed forms are stated for 2 subgraphs (two lambdas), got {config.num_subgraphs}"
         )
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
+    Rule.at_least(1).check("trials", trials)
     lambdas = _generated_lambdas(config)
     gap_sq = (config.mu[0] - config.mu[1]) ** 2
     analytic = -2.0 * config.sigma**2 - (1.0 - lambdas) * gap_sq

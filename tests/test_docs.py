@@ -10,7 +10,7 @@ import yaml
 
 from lsgnn import graph, localsim, model, synthetic
 from lsgnn.cli import build_parser
-from lsgnn.harness import ExperimentConfig
+from lsgnn.harness import ExperimentConfig, SearchSpace
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -68,3 +68,13 @@ def test_readme_quotes_each_block_size(case):
     quoted = re.findall(phrase, " ".join(README.split()))
     assert quoted, phrase
     assert [int(q.replace(",", "")) * unit for q in quoted] == [constant] * len(quoted)
+
+
+def test_readme_states_the_default_and_rule_of_every_search_space_key():
+    documented = {key: (yaml.safe_load(default), accepts)
+                  for key, default, accepts in _table_after("Search-space keys and defaults")}
+    assert list(documented) == [f.name for f in fields(SearchSpace)]
+    for f in fields(SearchSpace):
+        default, accepts = documented[f.name]
+        assert [(type(v), v) for v in default] == [(type(v), v) for v in f.default], f.name
+        assert accepts == SearchSpace.RULES[f.name][1], f.name

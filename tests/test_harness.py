@@ -439,7 +439,7 @@ def test_sample_config_draws_are_pinned(name):
     space, want = PINNED_DRAWS[name]
     rng = np.random.default_rng(7)
     got = [sample_config(space, rng, ExperimentConfig()) for _ in range(5)]
-    searched = [field for _, field, _ in SEARCHED]
+    searched = [field for _, field in SEARCHED]
     assert searched == ["lr", "weight_decay", "dropout", "beta", "gamma", "sim_kind"]
     for cfg, row in zip(got, want, strict=True):
         values = tuple(getattr(cfg, field) for field in searched)

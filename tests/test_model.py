@@ -371,7 +371,6 @@ def test_train_returns_best_epoch_parameters_under_dropout():
         assert np.array_equal(a, short.params[name]), name
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_reports_learning_rate():
     _, _, config, inputs, labels = make_instance(seed=17)
     tr, va, _ = masks(16, rng_seed=17)
