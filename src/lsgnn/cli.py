@@ -16,7 +16,7 @@ from dataclasses import asdict, astuple, fields, replace
 
 import yaml
 
-from .errors import InputError, LsgnnError
+from .errors import InputError, LsgnnError, NonFiniteOutputError
 from .harness import (
     SEARCHED,
     ExperimentConfig,
@@ -185,7 +185,13 @@ def _cmd_eval(args, out):
         )
     stack = precompute_bundle(bundle.graph, bundle.features, prop_cfg)
     inputs = ModelInputs.build(bundle.graph, bundle.features, stack, model_cfg.sim_kind)
-    accuracy = evaluate(params, model_cfg, inputs, bundle.labels, None)
+    try:
+        accuracy = evaluate(params, model_cfg, inputs, bundle.labels, None)
+    except NonFiniteOutputError:
+        raise NonFiniteOutputError(
+            f"checkpoint {args.checkpoint} gives non-finite class probabilities on dataset "
+            f"{args.data}: its parameters overflow on these inputs"
+        ) from None
     print(f"accuracy over all nodes: {accuracy:.4f}")
     return ["num_nodes", "accuracy"], [[bundle.num_nodes, accuracy]], stored, {}
 

@@ -24,18 +24,28 @@ class DigestMismatchError(FormatError):
     """A stored artifact does not match the feature matrix it is being paired with."""
 
 
-class TrainingDivergedError(LsgnnError):
-    """Loss became non-finite during optimization.  At epoch 0 no update has
-    happened, so the message names `inputs` and not the learning rate."""
+class NonFiniteOutputError(LsgnnError):
+    """A model's outputs are not finite: its parameters overflow on these inputs."""
 
-    def __init__(self, epoch: int, lr: float, inputs: str = "the inputs"):
+
+class TrainingDivergedError(LsgnnError):
+    """Loss became non-finite during optimization, or, `after_update`, the
+    epoch's update left a model whose outputs are not finite.  A loss at
+    epoch 0 comes before any update, so its message names `inputs` and not
+    the learning rate."""
+
+    def __init__(self, epoch: int, lr: float, inputs: str = "the inputs", after_update: bool = False):
         self.epoch = epoch
         self.lr = lr
-        super().__init__(
-            (f"loss was non-finite at epoch 0, before any update (lr={lr:g} is not at fault); "
-             f"check {inputs}") if epoch == 0 else
-            f"loss became non-finite at epoch {epoch} (lr={lr:g}); try a smaller learning rate"
-        )
+        if after_update:
+            message = (f"the update at epoch {epoch} (lr={lr:g}) left non-finite outputs; "
+                       f"try a smaller learning rate")
+        elif epoch == 0:
+            message = (f"loss was non-finite at epoch 0, before any update (lr={lr:g} is not at "
+                       f"fault); check {inputs}")
+        else:
+            message = f"loss became non-finite at epoch {epoch} (lr={lr:g}); try a smaller learning rate"
+        super().__init__(message)
 
 
 class GenerationError(LsgnnError):

@@ -38,13 +38,17 @@ that map's projection to the logits and drops both, so a block holds one
 (rows, z) map, not 2K+1.
 
 A training pass reads the `Rows` that `select_rows` returns and its
-caller holds: the selected rows gathered once, and the work arrays every
-`loss_and_gradients` call over them writes into (2K+1 channel maps, one
-backward map, the (n, z) dropout buffer and the refined local-similarity
-activations).  That is about (2K+1)·m·(d + z) floats for m selected rows,
-plus the dropout buffer, so repeated passes allocate no row-sized arrays.
-`train` selects its rows once; two trainings hold two `Rows` and share
-nothing they write.
+caller holds.  It computes α, the dropout keep bits and the
+log-probabilities for every selected row, then runs the channel maps
+forward and backward over blocks of rows whose 2K+1 maps hold at most
+`_TRAIN_BLOCK_FLOATS` floats, and sums the blocks' gradients.  The work
+arrays it writes into are block-sized (2K+1 channel maps, one backward
+map, one block of one channel's input rows, one chunk of refined
+local-similarity activations and of dropout uniforms).  What stays O(m)
+for m selected rows is narrower than one map: keep bits, α and the α
+head's activations, log-probabilities, labels, and two similarity
+features and a row slot per selected CSR entry.  `train` selects its rows
+once; two trainings hold two `Rows` and share nothing they write.
 
 Gradients are derived by hand and verified against central finite
 differences in the test suite; there is no autograd dependency.
@@ -60,7 +64,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DigestMismatchError, FormatError, InputError, Rule, TrainingDivergedError, _check_rules
+from .errors import (
+    DigestMismatchError,
+    FormatError,
+    InputError,
+    NonFiniteOutputError,
+    Rule,
+    TrainingDivergedError,
+    _check_rules,
+)
 from .graph import SparseGraph, _ratio, neighborhood_mean
 from .localsim import _SIM_KIND, edge_sim_values
 from .propagation import (
@@ -257,18 +269,17 @@ class Rows:
     rows and its own CSR entries (the precompute-then-MLP regime of SGC and
     SIGN), so a pass over these rows gives the selected rows of a full
     pass.  `index` selects the rows on the node axis, in ascending order;
-    when it is a slice the arrays are views.  Channel inputs are read
-    through `basis`: `bases` holds either the selected rows already
-    gathered or every row, with `basis_rows` gathering them on each read.
-    `work` holds the arrays a training pass writes into, by name; it is
-    None for an inference block, whose pass keeps nothing.
+    when it is a slice the per-row arrays are views.  `bases` holds every
+    channel's input over all nodes, and `basis` reads a block of the
+    selected rows from it.  `work` holds, by name, the block-sized arrays a
+    training pass writes into; it is None for an inference block, whose
+    pass keeps nothing.
     """
 
     index: slice | np.ndarray
     num_nodes: int
     sim_kind: str
-    bases: list[np.ndarray]  # each channel's input, in channel order
-    basis_rows: slice | np.ndarray
+    bases: list[np.ndarray]  # each channel's input over every node, in channel order
     phi_naive: np.ndarray
     edge_feats: np.ndarray
     entry_slots: np.ndarray
@@ -279,18 +290,36 @@ class Rows:
     def size(self) -> int:
         return self.phi_naive.shape[0]
 
-    def basis(self, ch: int) -> np.ndarray:
-        return self.bases[ch][self.basis_rows]
+    def basis(self, ch: int, block: slice = slice(None)) -> np.ndarray:
+        """Channel `ch`'s input at the selected rows `block` (positions in
+        the selection): a view when `index` is a slice, else gathered into
+        the work array `basis`, which the next read overwrites."""
+        base = self.bases[ch]
+        if isinstance(self.index, slice):
+            return base[self.index][block]
+        nodes = self.index[block]
+        return np.take(base, nodes, axis=0, out=self.buffer("basis", (nodes.size, base.shape[1])),
+                       mode="clip")
+
+    def span(self, start: int, stop: int) -> tuple[slice, slice | np.ndarray]:
+        """The selected rows among nodes start..stop-1, as a slice of
+        positions in the selection, and their nodes less `start`."""
+        if isinstance(self.index, slice):  # every node
+            return slice(start, stop), slice(None)
+        lo, hi = np.searchsorted(self.index, (start, stop))
+        return slice(lo, hi), self.index[lo:hi] - start
 
     def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """`work[name]`, reallocated only when its shape changes; a new
-        array when there is no `work`.  Its contents are undefined."""
+        """An array of `shape` over the front of `work[name]`, which is
+        reallocated only when too small; a new array when there is no
+        `work`.  Its contents are undefined."""
         if self.work is None:
             return np.empty(shape)
+        size = math.prod(shape)
         a = self.work.get(name)
-        if a is None or a.shape != shape:
-            a = self.work[name] = np.empty(shape)
-        return a
+        if a is None or a.size < size:
+            a = self.work[name] = np.empty(size)
+        return a[:size].reshape(shape)
 
 
 def _row_index(n: int, mask: np.ndarray | None = None) -> slice | np.ndarray:
@@ -305,10 +334,9 @@ def _row_index(n: int, mask: np.ndarray | None = None) -> slice | np.ndarray:
     return slice(None) if mask.all() else np.flatnonzero(mask)
 
 
-def _rows(inputs: ModelInputs, index: slice | np.ndarray, gather: bool) -> Rows:
-    """The rows `index` selects (ascending); a slice copies nothing.  With
-    `gather`, every channel's input rows are copied now and the rows get a
-    `work` dict; without, each `basis` read gathers one channel's rows."""
+def _rows(inputs: ModelInputs, index: slice | np.ndarray, work: bool) -> Rows:
+    """The rows `index` selects (ascending) with their CSR entries; a slice
+    copies nothing.  With `work`, the rows get a `work` dict."""
     graph = inputs.graph
     n = graph.num_nodes
     degrees = graph.degrees[index]
@@ -321,30 +349,58 @@ def _rows(inputs: ModelInputs, index: slice | np.ndarray, gather: bool) -> Rows:
         # slot i's entries are row_offsets[index[i]] onwards.
         firsts = graph.row_offsets[index] - (np.cumsum(degrees) - degrees)
         entries = firsts[entry_slots] + np.arange(entry_slots.size)
-    bases = [inputs.x, *inputs.stack.low, *inputs.stack.high]
-    if gather:
-        bases, basis_rows = [a[index] for a in bases], slice(None)
-    else:
-        basis_rows = index
     return Rows(
         index=index,
         num_nodes=n,
         sim_kind=inputs.sim_kind,
-        bases=bases,
-        basis_rows=basis_rows,
+        bases=[inputs.x, *inputs.stack.low, *inputs.stack.high],
         phi_naive=inputs.phi_naive[index],
         edge_feats=inputs.edge_feats[entries],
         entry_slots=entry_slots,
         inv_degrees=inputs.inv_degrees[index],
-        work={} if gather else None,
+        work={} if work else None,
     )
 
 
 def select_rows(inputs: ModelInputs, mask: np.ndarray) -> Rows:
-    """The rows `mask` selects, gathered once for every training pass over
-    them (module docstring).  The result is a snapshot: changing `mask`
-    afterwards does not change it."""
-    return _rows(inputs, _row_index(inputs.graph.num_nodes, mask), gather=True)
+    """The rows `mask` selects, for every training pass over them (module
+    docstring).  The result is a snapshot: changing `mask` afterwards does
+    not change it."""
+    return _rows(inputs, _row_index(inputs.graph.num_nodes, mask), work=True)
+
+
+# A training pass works in blocks whose 2K+1 channel maps hold at most this
+# many floats, and computes refined local similarity, and draws dropout
+# uniforms, in chunks of as many floats.
+_TRAIN_BLOCK_FLOATS = 1 << 17
+
+
+def _block_rows(row_floats: int) -> int:
+    """Rows per block when each row takes `row_floats` floats: as many as
+    `_TRAIN_BLOCK_FLOATS` holds, and above 16 a multiple of 16.  BLAS kernels
+    take rows in groups of up to 16 and compute a part group on its own
+    path, so whole groups keep most blocked products bitwise a one-block
+    product's rows."""
+    rows = max(1, _TRAIN_BLOCK_FLOATS // row_floats)
+    return rows - rows % 16 if rows > 16 else rows
+
+
+def _spans(total: int, step: int) -> list[slice]:
+    """Consecutive slices of `step` covering range(total); one empty slice
+    for no rows, so a pass over none still runs once."""
+    return [slice(s, min(s + step, total)) for s in range(0, max(total, 1), step)]
+
+
+def _check_inputs(config: ModelConfig, rows: Rows) -> None:
+    """Refuse rows whose similarity kind, channel count or width is not the config's."""
+    k = config.num_layers
+    kind, channels, width = rows.sim_kind, len(rows.bases), rows.bases[0].shape[1]
+    if (kind, channels, width) != (config.sim_kind, 2 * k + 1, config.in_dim):
+        raise InputError(
+            f"inputs carry sim_kind={kind!r}, {channels} channels and features of width {width}, "
+            f"but config wants sim_kind={config.sim_kind!r}, {2 * k + 1} channels "
+            f"(num_layers={k}) and in_dim={config.in_dim}"
+        )
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -352,34 +408,58 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
 
 
-def _cross_entropy(log_probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of `labels` and its gradient with respect to the
-    logits; no rows give 0 and an empty gradient."""
-    m = labels.size
-    picked = np.arange(m)
-    loss = 0.0 if m == 0 else -float(log_probs[picked, labels].mean())
+def _mean_nll(log_probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean cross-entropy of `labels`; 0 for no rows."""
+    return 0.0 if labels.size == 0 else -float(log_probs[np.arange(labels.size), labels].mean())
+
+
+def _dlogits(log_probs: np.ndarray, labels: np.ndarray, count: int) -> np.ndarray:
+    """The gradient, with respect to these rows' logits, of the mean
+    cross-entropy over `count` rows that these rows are among."""
     dlogits = np.exp(log_probs)
-    dlogits[picked, labels] -= 1.0
-    if m:
-        dlogits /= m
-    return loss, dlogits
+    dlogits[np.arange(labels.size), labels] -= 1.0
+    if count:
+        dlogits /= count
+    return dlogits
 
 
-def _fusion_terms(k: int, alpha: np.ndarray):
+@functools.cache
+def _fusion_slots(k: int) -> tuple[tuple[slice, slice], ...]:
     """Each channel's part in the fusion, in channel order: the `w_out`
-    blocks it feeds (a slice), its per-row weight in each of them, shape
-    (rows, blocks), and the α columns those weights read (module
-    docstring)."""
-    ones = np.ones((alpha.shape[0], 1), dtype=np.float64)
-    yield slice(0, k + 1), np.hstack([ones, alpha[:, :k]]), slice(0, k)
+    blocks it feeds and the α columns that weight it there, as slices
+    (module docstring)."""
+    slots = [(slice(0, k + 1), slice(0, k))]
     for ch in range(1, 2 * k + 1):
         b, col = 1 + (ch - 1) % k, k + ch - 1
-        yield slice(b, b + 1), alpha[:, col : col + 1], slice(col, col + 1)
+        slots.append((slice(b, b + 1), slice(col, col + 1)))
+    return tuple(slots)
 
 
-def _block_columns(w_blocks: np.ndarray) -> np.ndarray:
-    """(blocks, z, C) weights as one (z, blocks * C) matrix, block-major."""
-    return w_blocks.transpose(1, 0, 2).reshape(w_blocks.shape[1], -1)
+def _channel_weights(k: int, alpha: np.ndarray) -> list[np.ndarray]:
+    """Each channel's per-row weight in each block it feeds, shape (rows,
+    blocks), in channel order.  The identity channel's weight in block 0 is
+    the constant 1."""
+    ones = np.ones((alpha.shape[0], 1), dtype=np.float64)
+    return [np.hstack([ones, alpha[:, :k]]), *(alpha[:, cols] for _, cols in _fusion_slots(k)[1:])]
+
+
+def _projections(params: Params, config: ModelConfig) -> list[np.ndarray]:
+    """Each channel's `w_out` blocks as one (z, blocks * C) matrix,
+    block-major, in channel order; built once per pass."""
+    k, z, c = config.num_layers, config.hidden_dim, config.num_classes
+    w_blocks = params["w_out"].reshape(k + 1, z, c)
+    return [w_blocks[blocks].transpose(1, 0, 2).reshape(z, -1) for blocks, _ in _fusion_slots(k)]
+
+
+def _localsim_hidden(params: Params, rows: Rows, entries: slice) -> np.ndarray:
+    """The refined local-similarity MLP's hidden ReLU activations on
+    `entries`, in the work array `ls_r1`."""
+    feats = rows.edge_feats[entries]
+    r1 = rows.buffer("ls_r1", (feats.shape[0], params["ls_w1"].shape[1]))
+    np.matmul(feats, params["ls_w1"], out=r1)
+    r1 += params["ls_b1"]
+    np.maximum(r1, 0.0, out=r1)
+    return r1
 
 
 def _fusion_weights(
@@ -388,9 +468,11 @@ def _fusion_weights(
     rows: Rows,
     cache: dict | None,
 ) -> np.ndarray:
-    """α for the selected rows, shape (rows, 3K).  With a `cache`, the
-    arrays backward needs are stored in it; without one, none outlives the
-    call.  The refined local-similarity activations go into `rows.work`."""
+    """α for the selected rows, shape (rows, 3K).  With a `cache` (a
+    training pass), the arrays backward needs are stored in it and refined
+    local similarity runs in chunks of CSR entries; without one (an
+    inference block), it runs over the block's entries at once and no array
+    outlives the call."""
     k = config.num_layers
     n = rows.size
     if not config.uses_alpha_mlp:
@@ -398,16 +480,14 @@ def _fusion_weights(
     if not config.uses_localsim_mlp:
         phi = rows.phi_naive
     else:
-        # ReLU in place: backward reads its mask as r1 > 0.
-        r1 = rows.buffer("ls_r1", (rows.edge_feats.shape[0], config.ls_hidden))
-        np.matmul(rows.edge_feats, params["ls_w1"], out=r1)
-        r1 += params["ls_b1"]
-        np.maximum(r1, 0.0, out=r1)
-        s = r1 @ params["ls_w2"][:, 0] + params["ls_b2"][0]
+        total = rows.edge_feats.shape[0]
+        step = _block_rows(config.ls_hidden) if cache is not None else max(total, 1)
+        s = np.empty(total)
+        for entries in _spans(total, step):
+            r1 = _localsim_hidden(params, rows, entries)
+            s[entries] = r1 @ params["ls_w2"][:, 0] + params["ls_b2"][0]
         sums = np.bincount(rows.entry_slots, weights=s, minlength=n)
         phi = sums * rows.inv_degrees
-        if cache is not None:
-            cache.update(ls_r1=r1)
     psi = np.column_stack([phi, phi * phi])
     q1 = psi @ params["al_w1"]
     q1 += params["al_b1"]
@@ -417,60 +497,66 @@ def _fusion_weights(
     return q1 @ params["al_w2"] + params["al_b2"]
 
 
-def _forward(
+def _keep_bits(config: ModelConfig, rows: Rows, rng: np.random.Generator | None) -> np.ndarray | None:
+    """Each channel's dropout keep mask over the selected rows, eight hidden
+    units a byte: shape (2K+1, rows, ceil(z / 8)); None without dropout.
+
+    Each channel draws one uniform per node and hidden unit, channels in
+    order, in chunks of rows that continue one stream; only the selected
+    rows' bits are kept.  So the stream depends neither on the selection
+    nor on the chunk size.
+    """
+    if rng is None or config.dropout == 0.0:
+        return None
+    n, z = rows.num_nodes, config.hidden_dim
+    channels = 2 * config.num_layers + 1
+    bits = np.empty((channels, rows.size, (z + 7) // 8), dtype=np.uint8)
+    for ch in range(channels):
+        for nodes in _spans(n, _block_rows(z)):
+            draw = rng.random(out=rows.buffer("draw", (nodes.stop - nodes.start, z)))
+            selected, local = rows.span(nodes.start, nodes.stop)
+            bits[ch, selected] = np.packbits(draw[local] >= config.dropout, axis=1)
+    return bits
+
+
+def _channel_logits(
     params: Params,
     config: ModelConfig,
     rows: Rows,
-    dropout_rng: np.random.Generator | None,
-) -> dict:
-    """Forward pass over the selected rows; returns a cache holding the
-    log-probabilities and, for a training pass (rows with a `work` dict),
-    every array backward needs.
+    block: slice,
+    weights: list[np.ndarray],
+    projections: list[np.ndarray],
+    keep: np.ndarray | None,
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The logits of the selected rows `block`, given each channel's fusion
+    weights and projection matrix, and the dropout keep bits (None for no
+    dropout).
 
-    α comes first.  Each channel's map is then computed and added to the
-    logits in channel order.  A training pass writes the map into its own
-    work array and keeps it and its projection for backward; an inference
-    pass holds one (rows, z) map at a time.  Dropout draws happen in
-    channel order, so a seeded generator reproduces runs exactly.
+    Each channel's map is computed, passed through ReLU and dropout, and
+    its projection added to the logits, in channel order.  A training pass
+    (rows with a `work` dict) writes map ch into work array `map_<ch>` and
+    gets every (map, projection) pair back for backward; an inference pass
+    holds one (rows, z) map at a time and gets none.
     """
-    k, z = config.num_layers, config.hidden_dim
-    kind, channels, width = rows.sim_kind, len(rows.bases), rows.bases[0].shape[1]
-    if (kind, channels, width) != (config.sim_kind, 2 * k + 1, config.in_dim):
-        raise InputError(
-            f"inputs carry sim_kind={kind!r}, {channels} channels and features of width {width}, "
-            f"but config wants sim_kind={config.sim_kind!r}, {2 * k + 1} channels "
-            f"(num_layers={k}) and in_dim={config.in_dim}"
-        )
-    n = rows.size
+    k, z, c = config.num_layers, config.hidden_dim, config.num_classes
+    n = weights[0].shape[0]
     backward = rows.work is not None
-    cache: dict = {}
-    alpha = _fusion_weights(params, config, rows, cache if backward else None)
-
-    # Inverted dropout, in place.  Each channel's draw fills one buffer for
-    # every node and its keep mask is then indexed to the selected rows, so
-    # the generator's stream does not depend on which rows a pass computes.
-    dropout = dropout_rng is not None and config.dropout > 0.0
-    if dropout:
-        draw = rows.buffer("draw", (rows.num_nodes, z))
-    # Fusion in logit space (module docstring).
-    c = config.num_classes
-    w_blocks = params["w_out"].reshape(k + 1, z, c)
     logits = np.zeros((n, c), dtype=np.float64)
     channels = []
-    terms = zip(_channel_names(k), _fusion_terms(k, alpha))
-    for ch, (name, (blocks, weights, _)) in enumerate(terms):
-        h = np.matmul(rows.basis(ch), params[name], out=rows.buffer(f"map_{ch}", (n, z)))
+    for ch, (name, w, projection) in enumerate(zip(_channel_names(k), weights, projections)):
+        h = np.matmul(rows.basis(ch, block), params[name], out=rows.buffer(f"map_{ch}", (n, z)))
         np.maximum(h, 0.0, out=h)
-        if dropout:
-            dropout_rng.random(out=draw)
-            h *= (draw >= config.dropout)[rows.index]
+        if keep is not None:
+            h *= np.unpackbits(keep[ch, block], axis=1, count=z)
             h *= 1.0 / (1.0 - config.dropout)
-        proj = (h @ _block_columns(w_blocks[blocks])).reshape(n, weights.shape[1], c)
-        logits += (weights[:, :, None] * proj).sum(axis=1)
+        proj = h @ projection
+        if w.shape[1] == 1:
+            logits += w * proj
+        else:
+            logits += (w[:, :, None] * proj.reshape(n, w.shape[1], c)).sum(axis=1)
         if backward:
             channels.append((h, proj))
-    cache.update(alpha=alpha, channels=channels, dropout=dropout, log_probs=_log_softmax(logits))
-    return cache
+    return logits, channels
 
 
 _BLOCK_ROWS = 1024
@@ -481,18 +567,33 @@ def _proba(
 ) -> np.ndarray:
     """Class probabilities of the rows `index` selects, with dropout off.
 
-    `_forward` runs over blocks of `_BLOCK_ROWS` consecutive selected rows
-    and only each block's probabilities are kept, so peak memory does not
-    grow with the number of rows.
+    The forward pass runs over blocks of `_BLOCK_ROWS` consecutive selected
+    rows and only each block's probabilities are kept, so peak memory does
+    not grow with the number of rows.  Probabilities that are not finite
+    (parameters that overflow on these inputs) raise NonFiniteOutputError.
     """
     n = inputs.graph.num_nodes if isinstance(index, slice) else index.size
     probs = np.empty((n, config.num_classes), dtype=np.float64)
-    for s in range(0, n, _BLOCK_ROWS):
-        e = min(s + _BLOCK_ROWS, n)
-        block = slice(s, e) if isinstance(index, slice) else index[s:e]
-        rows = _rows(inputs, block, gather=False)
-        np.exp(_forward(params, config, rows, dropout_rng=None)["log_probs"], out=probs[s:e])
-    return probs
+    projections = _projections(params, config)
+    # An overflow yields non-finite probabilities, which are refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, n, _BLOCK_ROWS):
+            e = min(s + _BLOCK_ROWS, n)
+            rows = _rows(inputs, slice(s, e) if isinstance(index, slice) else index[s:e], work=False)
+            _check_inputs(config, rows)
+            weights = _channel_weights(config.num_layers, _fusion_weights(params, config, rows, None))
+            logits, _ = _channel_logits(params, config, rows, slice(None), weights, projections, None)
+            np.exp(_log_softmax(logits), out=probs[s:e])
+    return _finite(probs)
+
+
+def _finite(outputs: np.ndarray) -> np.ndarray:
+    """`outputs`, refused as NonFiniteOutputError if any entry is not finite."""
+    if not np.isfinite(outputs).all():
+        raise NonFiniteOutputError(
+            "the model's outputs are not finite: its parameters overflow on these inputs"
+        )
+    return outputs
 
 
 def predict_proba(
@@ -532,6 +633,14 @@ def _require_nodes(train_mask: np.ndarray, val_mask: np.ndarray) -> None:
             raise InputError(f"{name} mask selects no nodes")
 
 
+def _add(grads: Params, name: str, g: np.ndarray) -> None:
+    """Sum one block's gradient into `grads[name]`; the first is kept as is."""
+    if grads[name] is None:
+        grads[name] = g
+    else:
+        grads[name] += g
+
+
 def loss_and_gradients(
     params: Params,
     config: ModelConfig,
@@ -546,37 +655,51 @@ def loss_and_gradients(
     `rows` comes from `select_rows`; `labels` has one entry per node.  The
     L2 term is weight_decay / 2 times the squared norm of all parameters,
     biases and mixing weights included.  Rows from an empty mask leave only
-    the decay term, with zero data gradient.  Only the selected rows are
-    computed, into the arrays of `rows.work`; dropout still draws a mask
-    for every node.
+    the decay term, with zero data gradient.
+
+    α, the dropout keep bits and the log-probabilities are computed for
+    every selected row; the channel maps run forward and backward over
+    blocks of `_block_rows((2K+1)·z)` rows, in the work arrays of `rows`, and
+    their gradients are summed over the blocks.  The α head's gradients are
+    then computed over every row at once, and refined local similarity's in
+    chunks of CSR entries.
     """
-    k, z = config.num_layers, config.hidden_dim
+    _check_inputs(config, rows)
+    k, z, c = config.num_layers, config.hidden_dim, config.num_classes
     labels = labels[rows.index]
-    cache = _forward(params, config, rows, dropout_rng)
-    m_count = labels.size
-    ce, dlogits = _cross_entropy(cache["log_probs"], labels)
+    m = labels.size
+    cache: dict = {}
+    weights = _channel_weights(k, _fusion_weights(params, config, rows, cache))
+    projections = _projections(params, config)
+    keep = _keep_bits(config, rows, dropout_rng)
 
     # Keys in parameter order; each is assigned below.
     grads = dict.fromkeys(params)
-    c = config.num_classes
-    w_blocks = params["w_out"].reshape(k + 1, z, c)
-    dw_out = np.zeros_like(w_blocks)
-    dalpha = np.empty((m_count, 3 * k), dtype=np.float64)
-    dh = rows.buffer("dh", (m_count, z))
-    terms = zip(_channel_names(k), cache["channels"], _fusion_terms(k, cache["alpha"]))
-    for ch, (name, (h, proj), (blocks, weights, cols)) in enumerate(terms):
-        dweights = (proj * dlogits[:, None, :]).sum(axis=2)
-        # The identity channel's weight in block 0 is the constant 1.
-        dalpha[:, cols] = dweights[:, 1:] if ch == 0 else dweights
-        dproj = (weights[:, :, None] * dlogits[:, None, :]).reshape(m_count, weights.shape[1] * c)
-        dw_out[blocks] += (h.T @ dproj).reshape(z, -1, c).transpose(1, 0, 2)
-        np.matmul(dproj, _block_columns(w_blocks[blocks]).T, out=dh)
-        if cache["dropout"]:
-            dh *= 1.0 / (1.0 - config.dropout)
-        # Dropout zeroed h where it dropped, so h > 0 is the product of the
-        # keep mask and the ReLU's mask.
-        dh *= h > 0.0
-        grads[name] = rows.basis(ch).T @ dh
+    dw_out = np.zeros((k + 1, z, c), dtype=np.float64)
+    dalpha = np.empty((m, 3 * k), dtype=np.float64)
+    log_probs = np.empty((m, c), dtype=np.float64)
+    for block in _spans(m, _block_rows((2 * k + 1) * z)):
+        block_weights = [w[block] for w in weights]
+        logits, channels = _channel_logits(params, config, rows, block, block_weights, projections,
+                                           keep)
+        log_probs[block] = _log_softmax(logits)
+        dlogits = _dlogits(log_probs[block], labels[block], m)
+        n = dlogits.shape[0]
+        dh = rows.buffer("dh", (n, z))
+        parts = zip(_channel_names(k), channels, _fusion_slots(k), block_weights, projections)
+        for ch, (name, (h, proj), (blocks, cols), w, projection) in enumerate(parts):
+            dweights = (proj.reshape(n, w.shape[1], c) * dlogits[:, None, :]).sum(axis=2)
+            # The identity channel's weight in block 0 is the constant 1.
+            dalpha[block, cols] = dweights[:, 1:] if ch == 0 else dweights
+            dproj = (w[:, :, None] * dlogits[:, None, :]).reshape(n, w.shape[1] * c)
+            dw_out[blocks] += (h.T @ dproj).reshape(z, -1, c).transpose(1, 0, 2)
+            np.matmul(dproj, projection.T, out=dh)
+            if keep is not None:
+                dh *= 1.0 / (1.0 - config.dropout)
+            # Dropout zeroed h where it dropped, so h > 0 is the product of the
+            # keep mask and the ReLU's mask.
+            dh *= h > 0.0
+            _add(grads, name, rows.basis(ch, block).T @ dh)
     grads["w_out"] = dw_out.reshape(params["w_out"].shape)
 
     if not config.uses_alpha_mlp:
@@ -595,17 +718,20 @@ def loss_and_gradients(
             # Each entry's score feeds its row's mean, so the incoming
             # gradient splits by 1/degree.
             ds = dphi[rows.entry_slots] * rows.inv_degrees[rows.entry_slots]
-            r1 = cache["ls_r1"]
-            grads["ls_w2"] = (r1.T @ ds)[:, None]
             grads["ls_b2"] = ds.sum(keepdims=True)
-            # da1 overwrites r1, whose last read is its ReLU mask.
-            active = r1 > 0.0
-            da1 = np.multiply(ds[:, None], params["ls_w2"][:, 0][None, :], out=r1)
-            da1 *= active
-            grads["ls_w1"] = rows.edge_feats.T @ da1
-            grads["ls_b1"] = da1.sum(axis=0)
+            w2 = params["ls_w2"][:, 0]
+            for entries in _spans(ds.size, _block_rows(config.ls_hidden)):
+                # The forward pass's activations, computed again.
+                r1 = _localsim_hidden(params, rows, entries)
+                _add(grads, "ls_w2", (r1.T @ ds[entries])[:, None])
+                # da1 overwrites r1, whose last read is its ReLU mask.
+                active = r1 > 0.0
+                da1 = np.multiply(ds[entries, None], w2[None, :], out=r1)
+                da1 *= active
+                _add(grads, "ls_w1", rows.edge_feats[entries].T @ da1)
+                _add(grads, "ls_b1", da1.sum(axis=0))
 
-    return _decayed(ce, grads, params, weight_decay)
+    return _decayed(_mean_nll(log_probs, labels), grads, params, weight_decay)
 
 
 _ADAM_BETA1 = 0.9
@@ -685,7 +811,9 @@ def _fit(
     it in place from each epoch's gradients, flattened in that layout.  The
     result's params are views of a copy of the best validation epoch's vector.
     A non-finite loss raises TrainingDivergedError; at epoch 0, before any
-    update, it names `describe_inputs()` in place of the learning rate.
+    update, it names `describe_inputs()` in place of the learning rate.  So
+    does an update whose model gives non-finite outputs on the validation
+    rows (NonFiniteOutputError), naming the learning rate, at any epoch.
     """
     params = _views(vector, layout)
     opt = Adam(train_config.lr, vector.size)
@@ -700,9 +828,10 @@ def _fit(
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch, train_config.lr, describe_inputs())
         opt.step(vector, np.concatenate([grads[name] for name in params], axis=None))
-        # An update that overflows the model is refused at the next epoch's loss.
-        with np.errstate(over="ignore", invalid="ignore"):
+        try:
             val_acc = val_accuracy(params)
+        except NonFiniteOutputError:
+            raise TrainingDivergedError(epoch, train_config.lr, after_update=True) from None
         history.append((epoch, loss, val_acc))
         if val_acc > best_val:
             best_val = val_acc
@@ -805,7 +934,11 @@ def _linear_log_probs(params: Params, features: np.ndarray) -> np.ndarray:
 
 
 def linear_predict(params: Params, features: np.ndarray) -> np.ndarray:
-    return _linear_log_probs(params, features).argmax(axis=1)
+    """Each row's class; log-probabilities that are not finite raise
+    NonFiniteOutputError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_probs = _linear_log_probs(params, features)
+    return _finite(log_probs).argmax(axis=1)
 
 
 def linear_accuracy(
@@ -836,9 +969,10 @@ def train_linear(
     x_val, y_val = features[val_rows], labels[val_rows]
 
     def loss_and_grads(p: Params) -> tuple[float, Params]:
-        loss, dlogits = _cross_entropy(_linear_log_probs(p, x_train), y_train)
+        log_probs = _linear_log_probs(p, x_train)
+        dlogits = _dlogits(log_probs, y_train, y_train.size)
         grads = {"w": x_train.T @ dlogits, "b": dlogits.sum(axis=0)}
-        return _decayed(loss, grads, p, train_config.weight_decay)
+        return _decayed(_mean_nll(log_probs, y_train), grads, p, train_config.weight_decay)
 
     return _fit(
         _draw(shapes, np.random.default_rng(train_config.seed)),

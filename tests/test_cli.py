@@ -16,7 +16,7 @@ import lsgnn
 from lsgnn import synthetic
 from lsgnn.cli import build_parser, main
 from lsgnn.harness import ExperimentConfig, dataset_stats, load_dataset, save_dataset
-from lsgnn.model import load_checkpoint
+from lsgnn.model import load_checkpoint, save_checkpoint
 from lsgnn.propagation import load_bundle
 
 from conftest import join_artifact, split_artifact
@@ -189,6 +189,21 @@ def test_eval_refuses_a_checkpoint_holding_a_nan(dataset_dir, tuned_checkpoint, 
                  "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {bad}: array 'al_w1' holds a non-finite value\n"
+    assert "accuracy" not in captured.out
+
+
+def test_eval_refuses_a_checkpoint_whose_outputs_overflow(dataset_dir, tuned_checkpoint, tmp_path,
+                                                          capsys):
+    # Every array is finite, but their products overflow: eval used to
+    # print an accuracy scored from NaN probabilities.
+    config, propagation, params = load_checkpoint(tuned_checkpoint[0])
+    big = tmp_path / "big.lspm"
+    save_checkpoint(big, config, propagation, {name: a * 1e300 for name, a in params.items()})
+    capsys.readouterr()
+    assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(big),
+                 "--out", str(tmp_path / "eval")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: checkpoint {big} gives non-finite class probabilities")
     assert "accuracy" not in captured.out
 
 

@@ -57,6 +57,8 @@ _BLOCK_SIZES = {
     "inference rows": (r"in fixed blocks of (\S+) selected rows", 1, model._BLOCK_ROWS),
     "inference map": (r"holds one \((\S+), `hidden_dim`\) channel map", 1, model._BLOCK_ROWS),
     "Adam entries": (r"in blocks of (\S+) entries", 1, model._ADAM_BLOCK),
+    "training map floats": (r"channel maps hold at most (\S+) floats", 1,
+                            model._TRAIN_BLOCK_FLOATS),
     "gathered floats": (r"at most (\S+) gathered floats", 1, localsim._CHUNK),
     "generator pairs": (r"in blocks of (\S+) pairs", 1, synthetic._PAIR_BLOCK),
 }

@@ -381,6 +381,16 @@ def test_train_divergence_reports_learning_rate():
         train(config, tcfg, inputs, labels, tr, va)
 
 
+def test_an_update_that_overflows_the_model_is_refused_at_its_epoch():
+    # One epoch: no later loss is computed, so the validation pass must
+    # refuse the overflowed model itself, naming the learning rate.
+    _, _, config, inputs, labels = make_instance(seed=17)
+    tr, va, _ = masks(16, rng_seed=17)
+    tcfg = TrainConfig(lr=1e300, weight_decay=0.0, epochs=1, patience=1, seed=0)
+    with pytest.raises(TrainingDivergedError, match=r"update at epoch 0 \(lr=1e\+300\)"):
+        train(config, tcfg, inputs, labels, tr, va)
+
+
 @pytest.fixture(scope="module")
 def depth_four_inputs():
     """Inputs of the 200-node FSBM graph at seed 0, propagated at depth 4."""
@@ -715,6 +725,104 @@ def test_a_repeated_pass_allocates_nothing_row_sized():
     want = loss_and_gradients(params, config, select_rows(inputs, mask), labels, 5e-4,
                               np.random.default_rng(1))
     assert_same_result(got, want)
+
+
+def blocked_pass(config, params, inputs, labels, mask, block_floats, monkeypatch, seed=5):
+    """One training pass with `_TRAIN_BLOCK_FLOATS` set to `block_floats`:
+    its loss, gradients and the log-probabilities its loss read."""
+    monkeypatch.setattr(model_module, "_TRAIN_BLOCK_FLOATS", block_floats)
+    seen = []
+    nll = model_module._mean_nll
+
+    def spy(log_probs, rows_labels):
+        seen.append(log_probs.copy())
+        return nll(log_probs, rows_labels)
+
+    monkeypatch.setattr(model_module, "_mean_nll", spy)
+    loss, grads = loss_and_gradients(params, config, select_rows(inputs, mask), labels, 1e-3,
+                                     np.random.default_rng(seed))
+    return loss, grads, seen[0]
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("localsim_mode,weight_mode", ROW_MODES)
+def test_blocked_training_pass_matches_one_block(localsim_mode, weight_mode, dropout,
+                                                 monkeypatch):
+    # Blocks of 16 rows (40 rows: three blocks), the multiple that the
+    # module's row count keeps; refined local similarity in chunks of 8
+    # entries.  With this BLAS the blocked products give every row's bits.
+    n, k, z = 60, 3, 8
+    _, _, config, inputs, labels = make_instance(
+        n=n, d=4, k=k, z=z, seed=27, localsim_mode=localsim_mode, weight_mode=weight_mode,
+        dropout=dropout)
+    params = init_parameters(config, np.random.default_rng(27))
+    mask = np.arange(n) % 3 != 0
+    whole = blocked_pass(config, params, inputs, labels, mask, 1 << 17, monkeypatch)
+    assert model_module._block_rows((2 * k + 1) * z) >= mask.sum()
+    blocks = blocked_pass(config, params, inputs, labels, mask, (2 * k + 1) * z * 16, monkeypatch)
+    assert model_module._block_rows((2 * k + 1) * z) == 16
+    assert blocks[0] == whole[0]
+    assert blocks[2].tobytes() == whole[2].tobytes()
+    assert list(blocks[1]) == list(whole[1])
+    for name, g in blocks[1].items():
+        assert np.max(np.abs(g - whole[1][name])) <= 1e-12, name
+
+
+@pytest.mark.parametrize("case", [c for c in _FD_CASES if c[2] == "node_level"][:3]
+                         + [c for c in _FD_CASES if c[5]])
+def test_blocked_gradients_match_finite_differences(case, monkeypatch):
+    sim_kind, localsim_mode, weight_mode, h, tol, dropout = case
+    _, _, config, inputs, labels = make_instance(
+        n=14, d=3, k=2, z=3, seed=9, sim_kind=sim_kind, localsim_mode=localsim_mode,
+        weight_mode=weight_mode, dropout=dropout)
+    params = init_parameters(config, np.random.default_rng(9))
+    tr, _, _ = masks(14, rng_seed=9)
+    rows = select_rows(inputs, tr)
+    # Two rows a block: the 7 train rows take 4 blocks.
+    monkeypatch.setattr(model_module, "_TRAIN_BLOCK_FLOATS", 5 * 3 * 2)
+    assert tr.sum() > 3 * model_module._block_rows(5 * 3)
+
+    def loss_and_grads():
+        rng = np.random.default_rng(4) if dropout else None
+        return loss_and_gradients(params, config, rows, labels, weight_decay=5e-4, dropout_rng=rng)
+
+    _, grads = loss_and_grads()
+    assert max_rel_error(grads, central_fd(lambda: loss_and_grads()[0], params, h)) <= tol
+
+
+@pytest.mark.parametrize("block_floats", [1, 4 * 3, 4 * 7, 4 * 64, 1 << 17])
+def test_dropout_keep_bits_do_not_depend_on_the_block_size(block_floats, monkeypatch):
+    g, _, config, inputs, _ = make_instance(n=30, k=3, z=4, seed=25, dropout=0.5)
+    monkeypatch.setattr(model_module, "_TRAIN_BLOCK_FLOATS", block_floats)
+    for mask in (sparse_mask(g, 30), np.ones(30, dtype=bool)):
+        rows = select_rows(inputs, mask)
+        rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+        bits = model_module._keep_bits(config, rows, rng)
+        for ch in range(2 * config.num_layers + 1):
+            want = (twin.random((30, config.hidden_dim)) >= config.dropout)[mask]
+            got = np.unpackbits(bits[ch], axis=1, count=config.hidden_dim)
+            assert np.array_equal(got, want), ch
+        assert rng.random() == twin.random()
+
+
+def test_a_training_pass_holds_block_sized_maps():
+    # Every row's 2K+1 maps and gathered channel inputs grew a pass by about
+    # 25 map rows (12.7 KB) per selected row; per-row state is narrower.
+    z = 64
+    growth = []
+    for n in (4000, 8000):
+        config, inputs, params, labels = wide_instance(n, d=64, k=4, z=z, seed=30, dropout=0.5)
+        mask = np.arange(n) % 2 == 0
+
+        def fresh_pass():
+            return loss_and_gradients(params, config, select_rows(inputs, mask), labels, 5e-4,
+                                      np.random.default_rng(1))
+
+        _, peak = traced_peak(fresh_pass)
+        growth.append((mask.sum(), peak))
+    (m0, p0), (m1, p1) = growth
+    per_row = (p1 - p0) / (m1 - m0)
+    assert per_row < 3 * z * 8, per_row
 
 
 def assert_same_result(got, want):
