@@ -27,28 +27,22 @@ draws the vector in it, Adam and the best-epoch snapshot take the whole
 vector, and a checkpoint's payload is the vector.  The passes, the decay
 term and `save_checkpoint` take any such dict, views or not.
 
-Every pass reads the rows a `Rows` selects: `Rows.index` indexes the
-node axis.  It is a slice for consecutive rows (every row, or one
-inference block), so those arrays are views of the inputs rather than
-copies.  Inference (`predict_proba`, `evaluate`) runs in fixed blocks of
-`_BLOCK_ROWS` selected rows with dropout off and keeps only each block's
-probabilities.  Its forward pass builds no backward cache: it computes α,
-then gathers each channel's input rows and computes its map in turn, adds
-that map's projection to the logits and drops both, so a block holds one
-(rows, z) map, not 2K+1.
-
-A training pass reads the `Rows` that `select_rows` returns and its
-caller holds.  It computes α, the dropout keep bits and the
-log-probabilities for every selected row, then runs the channel maps
-forward and backward over blocks of rows whose 2K+1 maps hold at most
-`_TRAIN_BLOCK_FLOATS` floats, and sums the blocks' gradients.  The work
-arrays it writes into are block-sized (2K+1 channel maps, one backward
-map, one block of one channel's input rows, one chunk of refined
-local-similarity activations and of dropout uniforms).  What stays O(m)
-for m selected rows is narrower than one map: keep bits, α and the α
-head's activations, log-probabilities, labels, and two similarity
-features and a row slot per selected CSR entry.  `train` selects its rows
-once; two trainings hold two `Rows` and share nothing they write.
+Passes.  Every pass walks the `Rows` that `select_rows` returns (a slice
+of every row, whose per-row arrays are views, or ascending row indices)
+in consecutive blocks of `_block_rows(f)` rows, f being the channel-map
+floats a row holds: `hidden_dim` for inference (`predict_proba`,
+`evaluate`), which holds one map at a time and keeps each block's
+probabilities, and (2K+1)·`hidden_dim` for a training pass, which keeps
+all 2K+1 maps for backward.  Each block computes its own α from its own
+CSR entries, then its maps and logits and, in training, its whole
+backward; the blocks' gradients are summed into views of one zeroed
+vector.  The arrays a pass writes into are block-sized work arrays of
+the `Rows`.  What stays O(m) for m selected rows is narrower than one
+map: the probabilities or log-probabilities, labels, dropout keep bits
+(drawn before the blocks from one stream), the per-row similarity terms
+and CSR offsets, and two similarity features per selected CSR entry.
+`train` selects its rows once; two trainings hold two `Rows` and share
+nothing they write.
 
 Gradients are derived by hand and verified against central finite
 differences in the test suite; there is no autograd dependency.
@@ -271,9 +265,9 @@ class Rows:
     pass.  `index` selects the rows on the node axis, in ascending order;
     when it is a slice the per-row arrays are views.  `bases` holds every
     channel's input over all nodes, and `basis` reads a block of the
-    selected rows from it.  `work` holds, by name, the block-sized arrays a
-    training pass writes into; it is None for an inference block, whose
-    pass keeps nothing.
+    selected rows from it.  Row i's similarity features are `edge_feats`
+    entries `entry_offsets[i]` to `entry_offsets[i + 1]`.  `work` holds, by
+    name, the block-sized arrays a pass writes into.
     """
 
     index: slice | np.ndarray
@@ -282,15 +276,15 @@ class Rows:
     bases: list[np.ndarray]  # each channel's input over every node, in channel order
     phi_naive: np.ndarray
     edge_feats: np.ndarray
-    entry_slots: np.ndarray
+    entry_offsets: np.ndarray
     inv_degrees: np.ndarray
-    work: dict[str, np.ndarray] | None
+    work: dict[str, np.ndarray]
 
     @property
     def size(self) -> int:
         return self.phi_naive.shape[0]
 
-    def basis(self, ch: int, block: slice = slice(None)) -> np.ndarray:
+    def basis(self, ch: int, block: slice) -> np.ndarray:
         """Channel `ch`'s input at the selected rows `block` (positions in
         the selection): a view when `index` is a slice, else gathered into
         the work array `basis`, which the next read overwrites."""
@@ -300,6 +294,13 @@ class Rows:
         nodes = self.index[block]
         return np.take(base, nodes, axis=0, out=self.buffer("basis", (nodes.size, base.shape[1])),
                        mode="clip")
+
+    def entries(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
+        """The similarity features of the selected rows `block`'s CSR
+        entries (a view), and each entry's row within the block."""
+        offsets = self.entry_offsets[block.start:block.stop + 1]
+        slots = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+        return self.edge_feats[offsets[0]:offsets[-1]], slots
 
     def span(self, start: int, stop: int) -> tuple[slice, slice | np.ndarray]:
         """The selected rows among nodes start..stop-1, as a slice of
@@ -311,10 +312,7 @@ class Rows:
 
     def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         """An array of `shape` over the front of `work[name]`, which is
-        reallocated only when too small; a new array when there is no
-        `work`.  Its contents are undefined."""
-        if self.work is None:
-            return np.empty(shape)
+        reallocated only when too small.  Its contents are undefined."""
         size = math.prod(shape)
         a = self.work.get(name)
         if a is None or a.size < size:
@@ -334,54 +332,48 @@ def _row_index(n: int, mask: np.ndarray | None = None) -> slice | np.ndarray:
     return slice(None) if mask.all() else np.flatnonzero(mask)
 
 
-def _rows(inputs: ModelInputs, index: slice | np.ndarray, work: bool) -> Rows:
-    """The rows `index` selects (ascending) with their CSR entries; a slice
-    copies nothing.  With `work`, the rows get a `work` dict."""
+def select_rows(inputs: ModelInputs, mask: np.ndarray | None = None) -> Rows:
+    """The rows `mask` selects (every row for None) with their CSR entries,
+    for every pass over them (module docstring); every row copies nothing.
+    The result is a snapshot: changing `mask` afterwards does not change it."""
     graph = inputs.graph
-    n = graph.num_nodes
-    degrees = graph.degrees[index]
-    entry_slots = np.repeat(np.arange(degrees.size), degrees)
+    index = _row_index(graph.num_nodes, mask)
     if isinstance(index, slice):
-        start, stop, _ = index.indices(n)
-        entries = slice(graph.row_offsets[start], graph.row_offsets[stop])
+        offsets, entries = graph.row_offsets, index
     else:
+        degrees = graph.degrees[index]
+        offsets = np.zeros(index.size + 1, dtype=np.int64)
+        np.cumsum(degrees, out=offsets[1:])
         # CSR entries are grouped by row in ascending order, like `index`:
-        # slot i's entries are row_offsets[index[i]] onwards.
-        firsts = graph.row_offsets[index] - (np.cumsum(degrees) - degrees)
-        entries = firsts[entry_slots] + np.arange(entry_slots.size)
+        # row i's entries are row_offsets[index[i]] onwards.
+        entries = np.repeat(graph.row_offsets[index] - offsets[:-1], degrees)
+        entries += np.arange(entries.size)
     return Rows(
         index=index,
-        num_nodes=n,
+        num_nodes=graph.num_nodes,
         sim_kind=inputs.sim_kind,
         bases=[inputs.x, *inputs.stack.low, *inputs.stack.high],
         phi_naive=inputs.phi_naive[index],
         edge_feats=inputs.edge_feats[entries],
-        entry_slots=entry_slots,
+        entry_offsets=offsets,
         inv_degrees=inputs.inv_degrees[index],
-        work={} if work else None,
+        work={},
     )
 
 
-def select_rows(inputs: ModelInputs, mask: np.ndarray) -> Rows:
-    """The rows `mask` selects, for every training pass over them (module
-    docstring).  The result is a snapshot: changing `mask` afterwards does
-    not change it."""
-    return _rows(inputs, _row_index(inputs.graph.num_nodes, mask), work=True)
-
-
-# A training pass works in blocks whose 2K+1 channel maps hold at most this
-# many floats, and computes refined local similarity, and draws dropout
+# Every pass works in blocks of rows whose held channel maps take at most
+# this many floats, and computes refined local similarity, and draws dropout
 # uniforms, in chunks of as many floats.
-_TRAIN_BLOCK_FLOATS = 1 << 17
+_BLOCK_FLOATS = 1 << 17
 
 
 def _block_rows(row_floats: int) -> int:
     """Rows per block when each row takes `row_floats` floats: as many as
-    `_TRAIN_BLOCK_FLOATS` holds, and above 16 a multiple of 16.  BLAS kernels
+    `_BLOCK_FLOATS` holds, and above 16 a multiple of 16.  BLAS kernels
     take rows in groups of up to 16 and compute a part group on its own
     path, so whole groups keep most blocked products bitwise a one-block
     product's rows."""
-    rows = max(1, _TRAIN_BLOCK_FLOATS // row_floats)
+    rows = max(1, _BLOCK_FLOATS // row_floats)
     return rows - rows % 16 if rows > 16 else rows
 
 
@@ -451,10 +443,9 @@ def _projections(params: Params, config: ModelConfig) -> list[np.ndarray]:
     return [w_blocks[blocks].transpose(1, 0, 2).reshape(z, -1) for blocks, _ in _fusion_slots(k)]
 
 
-def _localsim_hidden(params: Params, rows: Rows, entries: slice) -> np.ndarray:
-    """The refined local-similarity MLP's hidden ReLU activations on
-    `entries`, in the work array `ls_r1`."""
-    feats = rows.edge_feats[entries]
+def _localsim_hidden(params: Params, rows: Rows, feats: np.ndarray) -> np.ndarray:
+    """The refined local-similarity MLP's hidden ReLU activations on the
+    entries' similarity features `feats`, in the work array `ls_r1`."""
     r1 = rows.buffer("ls_r1", (feats.shape[0], params["ls_w1"].shape[1]))
     np.matmul(feats, params["ls_w1"], out=r1)
     r1 += params["ls_b1"]
@@ -466,35 +457,71 @@ def _fusion_weights(
     params: Params,
     config: ModelConfig,
     rows: Rows,
-    cache: dict | None,
+    block: slice,
+    cache: dict,
 ) -> np.ndarray:
-    """α for the selected rows, shape (rows, 3K).  With a `cache` (a
-    training pass), the arrays backward needs are stored in it and refined
-    local similarity runs in chunks of CSR entries; without one (an
-    inference block), it runs over the block's entries at once and no array
-    outlives the call."""
+    """α for the selected rows `block`, shape (rows, 3K); the arrays its
+    backward reads are stored in `cache`.  Refined local similarity runs
+    over the block's CSR entries in chunks of `_block_rows(ls_hidden)`."""
     k = config.num_layers
-    n = rows.size
+    n = block.stop - block.start
     if not config.uses_alpha_mlp:
         return np.broadcast_to(params["graph_alpha"], (n, 3 * k))
     if not config.uses_localsim_mlp:
-        phi = rows.phi_naive
+        phi = rows.phi_naive[block]
     else:
-        total = rows.edge_feats.shape[0]
-        step = _block_rows(config.ls_hidden) if cache is not None else max(total, 1)
-        s = np.empty(total)
-        for entries in _spans(total, step):
-            r1 = _localsim_hidden(params, rows, entries)
-            s[entries] = r1 @ params["ls_w2"][:, 0] + params["ls_b2"][0]
-        sums = np.bincount(rows.entry_slots, weights=s, minlength=n)
-        phi = sums * rows.inv_degrees
+        feats, slots = rows.entries(block)
+        s = np.empty(slots.size)
+        for chunk in _spans(s.size, _block_rows(config.ls_hidden)):
+            r1 = _localsim_hidden(params, rows, feats[chunk])
+            s[chunk] = r1 @ params["ls_w2"][:, 0] + params["ls_b2"][0]
+        inv_degrees = rows.inv_degrees[block]
+        phi = np.bincount(slots, weights=s, minlength=n) * inv_degrees
+        cache.update(feats=feats, slots=slots, inv_degrees=inv_degrees)
     psi = np.column_stack([phi, phi * phi])
     q1 = psi @ params["al_w1"]
     q1 += params["al_b1"]
     np.maximum(q1, 0.0, out=q1)
-    if cache is not None:
-        cache.update(phi=phi, psi=psi, al_q1=q1)
+    cache.update(phi=phi, psi=psi, al_q1=q1)
     return q1 @ params["al_w2"] + params["al_b2"]
+
+
+def _fusion_backward(
+    params: Params, config: ModelConfig, rows: Rows, cache: dict, dalpha: np.ndarray, grads: Params
+) -> None:
+    """Add to `grads` the α head's gradients over one block, given the
+    gradient `dalpha` with respect to its α and the `cache` that
+    `_fusion_weights` filled for it."""
+    if not config.uses_alpha_mlp:
+        grads["graph_alpha"] += dalpha.sum(axis=0)
+        return
+    q1 = cache["al_q1"]
+    grads["al_w2"] += q1.T @ dalpha
+    grads["al_b2"] += dalpha.sum(axis=0)
+    dq1 = dalpha @ params["al_w2"].T
+    db1 = dq1 * (q1 > 0.0)
+    grads["al_w1"] += cache["psi"].T @ db1
+    grads["al_b1"] += db1.sum(axis=0)
+    dpsi = db1 @ params["al_w1"].T
+    dphi = dpsi[:, 0] + 2.0 * cache["phi"] * dpsi[:, 1]
+    if not config.uses_localsim_mlp:
+        return
+    feats, slots = cache["feats"], cache["slots"]
+    # Each entry's score feeds its row's mean, so the incoming gradient
+    # splits by 1/degree.
+    ds = dphi[slots] * cache["inv_degrees"][slots]
+    grads["ls_b2"] += ds.sum()
+    w2 = params["ls_w2"][:, 0]
+    for chunk in _spans(ds.size, _block_rows(config.ls_hidden)):
+        # The forward pass's activations, computed again.
+        r1 = _localsim_hidden(params, rows, feats[chunk])
+        grads["ls_w2"][:, 0] += r1.T @ ds[chunk]
+        # da1 overwrites r1, whose last read is its ReLU mask.
+        active = r1 > 0.0
+        da1 = np.multiply(ds[chunk, None], w2[None, :], out=r1)
+        da1 *= active
+        grads["ls_w1"] += feats[chunk].T @ da1
+        grads["ls_b1"] += da1.sum(axis=0)
 
 
 def _keep_bits(config: ModelConfig, rows: Rows, rng: np.random.Generator | None) -> np.ndarray | None:
@@ -527,24 +554,25 @@ def _channel_logits(
     weights: list[np.ndarray],
     projections: list[np.ndarray],
     keep: np.ndarray | None,
+    backward: bool,
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """The logits of the selected rows `block`, given each channel's fusion
     weights and projection matrix, and the dropout keep bits (None for no
     dropout).
 
     Each channel's map is computed, passed through ReLU and dropout, and
-    its projection added to the logits, in channel order.  A training pass
-    (rows with a `work` dict) writes map ch into work array `map_<ch>` and
-    gets every (map, projection) pair back for backward; an inference pass
-    holds one (rows, z) map at a time and gets none.
+    its projection added to the logits, in channel order.  For `backward`
+    map ch is written into work array `map_<ch>` and every (map,
+    projection) pair comes back; otherwise every map reuses work array
+    `map`, so the pass holds one (rows, z) map, and none comes back.
     """
     k, z, c = config.num_layers, config.hidden_dim, config.num_classes
     n = weights[0].shape[0]
-    backward = rows.work is not None
     logits = np.zeros((n, c), dtype=np.float64)
     channels = []
     for ch, (name, w, projection) in enumerate(zip(_channel_names(k), weights, projections)):
-        h = np.matmul(rows.basis(ch, block), params[name], out=rows.buffer(f"map_{ch}", (n, z)))
+        out = rows.buffer(f"map_{ch}" if backward else "map", (n, z))
+        h = np.matmul(rows.basis(ch, block), params[name], out=out)
         np.maximum(h, 0.0, out=h)
         if keep is not None:
             h *= np.unpackbits(keep[ch, block], axis=1, count=z)
@@ -559,31 +587,26 @@ def _channel_logits(
     return logits, channels
 
 
-_BLOCK_ROWS = 1024
+def _proba(params: Params, config: ModelConfig, rows: Rows) -> np.ndarray:
+    """Class probabilities of the selected rows, with dropout off.
 
-
-def _proba(
-    params: Params, config: ModelConfig, inputs: ModelInputs, index: slice | np.ndarray
-) -> np.ndarray:
-    """Class probabilities of the rows `index` selects, with dropout off.
-
-    The forward pass runs over blocks of `_BLOCK_ROWS` consecutive selected
-    rows and only each block's probabilities are kept, so peak memory does
-    not grow with the number of rows.  Probabilities that are not finite
-    (parameters that overflow on these inputs) raise NonFiniteOutputError.
+    The forward pass runs over blocks of `_block_rows(hidden_dim)` rows,
+    one channel map at a time, and only each block's probabilities are
+    kept, so peak memory does not grow with the number of rows.
+    Probabilities that are not finite (parameters that overflow on these
+    inputs) raise NonFiniteOutputError.
     """
-    n = inputs.graph.num_nodes if isinstance(index, slice) else index.size
-    probs = np.empty((n, config.num_classes), dtype=np.float64)
+    _check_inputs(config, rows)
+    probs = np.empty((rows.size, config.num_classes), dtype=np.float64)
     projections = _projections(params, config)
     # An overflow yields non-finite probabilities, which are refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(0, n, _BLOCK_ROWS):
-            e = min(s + _BLOCK_ROWS, n)
-            rows = _rows(inputs, slice(s, e) if isinstance(index, slice) else index[s:e], work=False)
-            _check_inputs(config, rows)
-            weights = _channel_weights(config.num_layers, _fusion_weights(params, config, rows, None))
-            logits, _ = _channel_logits(params, config, rows, slice(None), weights, projections, None)
-            np.exp(_log_softmax(logits), out=probs[s:e])
+        for block in _spans(rows.size, _block_rows(config.hidden_dim)):
+            alpha = _fusion_weights(params, config, rows, block, {})
+            weights = _channel_weights(config.num_layers, alpha)
+            logits, _ = _channel_logits(params, config, rows, block, weights, projections, None,
+                                        backward=False)
+            np.exp(_log_softmax(logits), out=probs[block])
     return _finite(probs)
 
 
@@ -600,7 +623,7 @@ def predict_proba(
     params: Params, config: ModelConfig, inputs: ModelInputs
 ) -> np.ndarray:
     """Class probabilities with dropout off; rows sum to 1."""
-    return _proba(params, config, inputs, _row_index(inputs.graph.num_nodes))
+    return _proba(params, config, select_rows(inputs))
 
 
 def predict(params: Params, config: ModelConfig, inputs: ModelInputs) -> np.ndarray:
@@ -615,9 +638,8 @@ def evaluate(
     mask: np.ndarray | None,
 ) -> float:
     """Accuracy over the masked nodes (all for None), from those rows alone."""
-    index = _row_index(inputs.graph.num_nodes, mask)
-    pred = _proba(params, config, inputs, index).argmax(axis=1)
-    return _accuracy(pred, labels[index])
+    rows = select_rows(inputs, mask)
+    return _accuracy(_proba(params, config, rows).argmax(axis=1), labels[rows.index])
 
 
 def _accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
@@ -633,12 +655,10 @@ def _require_nodes(train_mask: np.ndarray, val_mask: np.ndarray) -> None:
             raise InputError(f"{name} mask selects no nodes")
 
 
-def _add(grads: Params, name: str, g: np.ndarray) -> None:
-    """Sum one block's gradient into `grads[name]`; the first is kept as is."""
-    if grads[name] is None:
-        grads[name] = g
-    else:
-        grads[name] += g
+def _zeros(layout: list[tuple[str, tuple[int, ...]]]) -> Params:
+    """The `_views` of `layout` over one zeroed vector, which is each
+    array's `base`: the gradients of one pass."""
+    return _views(np.zeros(sum(math.prod(shape) for _, shape in layout)), layout)
 
 
 def loss_and_gradients(
@@ -657,40 +677,37 @@ def loss_and_gradients(
     biases and mixing weights included.  Rows from an empty mask leave only
     the decay term, with zero data gradient.
 
-    α, the dropout keep bits and the log-probabilities are computed for
-    every selected row; the channel maps run forward and backward over
-    blocks of `_block_rows((2K+1)·z)` rows, in the work arrays of `rows`, and
-    their gradients are summed over the blocks.  The α head's gradients are
-    then computed over every row at once, and refined local similarity's in
-    chunks of CSR entries.
+    The dropout keep bits and the log-probabilities are kept for every
+    selected row.  Everything else, α and its head included, runs forward
+    and backward over blocks of `_block_rows((2K+1)·z)` rows in the work
+    arrays of `rows`, and each block's gradients are summed into the
+    `_zeros` views of one vector, in `_parameter_shapes` order.
     """
     _check_inputs(config, rows)
     k, z, c = config.num_layers, config.hidden_dim, config.num_classes
     labels = labels[rows.index]
     m = labels.size
-    cache: dict = {}
-    weights = _channel_weights(k, _fusion_weights(params, config, rows, cache))
     projections = _projections(params, config)
     keep = _keep_bits(config, rows, dropout_rng)
 
-    # Keys in parameter order; each is assigned below.
-    grads = dict.fromkeys(params)
-    dw_out = np.zeros((k + 1, z, c), dtype=np.float64)
-    dalpha = np.empty((m, 3 * k), dtype=np.float64)
+    grads = _zeros(_layout(_parameter_shapes(config)))
+    dw_out = grads["w_out"].reshape(k + 1, z, c)
     log_probs = np.empty((m, c), dtype=np.float64)
     for block in _spans(m, _block_rows((2 * k + 1) * z)):
-        block_weights = [w[block] for w in weights]
-        logits, channels = _channel_logits(params, config, rows, block, block_weights, projections,
-                                           keep)
+        cache: dict = {}
+        weights = _channel_weights(k, _fusion_weights(params, config, rows, block, cache))
+        logits, channels = _channel_logits(params, config, rows, block, weights, projections,
+                                           keep, backward=True)
         log_probs[block] = _log_softmax(logits)
         dlogits = _dlogits(log_probs[block], labels[block], m)
         n = dlogits.shape[0]
         dh = rows.buffer("dh", (n, z))
-        parts = zip(_channel_names(k), channels, _fusion_slots(k), block_weights, projections)
+        dalpha = rows.buffer("dalpha", (n, 3 * k))
+        parts = zip(_channel_names(k), channels, _fusion_slots(k), weights, projections)
         for ch, (name, (h, proj), (blocks, cols), w, projection) in enumerate(parts):
             dweights = (proj.reshape(n, w.shape[1], c) * dlogits[:, None, :]).sum(axis=2)
             # The identity channel's weight in block 0 is the constant 1.
-            dalpha[block, cols] = dweights[:, 1:] if ch == 0 else dweights
+            dalpha[:, cols] = dweights[:, 1:] if ch == 0 else dweights
             dproj = (w[:, :, None] * dlogits[:, None, :]).reshape(n, w.shape[1] * c)
             dw_out[blocks] += (h.T @ dproj).reshape(z, -1, c).transpose(1, 0, 2)
             np.matmul(dproj, projection.T, out=dh)
@@ -699,37 +716,8 @@ def loss_and_gradients(
             # Dropout zeroed h where it dropped, so h > 0 is the product of the
             # keep mask and the ReLU's mask.
             dh *= h > 0.0
-            _add(grads, name, rows.basis(ch, block).T @ dh)
-    grads["w_out"] = dw_out.reshape(params["w_out"].shape)
-
-    if not config.uses_alpha_mlp:
-        grads["graph_alpha"] = dalpha.sum(axis=0)
-    else:
-        q1 = cache["al_q1"]
-        grads["al_w2"] = q1.T @ dalpha
-        grads["al_b2"] = dalpha.sum(axis=0)
-        dq1 = dalpha @ params["al_w2"].T
-        db1 = dq1 * (q1 > 0.0)
-        grads["al_w1"] = cache["psi"].T @ db1
-        grads["al_b1"] = db1.sum(axis=0)
-        dpsi = db1 @ params["al_w1"].T
-        dphi = dpsi[:, 0] + 2.0 * cache["phi"] * dpsi[:, 1]
-        if config.uses_localsim_mlp:
-            # Each entry's score feeds its row's mean, so the incoming
-            # gradient splits by 1/degree.
-            ds = dphi[rows.entry_slots] * rows.inv_degrees[rows.entry_slots]
-            grads["ls_b2"] = ds.sum(keepdims=True)
-            w2 = params["ls_w2"][:, 0]
-            for entries in _spans(ds.size, _block_rows(config.ls_hidden)):
-                # The forward pass's activations, computed again.
-                r1 = _localsim_hidden(params, rows, entries)
-                _add(grads, "ls_w2", (r1.T @ ds[entries])[:, None])
-                # da1 overwrites r1, whose last read is its ReLU mask.
-                active = r1 > 0.0
-                da1 = np.multiply(ds[entries, None], w2[None, :], out=r1)
-                da1 *= active
-                _add(grads, "ls_w1", rows.edge_feats[entries].T @ da1)
-                _add(grads, "ls_b1", da1.sum(axis=0))
+            grads[name] += rows.basis(ch, block).T @ dh
+        _fusion_backward(params, config, rows, cache, dalpha, grads)
 
     return _decayed(_mean_nll(log_probs, labels), grads, params, weight_decay)
 
@@ -808,12 +796,14 @@ def _fit(
     """The Adam and early-stopping loop of `train` and `train_linear`.
 
     The callbacks read `vector` as the `_views` of `layout`.  Adam updates
-    it in place from each epoch's gradients, flattened in that layout.  The
-    result's params are views of a copy of the best validation epoch's vector.
-    A non-finite loss raises TrainingDivergedError; at epoch 0, before any
-    update, it names `describe_inputs()` in place of the learning rate.  So
-    does an update whose model gives non-finite outputs on the validation
-    rows (NonFiniteOutputError), naming the learning rate, at any epoch.
+    it in place from each epoch's gradients, which are the `_zeros` views
+    of one vector in that layout.  The result's params are views of a copy
+    of the best validation epoch's vector.  A non-finite loss raises
+    TrainingDivergedError; at epoch 0, before any update, it names
+    `describe_inputs()` in place of the learning rate.  An update whose
+    model gives non-finite outputs on the validation rows
+    (NonFiniteOutputError), or that overflows itself, raises it naming the
+    learning rate, at any epoch.
     """
     params = _views(vector, layout)
     opt = Adam(train_config.lr, vector.size)
@@ -822,12 +812,13 @@ def _fit(
     best_epoch = -1
     history: list[tuple[int, float, float]] = []
     for epoch in range(train_config.epochs):
-        # An overflow yields a non-finite loss, which is refused just below.
+        # An overflow yields a non-finite loss, refused here, or model,
+        # refused by the validation pass.
         with np.errstate(over="ignore", invalid="ignore"):
             loss, grads = loss_and_grads(params)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(epoch, train_config.lr, describe_inputs())
-        opt.step(vector, np.concatenate([grads[name] for name in params], axis=None))
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(epoch, train_config.lr, describe_inputs())
+            opt.step(vector, next(iter(grads.values())).base)
         try:
             val_acc = val_accuracy(params)
         except NonFiniteOutputError:
@@ -964,6 +955,7 @@ def train_linear(
     _require_nodes(train_mask, val_mask)
     d = features.shape[1]
     shapes = {"w": ((d, num_classes), d), "b": ((num_classes,), d)}
+    layout = _layout(shapes)
     train_rows, val_rows = (_row_index(features.shape[0], m) for m in (train_mask, val_mask))
     x_train, y_train = features[train_rows], labels[train_rows]
     x_val, y_val = features[val_rows], labels[val_rows]
@@ -971,12 +963,14 @@ def train_linear(
     def loss_and_grads(p: Params) -> tuple[float, Params]:
         log_probs = _linear_log_probs(p, x_train)
         dlogits = _dlogits(log_probs, y_train, y_train.size)
-        grads = {"w": x_train.T @ dlogits, "b": dlogits.sum(axis=0)}
+        grads = _zeros(layout)
+        np.matmul(x_train.T, dlogits, out=grads["w"])
+        dlogits.sum(axis=0, out=grads["b"])
         return _decayed(_mean_nll(log_probs, y_train), grads, p, train_config.weight_decay)
 
     return _fit(
         _draw(shapes, np.random.default_rng(train_config.seed)),
-        _layout(shapes),
+        layout,
         train_config,
         loss_and_grads,
         lambda p: _accuracy(linear_predict(p, x_val), y_val),

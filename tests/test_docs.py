@@ -54,11 +54,12 @@ def test_readme_lists_every_command():
 # as its group, the unit the phrase counts in, and the constant it names.
 _BLOCK_SIZES = {
     "text lines": (r"a block of (\S+) KiB of lines", 1024, graph._BLOCK_BYTES),
-    "inference rows": (r"in fixed blocks of (\S+) selected rows", 1, model._BLOCK_ROWS),
-    "inference map": (r"holds one \((\S+), `hidden_dim`\) channel map", 1, model._BLOCK_ROWS),
+    "block floats": (r"held channel maps take at most (\S+) floats", 1, model._BLOCK_FLOATS),
+    "chunk floats": (r"in chunks of at most (\S+) floats", 1, model._BLOCK_FLOATS),
+    "inference rows": (r"its block is (\S+) rows at `hidden_dim` 64", 1, model._block_rows(64)),
+    "training rows": (r"its block is (\S+) rows at K = 4 and `hidden_dim` 64", 1,
+                      model._block_rows(9 * 64)),
     "Adam entries": (r"in blocks of (\S+) entries", 1, model._ADAM_BLOCK),
-    "training map floats": (r"channel maps hold at most (\S+) floats", 1,
-                            model._TRAIN_BLOCK_FLOATS),
     "gathered floats": (r"at most (\S+) gathered floats", 1, localsim._CHUNK),
     "generator pairs": (r"in blocks of (\S+) pairs", 1, synthetic._PAIR_BLOCK),
 }

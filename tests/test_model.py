@@ -50,8 +50,10 @@ from reference import central_fd, dense_adjacency, loop_forward, max_rel_error
 
 def make_instance(n=16, d=3, k=2, z=4, seed=0, sim_kind="cosine",
                   localsim_mode="naive", weight_mode="node_level", dropout=0.0,
-                  num_classes=3, scalar=False):
+                  num_classes=3, scalar=False, isolated=()):
+    """A random graph instance; the nodes `isolated` keep no edge."""
     edges = random_edges(n, 0.3, seed)
+    edges = edges[~np.isin(edges, isolated).any(axis=1)]
     g = build_graph(edges, n)
     rng = np.random.default_rng(seed + 100)
     x = rng.normal(size=(n, 1 if scalar else d))
@@ -391,6 +393,18 @@ def test_an_update_that_overflows_the_model_is_refused_at_its_epoch():
         train(config, tcfg, inputs, labels, tr, va)
 
 
+def test_an_adam_step_past_the_float64_range_is_refused_at_its_epoch():
+    # lr times a gradient of about 1e10 overflows inside Adam's update; the
+    # validation pass then refuses the model, naming the learning rate.
+    rng = np.random.default_rng(49)
+    x = rng.normal(size=(20, 3)) * 1e10
+    y = np.repeat([0, 1], 10)
+    tr = np.arange(20) % 2 == 0
+    tcfg = TrainConfig(lr=1e300, epochs=1, patience=1, seed=0)
+    with pytest.raises(TrainingDivergedError, match=r"update at epoch 0 \(lr=1e\+300\)"):
+        train_linear(x, y, 2, tcfg, tr, ~tr)
+
+
 @pytest.fixture(scope="module")
 def depth_four_inputs():
     """Inputs of the 200-node FSBM graph at seed 0, propagated at depth 4."""
@@ -631,15 +645,27 @@ def test_predict_proba_matches_loop_forward(localsim_mode, weight_mode):
     assert np.max(np.abs(predict_proba(params, config, inputs) - want)) <= 1e-12
 
 
+# Nodes with no edge at the first and last row of one block: that block's
+# CSR span starts and ends with rows that own no entry.
+ISOLATED_ENDS = [False, True]
+
+
+@pytest.mark.parametrize("isolated_ends", ISOLATED_ENDS)
 @pytest.mark.parametrize("localsim_mode,weight_mode", ROW_MODES)
-def test_blocked_inference_matches_one_block(localsim_mode, weight_mode, monkeypatch):
-    n = 40
+def test_blocked_inference_matches_one_block(localsim_mode, weight_mode, isolated_ends,
+                                             monkeypatch):
+    n, z = 40, 5
+    # Nodes 3 and 5 start and end the second block of 3 rows.
+    isolated = (3, 5) if isolated_ends else ()
     g, _, config, inputs, labels = make_instance(
-        n=n, d=3, k=2, z=5, seed=27, localsim_mode=localsim_mode, weight_mode=weight_mode)
+        n=n, d=3, k=2, z=z, seed=27, localsim_mode=localsim_mode, weight_mode=weight_mode,
+        isolated=isolated)
+    assert not g.degrees[list(isolated)].any()
     params = init_parameters(config, np.random.default_rng(27))
-    monkeypatch.setattr(model_module, "_BLOCK_ROWS", n)
+    assert model_module._block_rows(z) >= n
     whole = predict_proba(params, config, inputs)
-    monkeypatch.setattr(model_module, "_BLOCK_ROWS", 3)
+    monkeypatch.setattr(model_module, "_BLOCK_FLOATS", 3 * z)
+    assert model_module._block_rows(z) == 3
     # block edges split nodes from their neighbors
     assert np.any(g.entry_rows() // 3 != g.col_indices // 3)
     assert np.max(np.abs(predict_proba(params, config, inputs) - whole)) <= 1e-12
@@ -674,7 +700,8 @@ def test_predict_proba_memory_does_not_grow_with_rows():
 @pytest.mark.parametrize("localsim_mode,weight_mode", ROW_MODES)
 def test_inference_holds_one_channel_map_per_block(localsim_mode, weight_mode):
     # Keeping every channel's map until fusion would hold 2K+1 = 17 of them.
-    k, z, n = 8, 64, 2 * model_module._BLOCK_ROWS
+    k, z = 8, 64
+    n = 2 * model_module._block_rows(z)
     rng = np.random.default_rng(k)
     g = build_graph(rng.integers(0, n, size=(n, 2)), n)
     x = rng.normal(size=(n, 4))
@@ -683,7 +710,7 @@ def test_inference_holds_one_channel_map_per_block(localsim_mode, weight_mode):
                          localsim_mode=localsim_mode, weight_mode=weight_mode)
     inputs = ModelInputs.build(g, x, stack, config.sim_kind)
     params = init_parameters(config, np.random.default_rng(0))
-    block_map = model_module._BLOCK_ROWS * z * 8
+    block_map = model_module._BLOCK_FLOATS * 8
     _, peak = traced_peak(predict_proba, params, config, inputs)
     assert peak < 4 * block_map, peak / block_map
 
@@ -705,7 +732,7 @@ def test_masked_evaluate_gathers_one_channel_at_a_time():
     n, z = 4096, 64
     config, inputs, params, labels = wide_instance(n, d=64, k=8, z=z, seed=29)
     mask = np.arange(n) % 2 == 0
-    block_map = model_module._BLOCK_ROWS * z * 8
+    block_map = model_module._BLOCK_FLOATS * 8
     _, peak = traced_peak(evaluate, params, config, inputs, labels, mask)
     assert peak < 8 * block_map, peak / block_map
 
@@ -728,9 +755,9 @@ def test_a_repeated_pass_allocates_nothing_row_sized():
 
 
 def blocked_pass(config, params, inputs, labels, mask, block_floats, monkeypatch, seed=5):
-    """One training pass with `_TRAIN_BLOCK_FLOATS` set to `block_floats`:
+    """One training pass with `_BLOCK_FLOATS` set to `block_floats`:
     its loss, gradients and the log-probabilities its loss read."""
-    monkeypatch.setattr(model_module, "_TRAIN_BLOCK_FLOATS", block_floats)
+    monkeypatch.setattr(model_module, "_BLOCK_FLOATS", block_floats)
     seen = []
     nll = model_module._mean_nll
 
@@ -744,19 +771,26 @@ def blocked_pass(config, params, inputs, labels, mask, block_floats, monkeypatch
     return loss, grads, seen[0]
 
 
+@pytest.mark.parametrize("isolated_ends", ISOLATED_ENDS)
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
 @pytest.mark.parametrize("localsim_mode,weight_mode", ROW_MODES)
 def test_blocked_training_pass_matches_one_block(localsim_mode, weight_mode, dropout,
-                                                 monkeypatch):
+                                                 isolated_ends, monkeypatch):
     # Blocks of 16 rows (40 rows: three blocks), the multiple that the
     # module's row count keeps; refined local similarity in chunks of 8
     # entries.  With this BLAS the blocked products give every row's bits.
     n, k, z = 60, 3, 8
-    _, _, config, inputs, labels = make_instance(
-        n=n, d=4, k=k, z=z, seed=27, localsim_mode=localsim_mode, weight_mode=weight_mode,
-        dropout=dropout)
-    params = init_parameters(config, np.random.default_rng(27))
     mask = np.arange(n) % 3 != 0
+    # The 17th and 32nd selected rows start and end the second block.
+    isolated = np.flatnonzero(mask)[[16, 31]] if isolated_ends else ()
+    g, _, config, inputs, labels = make_instance(
+        n=n, d=4, k=k, z=z, seed=27, localsim_mode=localsim_mode, weight_mode=weight_mode,
+        dropout=dropout, isolated=isolated)
+    assert not g.degrees[list(isolated)].any()
+    # block edges split nodes from their neighbors
+    block_of = (np.cumsum(mask) - 1) // 16
+    assert np.any(block_of[g.entry_rows()] != block_of[g.col_indices])
+    params = init_parameters(config, np.random.default_rng(27))
     whole = blocked_pass(config, params, inputs, labels, mask, 1 << 17, monkeypatch)
     assert model_module._block_rows((2 * k + 1) * z) >= mask.sum()
     blocks = blocked_pass(config, params, inputs, labels, mask, (2 * k + 1) * z * 16, monkeypatch)
@@ -779,7 +813,7 @@ def test_blocked_gradients_match_finite_differences(case, monkeypatch):
     tr, _, _ = masks(14, rng_seed=9)
     rows = select_rows(inputs, tr)
     # Two rows a block: the 7 train rows take 4 blocks.
-    monkeypatch.setattr(model_module, "_TRAIN_BLOCK_FLOATS", 5 * 3 * 2)
+    monkeypatch.setattr(model_module, "_BLOCK_FLOATS", 5 * 3 * 2)
     assert tr.sum() > 3 * model_module._block_rows(5 * 3)
 
     def loss_and_grads():
@@ -793,7 +827,7 @@ def test_blocked_gradients_match_finite_differences(case, monkeypatch):
 @pytest.mark.parametrize("block_floats", [1, 4 * 3, 4 * 7, 4 * 64, 1 << 17])
 def test_dropout_keep_bits_do_not_depend_on_the_block_size(block_floats, monkeypatch):
     g, _, config, inputs, _ = make_instance(n=30, k=3, z=4, seed=25, dropout=0.5)
-    monkeypatch.setattr(model_module, "_TRAIN_BLOCK_FLOATS", block_floats)
+    monkeypatch.setattr(model_module, "_BLOCK_FLOATS", block_floats)
     for mask in (sparse_mask(g, 30), np.ones(30, dtype=bool)):
         rows = select_rows(inputs, mask)
         rng, twin = np.random.default_rng(7), np.random.default_rng(7)
@@ -979,21 +1013,23 @@ def test_initial_parameters_are_views_of_one_vector(weight_mode):
 def test_parameters_are_views_of_one_vector_through_training(case, monkeypatch):
     # A rebinding such as `params[name] = ...` during training would fork
     # the vector Adam steps, so every epoch's pass must read views of it.
-    # Both heads pass their parameters to the decay term.
+    # Both heads pass their parameters to the decay term, and their
+    # gradients, which Adam reads as one vector, in the same layout.
     seen = []
     decayed = model_module._decayed
 
     def spy(loss, grads, params, weight_decay):
-        seen.append(params)
+        seen.append((params, grads))
         return decayed(loss, grads, params, weight_decay)
 
     monkeypatch.setattr(model_module, "_decayed", spy)
     result = pinned_training(case)
     assert len(seen) == 25
-    vector = next(iter(seen[0].values())).base
-    for params in seen:
-        assert list(params) == list(result)
+    vector = next(iter(seen[0][0].values())).base
+    for params, grads in seen:
+        assert list(params) == list(result) == list(grads)
         assert_views_of_one_vector(params)
+        assert_views_of_one_vector(grads)
         assert next(iter(params.values())).base is vector
     assert_views_of_one_vector(result)
     assert not np.shares_memory(next(iter(result.values())), vector)
