@@ -10,6 +10,7 @@ malformed flag value exits 2 before the output directory is made.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import asdict, astuple, fields, replace
@@ -63,6 +64,22 @@ _numbers = _typed(float, "comma-separated numbers")
 _pair = _typed(float, "two comma-separated numbers", count=2)
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, except that a mapping giving one key twice is an
+    error naming the key and both lines, where PyYAML keeps the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        lines = {}
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key, line = self.construct_object(key_node), key_node.start_mark.line + 1
+                if key in lines:
+                    raise yaml.constructor.ConstructorError(
+                        problem=f"key {key!r} is given twice, on lines {lines[key]} and {line}")
+                lines[key] = line
+        return super().construct_mapping(node, deep)
+
+
 def _load_overrides(path) -> dict:
     """The flat mapping a `--config` file holds; no file means no overrides."""
     if path is None:
@@ -71,7 +88,7 @@ def _load_overrides(path) -> dict:
     # non-UTF-8 byte as a YAMLError, like any other malformed input.
     with open(path, "rb") as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as exc:
             raise InputError(f"config file {path} is not valid YAML: {exc}") from exc
     if data is None:
@@ -285,7 +302,11 @@ def _cmd_search(args, out):
     return ["trial", "failed", "val_mean", "test_mean", *columns], rows, asdict(config), {}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `lsgnn` parser, built on the first call and shared by every later
+    one: parsing leaves it unchanged, so `main` may run many times in one
+    process."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=_seed, default=0, help="base seed for all derived randomness")
     shared.add_argument("--out", default=None, help="output directory (default runs/<command>)")

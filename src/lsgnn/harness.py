@@ -108,17 +108,36 @@ def save_dataset(
 
     Floats use shortest-round-trip decimals, so load_dataset recovers the
     feature matrix bit for bit.  A label or subgraph id that is not a finite
-    integer raises InputError before any file is opened.
+    integer, and a feature row that load_dataset would refuse, raise
+    InputError before any file is opened.
     """
+    feature_rows = _feature_rows(features)
     label_rows = _id_rows(labels, "labels")
     subgraph_rows = None if subgraph_id is None else _id_rows(subgraph_id, "subgraph_id")
     os.makedirs(directory, exist_ok=True)
     write = _graph._write_table
     write(os.path.join(directory, "edges.txt"), graph.edge_array(), delimiter=" ")
-    write(os.path.join(directory, "features.csv"), np.asarray(features, dtype=np.float64))
+    write(os.path.join(directory, "features.csv"), feature_rows)
     write(os.path.join(directory, "labels.txt"), label_rows)
     if subgraph_rows is not None:
         write(os.path.join(directory, "subgraphs.txt"), subgraph_rows)
+
+
+def _feature_rows(features) -> np.ndarray:
+    """`features` as a float64 matrix, or InputError naming the first row
+    that breaks the reader's float rule: a value that is not finite, or
+    squares that sum past the float64 range."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2:
+        raise InputError(f"features must be a 2-D array, got shape {x.shape}")
+    bad = np.flatnonzero(~np.isfinite(_graph._squared_norms(x)))
+    if bad.size:
+        row = x[bad[0]]
+        if np.isfinite(row).all():
+            raise InputError(f"the squares of features row {bad[0]} sum past the float64 range")
+        raise InputError(f"features row {bad[0]} holds {row[~np.isfinite(row)][0]}, "
+                         f"not a finite number")
+    return x
 
 
 def _id_rows(values, name: str) -> list[list[int]]:

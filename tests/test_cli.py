@@ -387,6 +387,17 @@ def test_unknown_config_key_exits_2(dataset_dir, tmp_path, capsys):
         assert "'lr'" in err
 
 
+def test_a_config_key_given_twice_exits_2_naming_both_lines(dataset_dir, tmp_path, capsys):
+    config = tmp_path / "twice.yaml"
+    config.write_text("num_layers: 2\nlr: 0.1\nepochs: 3\nlr: 0.2\n")
+    out = tmp_path / "out"
+    assert main(["train", "--data", str(dataset_dir), "--splits", "1", "--config", str(config),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: config file {config} is not valid YAML: "
+                                       f"key 'lr' is given twice, on lines 2 and 4\n")
+    assert list(out.iterdir()) == []
+
+
 def test_config_values_must_match_field_types(dataset_dir, tmp_path, capsys):
     good = tmp_path / "good.yaml"
     good.write_text("num_layers: 2\nlr: 1\nnormalize: false\n"
@@ -505,8 +516,10 @@ def test_non_finite_generator_settings_exit_2(argv, field, tmp_path, capsys):
      (["gen-fsbm", "--sigma", "-1"], "sigma (--sigma) must be finite and >= 0, got -1.0"),
      (["theory", "--nodes", "8", "--lambdas", "0.9,0.1", "--trials", "2"],
       "expected degree 10 is infeasible on 8 nodes (--nodes): edge rates p=4.5, q=0.5 "
-      "must both be at most 1")],
-    ids=["gen-fsbm-nodes", "theory-nodes", "mu", "sigma", "theory-degree"],
+      "must both be at most 1"),
+     (["gen-fsbm", "--lambdas", "0.9,0.1", "--nodes", "40", "--mu", "1e200,-1e200"],
+      "the squares of features row 0 sum past the float64 range")],
+    ids=["gen-fsbm-nodes", "theory-nodes", "mu", "sigma", "theory-degree", "unreadable-features"],
 )
 def test_generator_errors_name_the_flag(argv, message, tmp_path, capsys):
     out = tmp_path / "o"
@@ -537,7 +550,8 @@ def test_malformed_search_space_exits_2_naming_the_key(line, dataset_dir, tmp_pa
 )
 def test_training_settings_are_validated(field, value, dataset_dir, tmp_path, capsys):
     config = tmp_path / "config.yaml"
-    config.write_text(f"num_layers: 1\nhidden_dim: 4\nepochs: 2\n{field}: {value}\n")
+    settings = {"num_layers": "1", "hidden_dim": "4", "epochs": "2"} | {field: value}
+    config.write_text("".join(f"{key}: {text}\n" for key, text in settings.items()))
     assert main(["train", "--data", str(dataset_dir), "--splits", "1", "--config", str(config),
                  "--out", str(tmp_path / "out")]) == 2
     assert f"{field} must be" in capsys.readouterr().err
@@ -852,3 +866,63 @@ def test_every_command_prints_help(command, capsys):
         main([command, "--help"])
     assert exc.value.code == 0
     assert f"usage: lsgnn {command}" in capsys.readouterr().out
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def _manifest(out) -> dict:
+    lines = (out / "manifest.txt").read_text().splitlines()
+    return dict(line.split("=", 1) for line in lines)
+
+
+def test_back_to_back_calls_get_only_their_own_cells(config_file, tmp_path, capsys):
+    # `toy --lambdas` appends: each call must start from a fresh list.
+    shared = ["toy", "--seeds", "1", "--config", str(config_file)]
+    assert main([*shared, "--lambdas", "0.9,0.1", "--lambdas", "0.5,0.5",
+                 "--out", str(tmp_path / "two")]) == 0
+    assert main([*shared, "--lambdas", "0.8,0.2", "--out", str(tmp_path / "one")]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "one" / "report.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["0.8", "0.2"]]
+    assert _manifest(tmp_path / "one")["lambdas"] == "[(0.8, 0.2)]"
+    assert _manifest(tmp_path / "two")["lambdas"] == "[(0.9, 0.1), (0.5, 0.5)]"
+
+
+def test_a_call_without_config_after_one_with_it_sees_none(dataset_dir, config_file, tmp_path,
+                                                           capsys):
+    shared = ["precompute", "--data", str(dataset_dir)]
+    assert main([*shared, "--config", str(config_file), "--out", str(tmp_path / "configured")]) == 0
+    assert main([*shared, "--out", str(tmp_path / "plain")]) == 0
+    capsys.readouterr()
+    assert _manifest(tmp_path / "configured")["config"] == str(config_file)
+    assert _manifest(tmp_path / "plain")["config"] == "None"
+
+
+@pytest.mark.parametrize("first, code", [
+    (["train", "--splits", "0"], 2),
+    (["train", "--help"], 0),
+], ids=["usage-error", "help"])
+def test_a_call_that_exits_early_leaves_the_next_one_parsing(first, code, dataset_dir, tmp_path,
+                                                            capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*first, "--data", str(dataset_dir)])
+    assert exc.value.code == code
+    out = tmp_path / "stats"
+    assert main(["stats", "--data", str(dataset_dir), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _manifest(out)["data"] == str(dataset_dir)
+    assert "splits" not in _manifest(out)
+
+
+def test_the_same_train_argv_twice_in_one_process_writes_the_same_report(dataset_dir, config_file,
+                                                                         tmp_path, capsys):
+    argv = ["train", "--data", str(dataset_dir), "--splits", "2", "--config", str(config_file),
+            "--seed", "2", "--out", str(tmp_path)]
+    written = []
+    for _ in range(2):
+        assert main(argv) == 0
+        written.append([(tmp_path / name).read_bytes() for name in ("report.csv", "model.lspm")])
+    capsys.readouterr()
+    assert written[0] == written[1]

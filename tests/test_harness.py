@@ -98,20 +98,22 @@ def _digests(where):
 
 
 def test_save_dataset_bytes_are_pinned(tmp_path):
-    # Signed zero, the smallest subnormal, a huge value and a 17-digit
-    # decimal; labels given as floats go through int().
-    features = np.array([[-0.0, 5e-324], [1e300, 0.1 + 0.2], [2.0 / 3.0, -7.0]])
+    # Signed zero, the smallest subnormal, a huge value (whose square stays
+    # finite, so the files load) and a 17-digit decimal; labels given as
+    # floats go through int().
+    features = np.array([[-0.0, 5e-324], [1e150, 0.1 + 0.2], [2.0 / 3.0, -7.0]])
     graph = build_graph(np.array([[2, 0], [1, 2], [0, 1]]), 3)
     save_dataset(tmp_path, graph, features, np.array([1.0, 0.0, 1.0]),
                  subgraph_id=np.array([0, 1, 1]))
     assert (tmp_path / "features.csv").read_text().splitlines()[:2] == [
-        "-0.0,5e-324", "1e+300,0.30000000000000004"]
+        "-0.0,5e-324", "1e+150,0.30000000000000004"]
     assert _digests(tmp_path) == {
         "edges.txt": "0b3cf00b23b6326a",
-        "features.csv": "e666a69127f2d6cb",
+        "features.csv": "dd786c204198fca4",
         "labels.txt": "a714acf0208a1a2e",
         "subgraphs.txt": "76fe9f61152f4c08",
     }
+    assert load_dataset(tmp_path).features.tobytes() == features.tobytes()
 
 
 @pytest.mark.parametrize("labels, subgraph_id, message", [
@@ -124,6 +126,21 @@ def test_save_dataset_refuses_non_integer_ids_before_writing(tmp_path, labels, s
     subgraph_id = None if subgraph_id is None else np.array(subgraph_id)
     with pytest.raises(InputError, match=message):
         save_dataset(tmp_path, graph, np.zeros((3, 2)), np.array(labels), subgraph_id=subgraph_id)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("features, message", [
+    ([[0.0, 1.0], [2.0, np.nan], [3.0, 4.0]], r"^features row 1 holds nan, not a finite number$"),
+    ([[0.0, 1.0], [2.0, 3.0], [-np.inf, 4.0]], r"^features row 2 holds -inf, not a finite number$"),
+    ([[1e200, 0.0], [0.0, 1.0], [1.0, 0.0]],
+     r"^the squares of features row 0 sum past the float64 range$"),
+    ([0.0, 1.0, 2.0], r"^features must be a 2-D array, got shape \(3,\)$"),
+], ids=["nan", "infinite", "overflowing-row", "one-dimensional"])
+def test_save_dataset_refuses_features_the_reader_refuses_before_writing(tmp_path, features,
+                                                                         message):
+    graph = build_graph(np.array([[0, 1], [1, 2]]), 3)
+    with pytest.raises(InputError, match=message):
+        save_dataset(tmp_path, graph, np.array(features), np.array([0, 1, 0]))
     assert list(tmp_path.iterdir()) == []
 
 
