@@ -132,7 +132,11 @@ def _cmd_gen_fsbm(args, out):
         mode=args.mode,
     )
     ds = generate_fsbm(config, seed=[args.seed])
-    save_dataset(out, ds.graph, ds.x, ds.community, subgraph_id=ds.subgraph_id)
+    try:
+        save_dataset(out, ds.graph, ds.x, ds.community, subgraph_id=ds.subgraph_id)
+    except InputError as exc:
+        # Only the features can be refused, and --mu and --sigma set their scale.
+        raise InputError(f"mu (--mu) and sigma (--sigma) give features no command can read: {exc}") from exc
     stats = dataset_stats(load_dataset(out))
     print(f"wrote dataset to {out} ({stats.num_nodes} nodes, {stats.num_edges} edges)")
     return *_stats_table(stats), asdict(config), {}

@@ -518,6 +518,7 @@ def test_non_finite_generator_settings_exit_2(argv, field, tmp_path, capsys):
       "expected degree 10 is infeasible on 8 nodes (--nodes): edge rates p=4.5, q=0.5 "
       "must both be at most 1"),
      (["gen-fsbm", "--lambdas", "0.9,0.1", "--nodes", "40", "--mu", "1e200,-1e200"],
+      "mu (--mu) and sigma (--sigma) give features no command can read: "
       "the squares of features row 0 sum past the float64 range")],
     ids=["gen-fsbm-nodes", "theory-nodes", "mu", "sigma", "theory-degree", "unreadable-features"],
 )
